@@ -227,17 +227,14 @@ def step_circuit_00(omega: float) -> np.ndarray:
     return u
 
 
-def chain_step_blocks(code: ConvCode, received: str, omega: float) -> np.ndarray:
-    """Staircase of step operators over N+1 state registers as one unitary.
+def _chain(code: ConvCode, received: str, omega: float, initial_state: int | None) -> np.ndarray:
+    """Step operators applied to |initial_state>|0...0>, or to the identity if None.
 
-    Register t holds the state after t steps; step t couples registers t-1
-    and t.  Applied to |s0> |0...0> the result is supported exactly on the
-    admissible paths from s0, with amplitude exp(i omega e(path)) / sqrt(L).
+    Step t touches only registers t-1 and t, so it is one matmul of the step
+    block against a (left, Q^2, rest) view of the state.
     """
     blocks = split_blocks(received, code.n)
     n = len(blocks)
-    if n < 1:
-        raise ValueError("received word is empty")
     q_bits = code.state_bits
     total_bits = (n + 1) * q_bits
     if total_bits > CHAIN_QUBIT_LIMIT:
@@ -245,37 +242,36 @@ def chain_step_blocks(code: ConvCode, received: str, omega: float) -> np.ndarray
             f"chain needs {total_bits} qubits, over the {CHAIN_QUBIT_LIMIT}-qubit guard"
         )
     dim = 1 << total_bits
-    u = np.eye(dim, dtype=complex)
+    if initial_state is None:
+        x = np.eye(dim, dtype=complex)
+    else:
+        x = np.zeros(dim, dtype=complex)
+        x[initial_state << (q_bits * n)] = 1.0
     for t, y in enumerate(blocks, start=1):
         v = step_block(code, y, omega)
-        left = np.eye(1 << (q_bits * (t - 1)), dtype=complex)
-        right = np.eye(1 << (q_bits * (n - t)), dtype=complex)
-        u = np.kron(np.kron(left, v), right) @ u
-    return u
+        x = (v @ x.reshape(1 << (q_bits * (t - 1)), len(v), -1)).reshape(x.shape)
+    return x
+
+
+def chain_step_blocks(code: ConvCode, received: str, omega: float) -> np.ndarray:
+    """Staircase of step operators over N+1 state registers as one unitary.
+
+    Register t holds the state after t steps; step t couples registers t-1
+    and t.  Applied to |s0> |0...0> the result is supported exactly on the
+    admissible paths from s0, with amplitude exp(i omega e(path)) / sqrt(L).
+    """
+    if not received:
+        raise ValueError("received word is empty")
+    return _chain(code, received, omega, None)
 
 
 def chain_state(code: ConvCode, received: str, omega: float, initial_state: int = 0) -> np.ndarray:
     """State the chain produces from start register |initial_state>|0...0>.
 
-    Applies the embedded step operators to the vector directly instead of
-    forming the full chain unitary.
+    Applies the step operators to the vector directly instead of forming
+    the full chain unitary.
     """
-    blocks = split_blocks(received, code.n)
-    n = len(blocks)
-    q_bits = code.state_bits
-    total_bits = (n + 1) * q_bits
-    if total_bits > CHAIN_QUBIT_LIMIT:
-        raise SizeLimitError(
-            f"chain needs {total_bits} qubits, over the {CHAIN_QUBIT_LIMIT}-qubit guard"
-        )
-    state = np.zeros(1 << total_bits, dtype=complex)
-    state[initial_state << (q_bits * n)] = 1.0
-    for t, y in enumerate(blocks, start=1):
-        v = step_block(code, y, omega)
-        left = np.eye(1 << (q_bits * (t - 1)), dtype=complex)
-        right = np.eye(1 << (q_bits * (n - t)), dtype=complex)
-        state = np.kron(np.kron(left, v), right) @ state
-    return state
+    return _chain(code, received, omega, initial_state)
 
 
 @dataclass(frozen=True)

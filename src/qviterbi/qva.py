@@ -251,14 +251,19 @@ def diffuse(v: np.ndarray) -> np.ndarray:
     return (2.0 / L) * v.sum() - v
 
 
+def _amplify(g: np.ndarray, iterations: int) -> np.ndarray:
+    """Mark+diffuse rounds from uniform, in place, on marking rows g of shape (..., L)."""
+    L = g.shape[-1]
+    v = np.full(g.shape, 1.0 / math.sqrt(L), dtype=complex)
+    for _ in range(iterations):
+        v *= g
+        np.subtract((2.0 / L) * v.sum(axis=-1, keepdims=True), v, out=v)
+    return v
+
+
 def amplify_phases(g: np.ndarray, iterations: int) -> np.ndarray:
     """Run `iterations` mark+diffuse rounds from uniform with marking diagonal g."""
-    g = np.asarray(g, dtype=complex)
-    v = np.full(len(g), 1.0 / math.sqrt(len(g)), dtype=complex)
-    for _ in range(iterations):
-        v = g * v
-        v = diffuse(v)
-    return v
+    return _amplify(np.asarray(g, dtype=complex), iterations)
 
 
 def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
@@ -267,10 +272,7 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     prob_top is the probability of measuring the classical-Viterbi optimal
     path; top_index is the most likely measurement outcome.
     """
-    v = uniform_superposition(ps)
-    for _ in range(params.iterations):
-        v = phase_mark(ps, v, params)
-        v = diffuse(v)
+    v = _amplify(np.exp(1j * params.omega * ps.exponents(params.phase_mode)), params.iterations)
     probs = np.abs(v) ** 2
     return RunResult(
         statevector=v,
@@ -346,11 +348,7 @@ def sweep_omega(
     vit = ps.viterbi_index
     omegas = np.arange(grid, math.pi, grid)
 
-    marks = np.exp(1j * omegas[:, None] * x[None, :])
-    amps = np.full((len(omegas), ps.L), 1.0 / math.sqrt(ps.L), dtype=complex)
-    for _ in range(iterations):
-        amps *= marks
-        amps = (2.0 / ps.L) * amps.sum(axis=1, keepdims=True) - amps
+    amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations)
     probs = np.abs(amps[:, vit]) ** 2
     top_indices = np.argmax(np.abs(amps) ** 2, axis=1)
 
@@ -374,16 +372,19 @@ def sweep_omega(
     )
 
 
-def measure(v: np.ndarray, seed, shots: int) -> Counter:
-    """Sample `shots` outcomes from |v|^2 with a seeded generator."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
+def _sample(v: np.ndarray, seed, size: int) -> Counter:
+    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order."""
+    if size < 1:
+        raise ValueError("need at least one draw")
     p = np.abs(np.asarray(v)) ** 2
-    p = p / p.sum()
-    draws = rng.choice(len(p), size=shots, p=p)
+    draws = np.random.default_rng(seed).choice(len(p), size=size, p=p / p.sum())
     values, counts = np.unique(draws, return_counts=True)
     return Counter({int(i): int(c) for i, c in zip(values, counts)})
+
+
+def measure(v: np.ndarray, seed, shots: int) -> Counter:
+    """Sample `shots` outcomes from |v|^2 with a seeded generator."""
+    return _sample(v, seed, shots)
 
 
 def mode_of(counts: Counter) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qva import PathSpace
+from .qva import PathSpace, _sample, mode_of
 
 DEFAULT_TARGET_FAILURE = math.exp(-2.0)
 
@@ -123,31 +123,9 @@ class TrialOutcome:
 
 
 def run_trials(v: np.ndarray, r: int, seed) -> TrialOutcome:
-    """Draw r single-shot measurements and extract the mode.
-
-    The draws are sorted and scanned for the longest run, so ties resolve to
-    the lexicographically smallest outcome.
-    """
-    if r < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    p = np.abs(np.asarray(v)) ** 2
-    p = p / p.sum()
-    draws = np.sort(rng.choice(len(p), size=r, p=p))
-    best_value = int(draws[0])
-    best_run = 0
-    run_value, run_len = int(draws[0]), 0
-    for d in draws:
-        d = int(d)
-        if d == run_value:
-            run_len += 1
-        else:
-            run_value, run_len = d, 1
-        if run_len > best_run:
-            best_value, best_run = run_value, run_len
-    values, counts = np.unique(draws, return_counts=True)
-    histogram = Counter({int(i): int(c) for i, c in zip(values, counts)})
-    return TrialOutcome(mode_index=best_value, mode_count=best_run, counts=histogram)
+    """Draw r single-shot measurements and extract the mode (ties go to the smallest index)."""
+    counts = _sample(v, seed, r)
+    return TrialOutcome(*mode_of(counts), counts=counts)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,23 @@ class TestChain:
                 expected = np.exp(1j * 0.47 * ps.errors[i]) / math.sqrt(ps.L)
                 assert state[index] == pytest.approx(expected, abs=1e-12)
 
+    def test_nonzero_initial_state(self, code):
+        received, omega = "0110", 0.47
+        n = 2
+        unitary = chain_step_blocks(code, received, omega)
+        for s0 in (1, 2, 3):
+            state = chain_state(code, received, omega, initial_state=s0)
+            column = unitary[:, s0 << (code.state_bits * n)]
+            assert np.max(np.abs(state - column)) <= 1e-12
+            ps = build_path_space(code, received, s0)
+            reference = np.zeros(len(state), dtype=complex)
+            for i in range(ps.L):
+                index = 0
+                for t, s in enumerate(ps.path(i)):
+                    index |= s << (code.state_bits * (n - t))
+                reference[index] = np.exp(1j * omega * ps.errors[i]) / math.sqrt(ps.L)
+            assert np.max(np.abs(state - reference)) <= 1e-12
+
     def test_chain_unitary(self, code):
         assert is_unitary(chain_step_blocks(code, "0000", 0.9))
 

@@ -57,14 +57,33 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(parse(["decode", "--config", str(path)]))
 
-    def test_bad_values_exit_code_two(self, capsys):
+    def test_bad_values_exit_code_two(self, capsys, tmp_path):
         assert main(["decode", "--epsilon", "0.7"]) == 2
         assert "bad config" in capsys.readouterr().err
         assert main(["decode", "--code", "junk"]) == 2
         assert main(["sweep", "--grid", "-1"]) == 2
+        capsys.readouterr()
+        bad_docs = [
+            {"n_steps": "4"},
+            {"seed": 1.5},
+            {"campaigns": True},
+            {"out": 5},
+            {"mode": "probabilistic-qva", "n_steps": 30},
+            {"mode": "iterated-qva", "iterations": 0},
+        ]
+        for i, doc in enumerate(bad_docs):
+            path = config_file(tmp_path, doc, name=f"bad{i}.json")
+            assert main(["decode", "--config", path]) == 2, doc
+            err = capsys.readouterr().err
+            assert err.startswith("bad config: ") and err.count("\n") == 1, err
+        assert main(["sweep", "--iterations", "0"]) == 2
+        assert main(["circuit", "--omega", "5"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_table_range_validation(self, tmp_path):
         path = config_file(tmp_path, {"n_range": [2, 9]})
+        assert main(["table", "--config", path]) == 2
+        path = config_file(tmp_path, {"n_range": ["a", 5]}, name="letters.json")
         assert main(["table", "--config", path]) == 2
 
 
@@ -242,6 +261,14 @@ class TestVerify:
         assert main(["verify", "--seed", "5"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] diffusion-row-form" in out
+
+    def test_other_code_skips_instead_of_passing(self, capsys):
+        assert main(["verify", "--code", "1,2,3;13,17", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "[PASS] exponent-multiset-n4" in out
+        assert out.count("[SKIP]") == 2 and "skipped:" not in out
+        assert out.endswith("6/6 checks passed, 2 skipped\n")
 
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])
