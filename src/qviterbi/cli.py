@@ -120,7 +120,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             f"expected one of {COMMAND_MODES[args.command]}"
         )
     try:
-        ConvCode.from_spec(merged["code"])
+        code = ConvCode.from_spec(merged["code"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if merged["n_steps"] < 1:
@@ -133,6 +133,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("campaigns must be at least 1")
     if merged["max_errors"] < 0:
         raise ConfigError("max_errors must be non-negative")
+    if mode == "iterated-qva" and merged["max_errors"] > merged["n_steps"] * code.n:
+        raise ConfigError("max_errors exceeds the frame's bit count (n_steps * n)")
     for key in ("iterations", "trials"):
         if merged[key] is not None and merged[key] < 1:
             raise ConfigError(f"{key} must be at least 1")

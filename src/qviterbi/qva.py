@@ -1,20 +1,26 @@
 """Path-space statevector simulation of amplitude-amplified trellis search.
 
-The simulation lives directly on the L = F^N admissible paths rather than
-the full register Hilbert space: the marking and diffusion operators act as
-the identity off that subspace, and indexing paths by their message bits
-keeps a million-path space (N = 20 for a rate-1/2 code) tractable.
+The simulation lives on the L = F^N admissible paths rather than the full
+register Hilbert space: the marking and diffusion operators act as the
+identity off that subspace, and paths are indexed by their message bits.
 
 One amplification iteration is a phase-marking pass (each path amplitude is
 multiplied by exp(i * omega * bit_error_count)) followed by inversion about
 the mean restricted to the admissible subspace.
+
+Both steps treat paths with equal exponents alike: the marking phase
+depends only on the exponent, and the diffusion on no path label.  So from
+the uniform start each error class keeps one common amplitude, and run_qva
+and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
+with the mean weighted by class sizes.  The per-path operators below are the
+dense reference the class engine is tested against.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +31,19 @@ from .hmm import Hmm
 PATH_SPACE_LIMIT = 1 << 24
 
 PHASE_MODES = ("errors", "neglog")
+
+
+class ClassView(NamedTuple):
+    """The distinct exponents of a path space, in order of first path index.
+
+    counts[c] paths carry exponent values[c]; first[c] is the smallest of
+    their indices and inverse[i] is the class of path i.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    inverse: np.ndarray
 
 
 class PathSpace:
@@ -60,6 +79,7 @@ class PathSpace:
         self._input_bits = input_bits
         ref = errors if errors is not None else weights
         self.L = int(len(ref))
+        self._classes: dict[str, ClassView] = {}
 
     def exponents(self, phase_mode: str = "errors") -> np.ndarray:
         if phase_mode == "errors":
@@ -71,6 +91,27 @@ class PathSpace:
                 raise ValueError("this path space carries no log-probability weights")
             return self.weights
         raise ValueError(f"unknown phase mode {phase_mode!r}")
+
+    def classes(self, phase_mode: str = "errors") -> ClassView:
+        """Paths grouped by exponent, cached per phase mode.
+
+        Classes are ordered by their first path index, so an argmax over
+        classes picks the class that holds the first maximal path.
+        """
+        view = self._classes.get(phase_mode)
+        if view is None:
+            values, first, inverse, counts = np.unique(
+                self.exponents(phase_mode),
+                return_index=True,
+                return_inverse=True,
+                return_counts=True,
+            )
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            view = ClassView(values[order], counts[order], first[order], rank[inverse])
+            self._classes[phase_mode] = view
+        return view
 
     @property
     def viterbi_index(self) -> int:
@@ -108,7 +149,8 @@ class PathSpace:
     def exponent_multiset(self) -> Counter:
         if self.errors is None:
             raise ValueError("this path space carries no integer error counts")
-        return Counter(int(e) for e in self.errors)
+        view = self.classes("errors")
+        return Counter(dict(zip(view.values.tolist(), view.counts.tolist())))
 
 
 def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> PathSpace:
@@ -251,13 +293,22 @@ def diffuse(v: np.ndarray) -> np.ndarray:
     return (2.0 / L) * v.sum() - v
 
 
-def _amplify(g: np.ndarray, iterations: int) -> np.ndarray:
-    """Mark+diffuse rounds from uniform, in place, on marking rows g of shape (..., L)."""
-    L = g.shape[-1]
+def _amplify(g: np.ndarray, iterations: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """Mark+diffuse rounds from uniform, in place, on marking rows g of shape (..., C).
+
+    Entry c of a row stands for counts[c] paths that share one amplitude, so
+    the mean is weighted by counts; counts=None makes every entry one path.
+    """
+    if counts is None:
+        L = g.shape[-1]
+    else:
+        weights = counts.astype(float)  # complex @ int64 bypasses BLAS, ~15x slower
+        L = int(counts.sum())
     v = np.full(g.shape, 1.0 / math.sqrt(L), dtype=complex)
     for _ in range(iterations):
         v *= g
-        np.subtract((2.0 / L) * v.sum(axis=-1, keepdims=True), v, out=v)
+        total = v.sum(axis=-1, keepdims=True) if counts is None else (v @ weights)[..., None]
+        np.subtract((2.0 / L) * total, v, out=v)
     return v
 
 
@@ -272,12 +323,13 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     prob_top is the probability of measuring the classical-Viterbi optimal
     path; top_index is the most likely measurement outcome.
     """
-    v = _amplify(np.exp(1j * params.omega * ps.exponents(params.phase_mode)), params.iterations)
+    view = ps.classes(params.phase_mode)
+    v = _amplify(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
     probs = np.abs(v) ** 2
     return RunResult(
-        statevector=v,
-        prob_top=float(probs[ps.viterbi_index]),
-        top_index=int(np.argmax(probs)),
+        statevector=v[view.inverse],
+        prob_top=float(probs[view.inverse[ps.viterbi_index]]),
+        top_index=int(view.first[np.argmax(probs)]),
     )
 
 
@@ -344,18 +396,19 @@ def sweep_omega(
         raise ValueError("grid step must lie in (0, pi)")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    x = ps.exponents(phase_mode)
-    vit = ps.viterbi_index
+    view = ps.classes(phase_mode)
+    x = view.values
+    vit = view.inverse[ps.viterbi_index]
     omegas = np.arange(grid, math.pi, grid)
 
-    amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations)
+    amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations, view.counts)
     probs = np.abs(amps[:, vit]) ** 2
-    top_indices = np.argmax(np.abs(amps) ** 2, axis=1)
+    top_indices = view.first[np.argmax(np.abs(amps) ** 2, axis=1)]
 
     best = int(np.argmax(probs))
 
     def objective(w: float) -> float:
-        v = amplify_phases(np.exp(1j * w * x), iterations)
+        v = _amplify(np.exp(1j * w * x), iterations, view.counts)
         return float(np.abs(v[vit]) ** 2)
 
     lo = max(omegas[best] - grid, 1e-9)

@@ -1,0 +1,146 @@
+"""Property tests: the error-class engine against the dense per-path chain.
+
+run_qva and sweep_omega amplify one amplitude per distinct exponent.  The
+reference is the public per-path chain uniform_superposition -> phase_mark
+-> diffuse, which touches all L amplitudes on every iteration.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qviterbi.convcode import ConvCode, split_blocks
+from qviterbi.qva import (
+    PathSpace,
+    QvaParams,
+    build_path_space,
+    build_path_space_hmm,
+    diffuse,
+    phase_mark,
+    run_qva,
+    sweep_omega,
+    uniform_superposition,
+)
+
+TOL = 1e-12
+MAX_STEPS_K1 = 8  # at most 2^8 paths for every k
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def codes(draw):
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    masks = draw(st.lists(st.integers(0, (1 << (m + 1)) - 1), min_size=k * n, max_size=k * n))
+    masks[0] |= 1 << m  # some generator must have degree exactly m
+    return ConvCode(k=k, n=n, m=m, generators=tuple(
+        tuple(masks[i * n : (i + 1) * n]) for i in range(k)
+    ))
+
+
+@st.composite
+def frames(draw):
+    """A code and a received word with at most 256 paths."""
+    code = draw(codes())
+    n_steps = draw(st.integers(1, MAX_STEPS_K1 // code.k))
+    bits = draw(st.lists(st.sampled_from("01"), min_size=n_steps * code.n,
+                         max_size=n_steps * code.n))
+    return code, "".join(bits)
+
+
+omegas = st.floats(0.0, math.pi)
+iteration_counts = st.integers(1, 12)
+
+
+def dense_state(ps, params):
+    v = uniform_superposition(ps)
+    for _ in range(params.iterations):
+        v = diffuse(phase_mark(ps, v, params))
+    return v
+
+
+def assert_same_top(top, probs, ps, phase_mode):
+    """top is the dense first maximum, unless another class ties it within TOL."""
+    near = np.flatnonzero(probs >= probs.max() - TOL)
+    assert top in near
+    if len(np.unique(ps.exponents(phase_mode)[near])) == 1:
+        assert top == near[0]
+
+
+def assert_run_matches_dense(ps, params):
+    result = run_qva(ps, params)
+    v = dense_state(ps, params)
+    probs = np.abs(v) ** 2
+    assert np.max(np.abs(result.statevector - v)) <= TOL
+    assert abs(np.linalg.norm(result.statevector) - 1.0) <= TOL
+    assert abs(result.prob_top - probs[ps.viterbi_index]) <= TOL
+    assert_same_top(result.top_index, probs, ps, params.phase_mode)
+
+
+@PROPERTY_SETTINGS
+@given(frames(), omegas, iteration_counts)
+def test_run_matches_dense_on_code_spaces(frame, omega, iterations):
+    code, received = frame
+    ps = build_path_space(code, received)
+    assert_run_matches_dense(ps, QvaParams(omega=omega, iterations=iterations))
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.floats(0.01, 0.49), omegas, iteration_counts)
+def test_run_matches_dense_on_neglog_spaces(frame, epsilon, omega, iterations):
+    code, received = frame
+    ps = build_path_space_hmm(code.to_hmm(epsilon), split_blocks(received, code.n))
+    params = QvaParams(omega=omega, iterations=iterations, phase_mode="neglog")
+    assert_run_matches_dense(ps, params)
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.integers(0, 2**32 - 1), omegas, iteration_counts)
+def test_run_matches_dense_on_permuted_spaces(frame, seed, omega, iterations):
+    # a permutation moves each class's first path index away from its
+    # lowest-metric path, which exercises the first-maximum tie rule
+    code, received = frame
+    ps = build_path_space(code, received)
+    perm = np.random.default_rng(seed).permutation(ps.L)
+    shuffled = PathSpace(n_steps=ps.n_steps, errors=ps.errors[perm], weights=None)
+    assert_run_matches_dense(shuffled, QvaParams(omega=omega, iterations=iterations))
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.sampled_from([0.3, 0.45, 0.7]), st.integers(1, 6))
+def test_sweep_grid_matches_dense(frame, grid, iterations):
+    code, received = frame
+    ps = build_path_space(code, received)
+    sweep = sweep_omega(ps, iterations, grid)
+    for w, prob, top in zip(sweep.omegas, sweep.probs, sweep.top_indices):
+        probs = np.abs(dense_state(ps, QvaParams(omega=float(w), iterations=iterations))) ** 2
+        assert abs(prob - probs[ps.viterbi_index]) <= TOL
+        assert_same_top(int(top), probs, ps, "errors")
+
+
+@PROPERTY_SETTINGS
+@given(frames())
+def test_class_view_partitions_paths(frame):
+    code, received = frame
+    ps = build_path_space(code, received)
+    view = ps.classes()
+    assert int(view.counts.sum()) == ps.L
+    assert np.array_equal(view.values[view.inverse], ps.errors)
+    assert np.all(np.diff(view.first) > 0)
+    assert np.array_equal(view.inverse[view.first], np.arange(len(view.first)))
+    assert all(type(e) is int for e in ps.exponent_multiset())
+
+
+def test_exact_tie_across_classes_goes_to_first_path():
+    # at omega = 0 every class keeps the same amplitude in both engines, so
+    # the dense argmax is path 0 whichever class holds it
+    ps = build_path_space(ConvCode.from_spec("1,2,2;5,7"), "0" * 10)
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(ps.L)
+        shuffled = PathSpace(n_steps=ps.n_steps, errors=ps.errors[perm], weights=None)
+        params = QvaParams(omega=0.0, iterations=3)
+        dense = np.abs(dense_state(shuffled, params)) ** 2
+        assert run_qva(shuffled, params).top_index == int(np.argmax(dense)) == 0

@@ -70,6 +70,7 @@ class TestConfigResolution:
             {"out": 5},
             {"mode": "probabilistic-qva", "n_steps": 30},
             {"mode": "iterated-qva", "iterations": 0},
+            {"mode": "iterated-qva", "n_steps": 3, "max_errors": 50, "campaigns": 2},
         ]
         for i, doc in enumerate(bad_docs):
             path = config_file(tmp_path, doc, name=f"bad{i}.json")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -313,6 +314,17 @@ class TestSweep:
             ps = build_path_space(code, "0" * (2 * n))
             stars.append(sweep_omega(ps, iterations).omega_star)
         assert all(b < a for a, b in zip(stars, stars[1:]))
+
+    def test_sweep_memory_is_per_class_not_per_path(self, code):
+        # a 628 x L complex grid at N = 16 would take 0.66 GB per array
+        ps = build_path_space(code, "0" * 32)
+        tracemalloc.start()
+        try:
+            sweep_omega(ps, formula_iterations(code, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestMeasure:
