@@ -21,6 +21,7 @@ import numpy as np
 from .convcode import ConvCode, hamming, split_blocks
 from .errors import SizeLimitError
 from .hmm import Hmm
+from .qva import build_path_space
 
 UNITARY_TOL = 1e-10
 
@@ -227,6 +228,16 @@ def step_circuit_00(omega: float) -> np.ndarray:
     return u
 
 
+def _chain_qubits(code: ConvCode, n_steps: int) -> int:
+    """Qubits of N+1 state registers, refused above CHAIN_QUBIT_LIMIT."""
+    total_bits = (n_steps + 1) * code.state_bits
+    if total_bits > CHAIN_QUBIT_LIMIT:
+        raise SizeLimitError(
+            f"chain needs {total_bits} qubits, over the {CHAIN_QUBIT_LIMIT}-qubit guard"
+        )
+    return total_bits
+
+
 def _chain(code: ConvCode, received: str, omega: float, initial_state: int | None) -> np.ndarray:
     """Step operators applied to |initial_state>|0...0>, or to the identity if None.
 
@@ -236,12 +247,7 @@ def _chain(code: ConvCode, received: str, omega: float, initial_state: int | Non
     blocks = split_blocks(received, code.n)
     n = len(blocks)
     q_bits = code.state_bits
-    total_bits = (n + 1) * q_bits
-    if total_bits > CHAIN_QUBIT_LIMIT:
-        raise SizeLimitError(
-            f"chain needs {total_bits} qubits, over the {CHAIN_QUBIT_LIMIT}-qubit guard"
-        )
-    dim = 1 << total_bits
+    dim = 1 << _chain_qubits(code, n)
     if initial_state is None:
         x = np.eye(dim, dtype=complex)
     else:
@@ -272,6 +278,26 @@ def chain_state(code: ConvCode, received: str, omega: float, initial_state: int 
     the full chain unitary.
     """
     return _chain(code, received, omega, initial_state)
+
+
+def path_reference(
+    code: ConvCode, received: str, omega: float, initial_state: int = 0
+) -> np.ndarray:
+    """The state chain_state should produce, built from the path space.
+
+    Each admissible path (s_0, ..., s_N) from initial_state gets amplitude
+    exp(i omega e) / sqrt(L), where e is its bit-error count, at the index
+    that holds s_t in register t (register 0 most significant).
+    """
+    ps = build_path_space(code, received, initial_state)
+    n = ps.n_steps
+    reference = np.zeros(1 << _chain_qubits(code, n), dtype=complex)
+    for i in range(ps.L):
+        index = 0
+        for t, s in enumerate(ps.path(i)):
+            index |= s << (code.state_bits * (n - t))
+        reference[index] = np.exp(1j * omega * ps.errors[i]) / math.sqrt(ps.L)
+    return reference
 
 
 @dataclass(frozen=True)

@@ -266,8 +266,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                 "iterations": iterations,
                 "grid": cfg.grid,
             },
-            "omega_star": sweep.omega_star,
-            "prob_star": sweep.prob_star,
+            # 12 significant digits, as in the CSV; a full repr would change
+            # with the summation order of the class mean
+            "omega_star": float(_fmt(sweep.omega_star)),
+            "prob_star": float(_fmt(sweep.prob_star)),
             "exponent_multiset": {
                 str(k): v for k, v in sorted(ps.exponent_multiset().items())
             },
@@ -483,14 +485,8 @@ def _check_chain_vs_path(code, _seed) -> tuple[bool, str]:
     for n in (1, 2):
         for value in range(1 << (n * code.n)):
             received = format(value, f"0{n * code.n}b")
-            ps = qva.build_path_space(code, received)
             state = circuits.chain_state(code, received, 0.68)
-            reference = np.zeros(len(state), dtype=complex)
-            for i in range(ps.L):
-                index = 0
-                for t, s in enumerate(ps.path(i)):
-                    index |= s << (code.state_bits * (n - t))
-                reference[index] = np.exp(1j * 0.68 * ps.errors[i]) / math.sqrt(ps.L)
+            reference = circuits.path_reference(code, received, 0.68)
             worst = max(worst, float(np.max(np.abs(state - reference))))
     return worst <= 1e-10, f"worst amplitude deviation {worst:.2e}"
 

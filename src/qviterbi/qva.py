@@ -96,20 +96,27 @@ class PathSpace:
         """Paths grouped by exponent, cached per phase mode.
 
         Classes are ordered by their first path index, so an argmax over
-        classes picks the class that holds the first maximal path.
+        classes picks the class that holds the first maximal path.  Integer
+        exponents spanning at most L values (every code-backed space) are
+        binned by offset from their minimum, in O(L) without a sort; float
+        and sparse integer exponents are factorised by np.unique.
         """
         view = self._classes.get(phase_mode)
         if view is None:
-            values, first, inverse, counts = np.unique(
-                self.exponents(phase_mode),
-                return_index=True,
-                return_inverse=True,
-                return_counts=True,
-            )
-            order = np.argsort(first)
-            rank = np.empty_like(order)
+            x = self.exponents(phase_mode)
+            if x.dtype.kind == "i" and int(x.max()) - int(x.min()) <= self.L:
+                codes = x.astype(np.int64, copy=False) - x.min()
+            else:
+                codes = np.unique(x, return_inverse=True)[1]
+            counts = np.bincount(codes)
+            first = np.full(len(counts), self.L, dtype=np.intp)
+            np.minimum.at(first, codes, np.arange(self.L))
+            # absent codes keep first = L and sort behind every present one
+            order = np.argsort(first)[: np.count_nonzero(counts)]
+            rank = np.empty(len(counts), dtype=np.intp)
             rank[order] = np.arange(len(order))
-            view = ClassView(values[order], counts[order], first[order], rank[inverse])
+            first = first[order]
+            view = ClassView(x[first], counts[order], first, rank[codes])
             self._classes[phase_mode] = view
         return view
 
@@ -157,7 +164,11 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     """Enumerate all message sequences and their total bit-error counts.
 
     Path i is the one driven by the k*N message bits of i (most significant
-    block first) starting from initial_state.
+    block first) starting from initial_state.  The paths grow forward over
+    the trellis one step at a time: each prefix splits into its F successors
+    and a row-major ravel appends the step's input below the earlier ones,
+    so after step t the prefixes are already in message-index order.  The
+    work is about F/(F-1) * L gathers rather than N * L.
     """
     if set(received) - {"0", "1"}:
         raise ValueError("received word may only contain '0' and '1'")
@@ -177,17 +188,15 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         next_table[t.from_state, t.input] = t.to_state
         outputs[t.from_state][t.input] = t.output
 
-    L = fan**n
-    idx = np.arange(L, dtype=np.int64)
-    states = np.full(L, initial_state, dtype=np.int64)
-    errors = np.zeros(L, dtype=np.int64)
+    states = np.array([initial_state], dtype=np.int64)
+    errors = np.zeros(1, dtype=np.int64)
     for t, y in enumerate(blocks):
         err_table = np.array(
             [[hamming(out, y) for out in row] for row in outputs], dtype=np.int64
         )
-        u = (idx >> (code.k * (n - 1 - t))) & (fan - 1)
-        errors += err_table[states, u]
-        states = next_table[states, u]
+        errors = (errors[:, None] + err_table[states]).ravel()
+        if t + 1 < n:
+            states = next_table[states].ravel()
 
     return PathSpace(
         n_steps=n,

@@ -11,6 +11,7 @@ from qviterbi.circuits import (
     equal_up_to_global_phase,
     gate_counts,
     is_unitary,
+    path_reference,
     state_preparation,
     step_block,
     step_circuit_00,
@@ -19,7 +20,6 @@ from qviterbi.circuits import (
 from qviterbi.convcode import ConvCode
 from qviterbi.errors import SizeLimitError
 from qviterbi.hmm import Hmm
-from qviterbi.qva import build_path_space
 
 TOL = 1e-10
 
@@ -242,27 +242,16 @@ class TestChain:
 
     def test_two_step_chain_supported_on_admissible_paths(self, code):
         received = "0000"
-        ps = build_path_space(code, received)
         state = chain_state(code, received, 0.68)
-        support = {int(i) for i in np.nonzero(np.abs(state) > 1e-12)[0]}
-        expected_support = set()
-        for i in range(ps.L):
-            index = 0
-            for t, s in enumerate(ps.path(i)):
-                index |= s << (code.state_bits * (2 - t))
-            expected_support.add(index)
-        assert support == expected_support
+        support = np.flatnonzero(np.abs(state) > 1e-12)
+        expected_support = np.flatnonzero(path_reference(code, received, 0.68))
+        assert len(expected_support) == 4
+        assert np.array_equal(support, expected_support)
 
     def test_amplitudes_match_path_level(self, code):
         for received in ("0000", "1101", "0110"):
-            ps = build_path_space(code, received)
             state = chain_state(code, received, 0.47)
-            for i in range(ps.L):
-                index = 0
-                for t, s in enumerate(ps.path(i)):
-                    index |= s << (code.state_bits * (2 - t))
-                expected = np.exp(1j * 0.47 * ps.errors[i]) / math.sqrt(ps.L)
-                assert state[index] == pytest.approx(expected, abs=1e-12)
+            assert np.max(np.abs(state - path_reference(code, received, 0.47))) <= 1e-12
 
     def test_nonzero_initial_state(self, code):
         received, omega = "0110", 0.47
@@ -272,13 +261,7 @@ class TestChain:
             state = chain_state(code, received, omega, initial_state=s0)
             column = unitary[:, s0 << (code.state_bits * n)]
             assert np.max(np.abs(state - column)) <= 1e-12
-            ps = build_path_space(code, received, s0)
-            reference = np.zeros(len(state), dtype=complex)
-            for i in range(ps.L):
-                index = 0
-                for t, s in enumerate(ps.path(i)):
-                    index |= s << (code.state_bits * (n - t))
-                reference[index] = np.exp(1j * omega * ps.errors[i]) / math.sqrt(ps.L)
+            reference = path_reference(code, received, omega, initial_state=s0)
             assert np.max(np.abs(state - reference)) <= 1e-12
 
     def test_chain_unitary(self, code):
@@ -289,19 +272,14 @@ class TestChain:
             chain_step_blocks(code, "00" * 6, 0.5)
         with pytest.raises(SizeLimitError):
             chain_state(code, "00" * 6, 0.5)
+        with pytest.raises(SizeLimitError):
+            path_reference(code, "00" * 6, 0.5)
 
     def test_wide_code_chain_matches_path_level(self):
         wide = ConvCode(k=2, n=3, m=1, generators=((1, 2, 3), (3, 1, 2)))
         received = "101010"
-        ps = build_path_space(wide, received)
         state = chain_state(wide, received, 0.3)
-        reference = np.zeros(len(state), dtype=complex)
-        for i in range(ps.L):
-            index = 0
-            for t, s in enumerate(ps.path(i)):
-                index |= s << (wide.state_bits * (2 - t))
-            reference[index] = np.exp(1j * 0.3 * ps.errors[i]) / math.sqrt(ps.L)
-        assert np.max(np.abs(state - reference)) <= 1e-12
+        assert np.max(np.abs(state - path_reference(wide, received, 0.3))) <= 1e-12
 
 
 class TestGateCounts:

@@ -1,16 +1,19 @@
-"""Property tests: the error-class engine against the dense per-path chain.
+"""Property tests over random codes and received words.
 
-run_qva and sweep_omega amplify one amplitude per distinct exponent.  The
-reference is the public per-path chain uniform_superposition -> phase_mark
--> diffuse, which touches all L amplitudes on every iteration.
+The path-space builder is checked against re-encoding every message, and
+the class view against a sort-based grouping.  run_qva and sweep_omega
+amplify one amplitude per distinct exponent; their reference is the public
+per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
+all L amplitudes on every iteration.  Classical Viterbi is checked against
+brute-force enumeration and the path space.
 """
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qviterbi.convcode import ConvCode, split_blocks
+from qviterbi.convcode import ConvCode, hamming, split_blocks
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
@@ -22,6 +25,7 @@ from qviterbi.qva import (
     sweep_omega,
     uniform_superposition,
 )
+from qviterbi.viterbi import brute_force_decode, viterbi_decode
 
 TOL = 1e-12
 MAX_STEPS_K1 = 8  # at most 2^8 paths for every k
@@ -51,8 +55,34 @@ def frames(draw):
     return code, "".join(bits)
 
 
+@st.composite
+def integer_exponents(draw):
+    """int64 exponents with repeats, from a small value range or a sparse one."""
+    pool = draw(st.lists(st.integers(-4, 4) | st.integers(-(2**63), 2**63 - 1),
+                         min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+    return np.array(values, dtype=np.int64)
+
+
 omegas = st.floats(0.0, math.pi)
 iteration_counts = st.integers(1, 12)
+
+
+def sorted_classes(x):
+    """Sort-based class view: np.unique, reordered by first path index."""
+    values, first, inverse, counts = np.unique(
+        x, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return values[order], counts[order], first[order], rank[inverse]
+
+
+def assert_classes_match_sort(ps, phase_mode):
+    for got, want in zip(ps.classes(phase_mode), sorted_classes(ps.exponents(phase_mode))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def dense_state(ps, params):
@@ -78,6 +108,54 @@ def assert_run_matches_dense(ps, params):
     assert abs(np.linalg.norm(result.statevector) - 1.0) <= TOL
     assert abs(result.prob_top - probs[ps.viterbi_index]) <= TOL
     assert_same_top(result.top_index, probs, ps, params.phase_mode)
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.data())
+def test_build_matches_reencoding(frame, data):
+    code, received = frame
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    ps = build_path_space(code, received, s0)
+    assert ps.errors.dtype == np.int64
+    assert ps.L == code.fanout**ps.n_steps
+    for i in range(ps.L):
+        assert ps.errors[i] == hamming(code.encode(ps.message(i), s0), received)
+    assert_classes_match_sort(ps, "errors")
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.floats(0.01, 0.49), st.data())
+def test_classes_match_sort_on_hmm_spaces(frame, epsilon, data):
+    code, received = frame
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    ps = build_path_space_hmm(code.to_hmm(epsilon), split_blocks(received, code.n), s0)
+    assert_classes_match_sort(ps, "neglog")
+    assert_classes_match_sort(ps, "errors")
+
+
+@PROPERTY_SETTINGS
+@given(integer_exponents())
+@example(np.array([2**63 - 1, -(2**63), 0, 2**63 - 1], dtype=np.int64))
+def test_classes_match_sort_on_given_exponents(errors):
+    assert_classes_match_sort(PathSpace(n_steps=1, errors=errors, weights=None), "errors")
+
+
+@PROPERTY_SETTINGS
+@given(frames(), st.data())
+def test_viterbi_matches_brute_force(frame, data):
+    code, received = frame
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    blocks = split_blocks(received, code.n)
+    h = code.to_hmm(0.1)
+    a = viterbi_decode(h, blocks, s0)
+    b = brute_force_decode(h, blocks, s0)
+    assert (a.metric, a.path, a.message, a.ties) == (b.metric, b.path, b.message, b.ties)
+    # the tie rule: the lexicographically smallest state path of least metric
+    ps = build_path_space(code, received, s0)
+    best = np.flatnonzero(ps.errors == ps.errors.min())
+    assert a.metric == ps.errors.min() and a.ties == len(best)
+    first = min(best.tolist(), key=ps.path)
+    assert (a.path, a.message) == (ps.path(first), ps.message(first))
 
 
 @PROPERTY_SETTINGS

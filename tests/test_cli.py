@@ -152,6 +152,15 @@ class TestSweep:
         }
         assert abs(record["omega_star"] - 0.68) <= 0.02
 
+    def test_summary_record_floats_have_csv_precision(self, tmp_path, capsys):
+        # a full repr would change with the summation order of the class mean
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--n-steps", "6", "--out", str(out)]) == 0
+        record = json.loads(capsys.readouterr().out, parse_float=str)
+        for key in ("omega_star", "prob_star"):
+            mantissa = record[key].lower().split("e")[0].lstrip("-").replace(".", "")
+            assert len(mantissa.strip("0")) <= 12, (key, record[key])
+
 
 class TestDecode:
     def test_classical_noiseless_campaign_is_error_free(self, tmp_path):
