@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .convcode import ConvCode, hamming, split_blocks
+from .convcode import ConvCode, split_blocks
 from .errors import SizeLimitError
 from .hmm import Hmm
 from .qva import build_path_space
@@ -121,19 +121,27 @@ def controlled_block(control_value: int, u: np.ndarray, num_control_levels: int)
     return out
 
 
+def _block_errors(code: ConvCode, received_block: str) -> np.ndarray:
+    """Bit errors of every edge against one received block, shape (states, inputs)."""
+    if len(received_block) != code.n:
+        raise ValueError(f"received block must have {code.n} bits")
+    if set(received_block) - {"0", "1"}:
+        raise ValueError("received block may only contain '0' and '1'")
+    return code.trellis().dist[:, :, int(received_block, 2)]
+
+
 def successor_superposition(code: ConvCode, state: int, received_block: str, omega: float) -> np.ndarray:
     """Phase-weighted equal superposition over the successors of a state.
 
     Entry j is exp(i * omega * d) / sqrt(2^k) when the edge state->j exists
     and its output is d bit flips away from the received block, else 0.
     """
-    if len(received_block) != code.n:
-        raise ValueError(f"received block must have {code.n} bits")
+    if not 0 <= state < code.num_states:
+        raise ValueError("state out of range")
+    errors = _block_errors(code, received_block)
     psi = np.zeros(code.num_states, dtype=complex)
     amp = 1.0 / math.sqrt(code.fanout)
-    for u in range(code.fanout):
-        nxt, out = code.step(state, u)
-        psi[nxt] = amp * np.exp(1j * omega * hamming(out, received_block))
+    psi[code.trellis().next_state[state]] = amp * np.exp(1j * omega * errors[state])
     return psi
 
 
@@ -147,12 +155,13 @@ def step_block(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
     copying the retained register bits, which is exactly what the gate-level
     construction realizes.
     """
-    if len(received_block) != code.n:
-        raise ValueError(f"received block must have {code.n} bits")
+    errors = _block_errors(code, received_block)
     q = code.num_states
     h_k = reduce(np.kron, [_H1] * code.k)
     suffix_bits = code.k * (code.m - 1)
     suffix_dim = 1 << suffix_bits
+    # the input block of each target basis state, its most significant bits
+    inputs = np.arange(q) >> suffix_bits
     out = np.zeros((q * q, q * q), dtype=complex)
     for i in range(q):
         prefix = i >> code.k
@@ -160,12 +169,7 @@ def step_block(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
         cols = np.arange(suffix_dim)
         perm[cols ^ prefix, cols] = 1.0
         base = np.kron(h_k, perm)
-        # phase of a target basis state depends only on its message-bit block
-        phases = np.empty(q, dtype=complex)
-        for b in range(q):
-            u = b >> suffix_bits
-            _nxt, out_bits = code.step(i, u)
-            phases[b] = np.exp(1j * omega * hamming(out_bits, received_block))
+        phases = np.exp(1j * omega * errors[i, inputs])
         out[i * q : (i + 1) * q, i * q : (i + 1) * q] = phases[:, None] * base
     return out
 

@@ -131,6 +131,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("grid must lie in (0, pi)")
     if merged["campaigns"] < 1:
         raise ConfigError("campaigns must be at least 1")
+    if merged["seed"] < 0:
+        raise ConfigError("seed must be non-negative")
     if merged["max_errors"] < 0:
         raise ConfigError("max_errors must be non-negative")
     if mode == "iterated-qva" and merged["max_errors"] > merged["n_steps"] * code.n:

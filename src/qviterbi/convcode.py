@@ -6,11 +6,16 @@ newest block in the most significant position, so for the rate-1/2 (5,7)
 code the move 00 --input 1--> 10 emits 11.  Output bit j of a step is the
 GF(2) inner product of generator polynomial g[i][j] with the input history
 of message bit i (mask bit t multiplies the block from t steps ago).
+
+ConvCode.step is that definition bit by bit and builds the state diagram;
+per-block work (encode, path-space build, circuits) reads the cached Trellis
+tables derived from the diagram instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +48,20 @@ class Transition:
     input: int
     to_state: int
     output: str
+
+
+class Trellis(NamedTuple):
+    """The state diagram as read-only lookup tables, indexed [state, input].
+
+    next_state and output hold each edge's successor and output bits;
+    dist[s, u, y] is the Hamming distance between the output of edge (s, u)
+    and the n-bit received block whose value, read MSB first, is y, so dist
+    has shape (num_states, fanout, 2^n).
+    """
+
+    next_state: np.ndarray
+    output: np.ndarray
+    dist: np.ndarray
 
 
 def error_count(t: Transition, received_block: str) -> int:
@@ -135,16 +154,24 @@ class ConvCode:
         """All num_states * 2^k labeled edges, ordered by (state, input)."""
         return _diagram(self)
 
+    def trellis(self) -> Trellis:
+        """The state diagram as lookup tables, built once per code."""
+        return _trellis(self)
+
     def encode(self, message: str, initial_state: int = 0) -> str:
-        """Concatenated output blocks from walking the diagram on message blocks."""
+        """Concatenated output blocks from walking the trellis on message blocks."""
         _check_bits(message)
         if len(message) % self.k:
             raise ValueError(f"message length {len(message)} not divisible by k={self.k}")
+        if not 0 <= initial_state < self.num_states:
+            raise ValueError("initial state out of range")
+        table = self.trellis()
         state = initial_state
         out = []
         for block in split_blocks(message, self.k):
-            state, bits = self.step(state, int(block, 2))
-            out.append(bits)
+            u = int(block, 2)
+            out.append(table.output.item(state, u))
+            state = table.next_state.item(state, u)
         return "".join(out)
 
     def to_hmm(self, epsilon: float) -> Hmm:
@@ -192,6 +219,23 @@ def _diagram(code: ConvCode) -> tuple[Transition, ...]:
     return tuple(edges)
 
 
+@cache
+def _trellis(code: ConvCode) -> Trellis:
+    diagram = code.state_diagram()
+    shape = (code.num_states, code.fanout)
+    blocks = [format(y, f"0{code.n}b") for y in range(1 << code.n)]
+    table = Trellis(
+        next_state=np.array([t.to_state for t in diagram], dtype=np.int64).reshape(shape),
+        output=np.array([t.output for t in diagram]).reshape(shape),
+        dist=np.array(
+            [[hamming(t.output, y) for y in blocks] for t in diagram], dtype=np.int64
+        ).reshape(*shape, len(blocks)),
+    )
+    for array in table:
+        array.flags.writeable = False  # shared by every caller of the cache
+    return table
+
+
 class BscChannel:
     """Memoryless binary symmetric channel with a private seeded generator.
 
@@ -211,10 +255,9 @@ class BscChannel:
         """Flip each bit independently with probability epsilon."""
         _check_bits(codeword)
         flips = self._rng.random(len(codeword)) < self.epsilon
-        received = "".join(
-            ("1" if b == "0" else "0") if f else b for b, f in zip(codeword, flips)
-        )
-        return received, int(flips.sum())
+        # '0' and '1' differ in the low bit of their ASCII codes
+        received = np.frombuffer(codeword.encode("ascii"), dtype=np.uint8) ^ flips
+        return received.tobytes().decode("ascii"), int(flips.sum())
 
     def __repr__(self) -> str:
         return f"BscChannel(epsilon={self.epsilon}, seed={self.seed!r})"

@@ -64,7 +64,6 @@ class PathSpace:
         code: ConvCode | None = None,
         blocks: tuple[str, ...] | None = None,
         initial_state: int = 0,
-        next_table: np.ndarray | None = None,
         explicit_paths: tuple[tuple[int, ...], ...] | None = None,
         input_bits: int | None = None,
     ):
@@ -74,7 +73,6 @@ class PathSpace:
         self.code = code
         self.blocks = blocks
         self.initial_state = initial_state
-        self._next = next_table
         self._paths = explicit_paths
         self._input_bits = input_bits
         ref = errors if errors is not None else weights
@@ -133,11 +131,12 @@ class PathSpace:
         if self._paths is not None:
             return self._paths[index]
         k = self.code.k
+        next_state = self.code.trellis().next_state
         state = self.initial_state
         out = [state]
         for t in range(self.n_steps):
             u = (index >> (k * (self.n_steps - 1 - t))) & ((1 << k) - 1)
-            state = int(self._next[state, u])
+            state = next_state.item(state, u)
             out.append(state)
         return tuple(out)
 
@@ -168,7 +167,8 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     the trellis one step at a time: each prefix splits into its F successors
     and a row-major ravel appends the step's input below the earlier ones,
     so after step t the prefixes are already in message-index order.  The
-    work is about F/(F-1) * L gathers rather than N * L.
+    work is about F/(F-1) * L gathers rather than N * L.  The per-step branch
+    error counts come from the code's cached trellis table.
     """
     if set(received) - {"0", "1"}:
         raise ValueError("received word may only contain '0' and '1'")
@@ -181,22 +181,15 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     if code.fanout**n > PATH_SPACE_LIMIT:
         raise SizeLimitError(f"{code.fanout}^{n} paths exceeds the path-space guard")
 
-    fan = code.fanout
-    next_table = np.zeros((code.num_states, fan), dtype=np.int64)
-    outputs = [[""] * fan for _ in range(code.num_states)]
-    for t in code.state_diagram():
-        next_table[t.from_state, t.input] = t.to_state
-        outputs[t.from_state][t.input] = t.output
-
+    table = code.trellis()
+    # one (states, inputs) error table per step, gathered at once
+    err_tables = table.dist[:, :, [int(y, 2) for y in blocks]].transpose(2, 0, 1)
     states = np.array([initial_state], dtype=np.int64)
     errors = np.zeros(1, dtype=np.int64)
-    for t, y in enumerate(blocks):
-        err_table = np.array(
-            [[hamming(out, y) for out in row] for row in outputs], dtype=np.int64
-        )
+    for t, err_table in enumerate(err_tables):
         errors = (errors[:, None] + err_table[states]).ravel()
         if t + 1 < n:
-            states = next_table[states].ravel()
+            states = table.next_state[states].ravel()
 
     return PathSpace(
         n_steps=n,
@@ -205,7 +198,6 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         code=code,
         blocks=blocks,
         initial_state=initial_state,
-        next_table=next_table,
         input_bits=code.k,
     )
 
@@ -313,11 +305,15 @@ def _amplify(g: np.ndarray, iterations: int, counts: np.ndarray | None = None) -
     else:
         weights = counts.astype(float)  # complex @ int64 bypasses BLAS, ~15x slower
         L = int(counts.sum())
+    scale = 2.0 / L
+    batched = g.ndim > 1
     v = np.full(g.shape, 1.0 / math.sqrt(L), dtype=complex)
     for _ in range(iterations):
         v *= g
-        total = v.sum(axis=-1, keepdims=True) if counts is None else (v @ weights)[..., None]
-        np.subtract((2.0 / L) * total, v, out=v)
+        total = v.sum(axis=-1) if counts is None else v @ weights
+        if batched:
+            total = total[..., None]
+        np.subtract(scale * total, v, out=v)
     return v
 
 
@@ -435,13 +431,21 @@ def sweep_omega(
 
 
 def _sample(v: np.ndarray, seed, size: int) -> Counter:
-    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order."""
+    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order.
+
+    Draws exactly as Generator.choice(len(p), size, p=p/p.sum()) does, minus its validation.
+    """
     if size < 1:
         raise ValueError("need at least one draw")
     p = np.abs(np.asarray(v)) ** 2
-    draws = np.random.default_rng(seed).choice(len(p), size=size, p=p / p.sum())
-    values, counts = np.unique(draws, return_counts=True)
-    return Counter({int(i): int(c) for i, c in zip(values, counts)})
+    total = p.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError("probabilities must have a positive finite sum")
+    cdf = np.cumsum(p / total)
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
+    draws.sort()
+    return Counter(draws.tolist())
 
 
 def measure(v: np.ndarray, seed, shots: int) -> Counter:

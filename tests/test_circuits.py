@@ -195,6 +195,16 @@ class TestStepBlock:
     def test_received_block_length_validated(self, code):
         with pytest.raises(ValueError):
             step_block(code, "0", 0.5)
+        for bad in ("0x", "+1", " 1"):  # int(block, 2) alone reads "+1" and " 1" as 1
+            with pytest.raises(ValueError):
+                step_block(code, bad, 0.5)
+            with pytest.raises(ValueError):
+                successor_superposition(code, 0, bad, 0.5)
+
+    def test_successor_state_validated(self, code):
+        for state in (-1, code.num_states):
+            with pytest.raises(ValueError):
+                successor_superposition(code, state, "00", 0.5)
 
     def test_wide_code_blocks(self):
         # two message bits per step, single memory block: four-way fan-out

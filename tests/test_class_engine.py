@@ -1,22 +1,28 @@
 """Property tests over random codes and received words.
 
-The path-space builder is checked against re-encoding every message, and
-the class view against a sort-based grouping.  run_qva and sweep_omega
+The table-driven encoder is checked against walking ConvCode.step block by
+block, the channel against flipping bits one at a time, and the sampler
+against Generator.choice.  The path-space builder is checked against
+re-encoding every message with the step walk, and the class view against a
+sort-based grouping.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration.  Classical Viterbi is checked against
 brute-force enumeration and the path space.
 """
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qviterbi.convcode import ConvCode, hamming, split_blocks
+from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
+    _sample,
     build_path_space,
     build_path_space_hmm,
     diffuse,
@@ -66,6 +72,17 @@ def integer_exponents(draw):
 
 omegas = st.floats(0.0, math.pi)
 iteration_counts = st.integers(1, 12)
+seeds = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3)
+
+
+def encode_by_step(code, message, initial_state=0):
+    """Reference encoder: ConvCode.step on each message block, never the trellis table."""
+    state = initial_state
+    out = []
+    for block in split_blocks(message, code.k):
+        state, bits = code.step(state, int(block, 2))
+        out.append(bits)
+    return "".join(out)
 
 
 def sorted_classes(x):
@@ -119,8 +136,59 @@ def test_build_matches_reencoding(frame, data):
     assert ps.errors.dtype == np.int64
     assert ps.L == code.fanout**ps.n_steps
     for i in range(ps.L):
-        assert ps.errors[i] == hamming(code.encode(ps.message(i), s0), received)
+        assert ps.errors[i] == hamming(encode_by_step(code, ps.message(i), s0), received)
     assert_classes_match_sort(ps, "errors")
+
+
+@PROPERTY_SETTINGS
+@given(codes(), st.data())
+def test_encode_matches_step_walk(code, data):
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    bits = data.draw(st.lists(st.sampled_from("01"), max_size=12 * code.k))
+    message = "".join(bits[: len(bits) - len(bits) % code.k])
+    assert code.encode(message, s0) == encode_by_step(code, message, s0)
+
+
+@PROPERTY_SETTINGS
+@given(st.text("01", max_size=64), st.floats(0.0, 0.49), seeds)
+def test_transmit_matches_per_bit_flips(codeword, epsilon, seed):
+    clone = np.random.default_rng(seed)
+    flips = [f < epsilon for f in clone.random(len(codeword))]
+    expected = "".join("10"[int(b)] if f else b for b, f in zip(codeword, flips))
+    assert BscChannel(epsilon, seed=seed).transmit(codeword) == (expected, sum(flips))
+
+
+amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(amplitudes, min_size=1, max_size=40),
+    st.lists(amplitudes, min_size=40, max_size=40),
+    seeds,
+    st.integers(1, 300),
+)
+def test_sample_matches_generator_choice(real, imag, seed, size):
+    v = np.array(real) + 1j * np.array(imag[: len(real)])
+    p = np.abs(v) ** 2
+    if p.sum() == 0.0:
+        with pytest.raises(ValueError):
+            _sample(v, seed, size)
+        return
+    draws = np.random.default_rng(seed).choice(len(p), size, p=p / p.sum())
+    expected = Counter(dict(zip(*(a.tolist() for a in np.unique(draws, return_counts=True)))))
+    got = _sample(v, seed, size)
+    assert got == expected
+    assert list(got) == sorted(got)
+
+
+@pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
+def test_sample_rejects_vectors_without_a_finite_positive_total(v):
+    with pytest.raises(ValueError):
+        _sample(v, 0, 5)
+    # Generator.choice, which the sampler replaced, raised on these too
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        np.random.default_rng(0).choice(len(v), 5, p=np.abs(v) ** 2 / np.sum(np.abs(v) ** 2))
 
 
 @PROPERTY_SETTINGS

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,7 @@ class TestConfigResolution:
             {"n_steps": "4"},
             {"seed": 1.5},
             {"campaigns": True},
+            {"seed": -5},
             {"out": 5},
             {"mode": "probabilistic-qva", "n_steps": 30},
             {"mode": "iterated-qva", "iterations": 0},
@@ -79,6 +81,8 @@ class TestConfigResolution:
             assert err.startswith("bad config: ") and err.count("\n") == 1, err
         assert main(["sweep", "--iterations", "0"]) == 2
         assert main(["circuit", "--omega", "5"]) == 2
+        assert main(["decode", "--seed", "-1", "--n-steps", "3"]) == 2
+        assert main(["verify", "--seed", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_table_range_validation(self, tmp_path):
@@ -162,7 +166,29 @@ class TestSweep:
             assert len(mantissa.strip("0")) <= 12, (key, record[key])
 
 
+# sha256 of json.dumps([rows, summary], sort_keys=True) for N = 6, eps = 0.05,
+# 100 blocks, seed 11, computed by the string-walking encoder and channel and
+# Generator.choice sampling that the table-driven code replaced
+GOLDEN_DECODE_SHA256 = {
+    "classical": "004300cf1d9567e41331c8ea9956f3e1b77ea6675dd24b684cc156a0d1665a0e",
+    "iterated-qva": "a33f76bf865a445036eecb040ea58cfe67046b0fa0b73d9497ce7684126d1e98",
+    "probabilistic-qva": "79f79a6dec3f94d51eaf2476dce07e2b661b867793a793e532ca12523d51d36d",
+}
+
+
 class TestDecode:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_DECODE_SHA256))
+    def test_fixed_seed_campaign_matches_golden_digest(self, tmp_path, mode):
+        doc = {"mode": mode, "n_steps": 6, "epsilon": 0.05, "campaigns": 100, "seed": 11}
+        cfg = resolve_config(parse(["decode", "--config", config_file(tmp_path, doc)]))
+        digests = [
+            hashlib.sha256(
+                json.dumps(list(run_decode_campaign(cfg)), sort_keys=True).encode()
+            ).hexdigest()
+            for _ in range(2)
+        ]
+        assert digests == [GOLDEN_DECODE_SHA256[mode]] * 2
+
     def test_classical_noiseless_campaign_is_error_free(self, tmp_path):
         cfg = resolve_config(parse(["decode", "--epsilon", "0", "--n-steps", "4", "--seed", "3"]))
         results, summary = run_decode_campaign(cfg)

@@ -78,6 +78,9 @@ class TestEncode:
             wide.encode("011")  # not divisible by k=2
         with pytest.raises(ValueError):
             code.encode("01x")
+        for state in (-1, code.num_states):
+            with pytest.raises(ValueError):
+                code.encode("01", state)
 
     def test_linearity_over_gf2(self, code):
         rng = np.random.default_rng(11)
