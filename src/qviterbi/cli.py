@@ -6,6 +6,9 @@ circuit (gate-level versus block-matrix comparison).  A run is described by
 a JSON config document; flags override config fields which override
 defaults.  Exit codes: 0 success, 1 check failure, 2 bad config.
 
+A decode campaign draws each block from its own seeds and decodes the blocks
+in chunks, as arrays with a leading block axis (see run_decode_campaign).
+
 CSV output uses 12 significant digits, '.' decimals, and LF line endings so
 identical configs reproduce byte-identical files across platforms.
 """
@@ -24,10 +27,16 @@ import numpy as np
 
 from . import __version__, circuits, qva, trials
 from .convcode import BscChannel, ConvCode, split_blocks
-from .errors import DecodeFailure, SizeLimitError
-from .viterbi import brute_force_decode, path_metric_multiset, viterbi_decode
+from .errors import SizeLimitError
+from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, viterbi_decode
 
 DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
+
+# Paths a decode chunk holds at once: a campaign decodes
+# max(1, CHUNK_PATHS // F^N) blocks per array pass, so its working set does
+# not grow with the number of blocks.
+CHUNK_PATHS = 1 << 14
+
 COMMAND_MODES = {
     "table": ("table-reproduction",),
     "sweep": ("omega-sweep",),
@@ -288,11 +297,13 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the campaign described by cfg; deterministic in (config, seed).
 
     Block b derives its seeds as [seed, b, stream] so results are identical
-    however blocks are distributed over workers.
+    however blocks are grouped.  Blocks are drawn one at a time and decoded
+    in chunks of max(1, CHUNK_PATHS // F^N) rows: one trellis Viterbi pass,
+    or one path-error matrix with one amplification per schedule entry,
+    serves every block of a chunk, and each block keeps its own seeded draws.
     """
     code = ConvCode.from_spec(cfg.code)
     eps_dec = _decode_epsilon(cfg.epsilon)
-    hmm_dec = code.to_hmm(eps_dec)
 
     schedule = None
     prob_r = None
@@ -308,60 +319,65 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     elif cfg.mode == "probabilistic-qva":
         prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
 
+    message_bits = cfg.n_steps * code.k
+    chunk = max(1, CHUNK_PATHS // code.fanout**cfg.n_steps)
+    block_values = 1 << np.arange(code.n)[::-1]
     results = []
-    n_errors = 0
-    n_failures = 0
-    for block in range(cfg.campaigns):
-        rng = np.random.default_rng([cfg.seed, block, 0])
-        message = "".join(rng.choice(["0", "1"], cfg.n_steps * code.k))
-        channel = BscChannel(cfg.epsilon, seed=[cfg.seed, block, 1])
-        received, flips = channel.transmit(code.encode(message))
-        decoded: str | None = None
-        accepted_class: int | None = None
+    for start in range(0, cfg.campaigns, chunk):
+        blocks = range(start, min(start + chunk, cfg.campaigns))
+        rows, words = zip(*(_draw_block(code, cfg, block) for block in blocks))
+        bits = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0")
+        ys = bits.reshape(len(rows), cfg.n_steps, code.n) @ block_values
         if cfg.mode == "classical":
-            result = viterbi_decode(hmm_dec, split_blocks(received, code.n))
-            decoded = result.message
+            inputs, _ = trellis_decode(code.trellis(), ys)
+            for row, steps in zip(rows, inputs.tolist()):
+                row["decoded"] = "".join(format(u, f"0{code.k}b") for u in steps)
         elif cfg.mode == "iterated-qva":
-            try:
-                adaptive = qva.adaptive_decode(
-                    code, received, schedule, seed=[cfg.seed, block, 2]
-                )
-                decoded = adaptive.message
-                accepted_class = adaptive.accepted_class
-            except DecodeFailure:
-                n_failures += 1
+            errors = qva.path_error_rows(code, ys)
+            seeds = [[cfg.seed, block, 2] for block in blocks]
+            for row, attempts in zip(rows, qva.adaptive_decode_rows(errors, schedule, seeds)):
+                last = attempts[-1]
+                accepted = last.accepted
+                row["decoded"] = format(last.mode_index, f"0{message_bits}b") if accepted else None
+                row["accepted_class"] = last.class_index if accepted else None
         else:
-            ps = qva.build_path_space(code, received)
-            state = trials.amplitude_loaded_state(ps, eps_dec)
-            outcome = trials.run_trials(state, prob_r, [cfg.seed, block, 2])
-            decoded = ps.message(outcome.mode_index)
-        correct = int(decoded == message)
-        n_errors += 1 - correct
-        row = {
-            "block": block,
-            "seed": [cfg.seed, block],
-            "flips": flips,
-            "received": " ".join(split_blocks(received, code.n)),
-            "truth": message,
-            "decoded": decoded,
-            "correct": correct,
-        }
-        if cfg.mode == "iterated-qva":
-            row["accepted_class"] = accepted_class
-        elif cfg.mode == "probabilistic-qva":
-            row["mode_index"] = outcome.mode_index
-            row["mode_count"] = outcome.mode_count
-        results.append(row)
+            errors = qva.path_error_rows(code, ys)
+            states = trials.amplitude_loaded_rows(errors, eps_dec, cfg.n_steps * code.n)
+            for row, block, state in zip(rows, blocks, states):
+                outcome = trials.run_trials(state, prob_r, [cfg.seed, block, 2])
+                row["decoded"] = format(outcome.mode_index, f"0{message_bits}b")
+                row["mode_index"] = outcome.mode_index
+                row["mode_count"] = outcome.mode_count
+        for row in rows:
+            row["correct"] = int(row["decoded"] == row["truth"])
+        results += rows
 
+    n_errors = sum(1 - row["correct"] for row in results)
     summary = {
         "blocks": cfg.campaigns,
         "block_errors": n_errors,
         "block_error_rate": n_errors / cfg.campaigns,
-        "decode_failures": n_failures,
+        "decode_failures": sum(row["decoded"] is None for row in results),
     }
     if prob_r is not None:
         summary["trials_per_block"] = prob_r
     return results, summary
+
+
+def _draw_block(code: ConvCode, cfg: ExperimentConfig, block: int) -> tuple[dict, str]:
+    """One campaign block's row so far (message, flips) and its received word."""
+    rng = np.random.default_rng([cfg.seed, block, 0])
+    message = "".join(map(str, rng.integers(0, 2, cfg.n_steps * code.k).tolist()))
+    channel = BscChannel(cfg.epsilon, seed=[cfg.seed, block, 1])
+    received, flips = channel.transmit(code.encode(message))
+    row = {
+        "block": block,
+        "seed": [cfg.seed, block],
+        "flips": flips,
+        "received": " ".join(split_blocks(received, code.n)),
+        "truth": message,
+    }
+    return row, received
 
 
 def cmd_decode(cfg: ExperimentConfig) -> int:
@@ -412,7 +428,7 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
 def _random_instance(code: ConvCode, seed) -> list[str]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
-    message = "".join(rng.choice(["0", "1"], n * code.k))
+    message = "".join(map(str, rng.integers(0, 2, n * code.k).tolist()))
     channel = BscChannel(0.1, seed=[*seed, 1])
     received, _ = channel.transmit(code.encode(message))
     return split_blocks(received, code.n)

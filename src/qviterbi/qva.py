@@ -14,6 +14,12 @@ the uniform start each error class keeps one common amplitude, and run_qva
 and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
 with the mean weighted by class sizes.  The per-path operators below are the
 dense reference the class engine is tested against.
+
+Decode campaigns add a leading block axis: path_error_rows builds the error
+counts of many received words as one (rows, L) matrix, and
+adaptive_decode_rows amplifies every row at once on the value-indexed class
+axis e = 0..max with per-row class counts.  build_path_space and
+adaptive_decode are their one-row cases.
 """
 from __future__ import annotations
 
@@ -24,13 +30,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .convcode import ConvCode, hamming, split_blocks
+from .convcode import ConvCode, split_blocks
 from .errors import DecodeFailure, SizeLimitError
 from .hmm import Hmm
 
 PATH_SPACE_LIMIT = 1 << 24
 
 PHASE_MODES = ("errors", "neglog")
+
+# The peak of prob_top(omega) is about 0.3 / iterations wide at half maximum,
+# so sweep_omega's grid step is at most PEAK_STEP / iterations.  Up to 51
+# iterations (N <= 12 for a rate-1/k code) the 0.005 sweep grid stays finer,
+# and up to 26 (N <= 10) the 0.01 schedule grid does.
+PEAK_STEP = 0.27
 
 
 class ClassView(NamedTuple):
@@ -163,12 +175,8 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     """Enumerate all message sequences and their total bit-error counts.
 
     Path i is the one driven by the k*N message bits of i (most significant
-    block first) starting from initial_state.  The paths grow forward over
-    the trellis one step at a time: each prefix splits into its F successors
-    and a row-major ravel appends the step's input below the earlier ones,
-    so after step t the prefixes are already in message-index order.  The
-    work is about F/(F-1) * L gathers rather than N * L.  The per-step branch
-    error counts come from the code's cached trellis table.
+    block first) starting from initial_state; its errors come from the
+    one-row case of path_error_rows.
     """
     if set(received) - {"0", "1"}:
         raise ValueError("received word may only contain '0' and '1'")
@@ -178,28 +186,43 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         raise ValueError("received word is empty")
     if not 0 <= initial_state < code.num_states:
         raise ValueError("initial state out of range")
-    if code.fanout**n > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"{code.fanout}^{n} paths exceeds the path-space guard")
-
-    table = code.trellis()
-    # one (states, inputs) error table per step, gathered at once
-    err_tables = table.dist[:, :, [int(y, 2) for y in blocks]].transpose(2, 0, 1)
-    states = np.array([initial_state], dtype=np.int64)
-    errors = np.zeros(1, dtype=np.int64)
-    for t, err_table in enumerate(err_tables):
-        errors = (errors[:, None] + err_table[states]).ravel()
-        if t + 1 < n:
-            states = table.next_state[states].ravel()
-
+    ys = np.array([[int(y, 2) for y in blocks]], dtype=np.int64)
     return PathSpace(
         n_steps=n,
-        errors=errors,
+        errors=path_error_rows(code, ys, initial_state)[0],
         weights=None,
         code=code,
         blocks=blocks,
         initial_state=initial_state,
         input_bits=code.k,
     )
+
+
+def path_error_rows(code: ConvCode, ys: np.ndarray, initial_state: int = 0) -> np.ndarray:
+    """Bit-error counts of all F^N paths, one row per received word.
+
+    ys has shape (rows, N) and holds each word's n-bit blocks as integers
+    (MSB first); row r of the (rows, F^N) result is indexed by message like
+    build_path_space.  The paths grow forward over the trellis one step at a
+    time: each prefix splits into its F successors and a row-major ravel
+    appends the step's input below the earlier ones, so after step t the
+    prefixes are already in message-index order.  The work is about
+    F/(F-1) * L gathers per row rather than N * L.  The per-step branch error
+    counts come from the code's cached trellis table.
+    """
+    rows, n = ys.shape
+    if code.fanout**n > PATH_SPACE_LIMIT:
+        raise SizeLimitError(f"{code.fanout}^{n} paths exceeds the path-space guard")
+    table = code.trellis()
+    by_block = table.dist.transpose(2, 0, 1)  # [received block, state, input]
+    states = np.array([initial_state], dtype=np.int64)
+    errors = np.zeros((rows, 1), dtype=np.int64)
+    for t in range(n):
+        step = by_block[ys[:, t, None], states]  # (rows, prefixes, inputs)
+        errors = (errors[:, :, None] + step).reshape(rows, -1)
+        if t + 1 < n:
+            states = table.next_state[states].ravel()
+    return errors
 
 
 def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> PathSpace:
@@ -295,22 +318,33 @@ def diffuse(v: np.ndarray) -> np.ndarray:
 
 
 def _amplify(g: np.ndarray, iterations: int, counts: np.ndarray | None = None) -> np.ndarray:
-    """Mark+diffuse rounds from uniform, in place, on marking rows g of shape (..., C).
+    """Mark+diffuse rounds from uniform on marking rows g of shape (..., C).
 
-    Entry c of a row stands for counts[c] paths that share one amplitude, so
-    the mean is weighted by counts; counts=None makes every entry one path.
+    Entry c of a row stands for counts[..., c] paths that share one amplitude,
+    so the mean is weighted by counts; counts=None makes every entry one path.
+    One-dimensional counts serve every row of g.  Counts of shape (rows, C)
+    give each row its own classes and path total, and g broadcasts against
+    them; a zero-count entry is carried along but never enters the mean.
     """
+    per_row = counts is not None and counts.ndim > 1
+    shape = counts.shape if per_row else g.shape
     if counts is None:
         L = g.shape[-1]
     else:
         weights = counts.astype(float)  # complex @ int64 bypasses BLAS, ~15x slower
-        L = int(counts.sum())
+        L = counts.sum(axis=-1, keepdims=True) if per_row else int(counts.sum())
     scale = 2.0 / L
-    batched = g.ndim > 1
-    v = np.full(g.shape, 1.0 / math.sqrt(L), dtype=complex)
+    batched = len(shape) > 1
+    v = np.empty(shape, dtype=complex)
+    v[...] = 1.0 / (np.sqrt(L) if per_row else math.sqrt(L))
     for _ in range(iterations):
         v *= g
-        total = v.sum(axis=-1) if counts is None else v @ weights
+        if counts is None:
+            total = v.sum(axis=-1)
+        elif per_row:
+            total = (v * weights).sum(axis=-1)
+        else:
+            total = v @ weights
         if batched:
             total = total[..., None]
         np.subtract(scale * total, v, out=v)
@@ -394,8 +428,10 @@ def sweep_omega(
     """Grid search over omega in (0, pi), then golden-section refinement.
 
     The objective is the probability of the classically optimal path after
-    the given number of iterations.  The full grid curve is returned so
-    callers can plot or diff it.
+    the given number of iterations.  Its peak narrows like 1/iterations, so
+    the grid step is at most PEAK_STEP / iterations and the refinement
+    tolerance shrinks with it; `grid` is the step while it is finer.  The
+    full grid curve is returned so callers can plot or diff it.
     """
     if not 0.0 < grid < math.pi:
         raise ValueError("grid step must lie in (0, pi)")
@@ -404,7 +440,9 @@ def sweep_omega(
     view = ps.classes(phase_mode)
     x = view.values
     vit = view.inverse[ps.viterbi_index]
-    omegas = np.arange(grid, math.pi, grid)
+    peak_step = PEAK_STEP / iterations
+    step = min(grid, peak_step)
+    omegas = np.arange(step, math.pi, step)
 
     amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations, view.counts)
     probs = np.abs(amps[:, vit]) ** 2
@@ -416,9 +454,9 @@ def sweep_omega(
         v = _amplify(np.exp(1j * w * x), iterations, view.counts)
         return float(np.abs(v[vit]) ** 2)
 
-    lo = max(omegas[best] - grid, 1e-9)
-    hi = min(omegas[best] + grid, math.pi - 1e-9)
-    w_star, p_star = _golden_max(objective, lo, hi)
+    lo = max(omegas[best] - step, 1e-9)
+    hi = min(omegas[best] + step, math.pi - 1e-9)
+    w_star, p_star = _golden_max(objective, lo, hi, min(1e-4, peak_step / 50.0))
     if probs[best] > p_star:
         w_star, p_star = float(omegas[best]), float(probs[best])
     return SweepResult(
@@ -515,35 +553,66 @@ def adaptive_decode(
     For each class, run the amplification at the class's phase unit, take the
     mode of `trials` single-shot measurements, and accept it if re-encoding
     lands within the class's error budget of the received word.  Classes are
-    consulted in the given order; exhaustion raises DecodeFailure.
+    consulted in the given order; exhaustion raises DecodeFailure.  This is
+    the one-row case of adaptive_decode_rows.
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
     if not received:
         raise ValueError("received word is empty")
     ps = build_path_space(code, received, initial_state)
-    base = _seed_list(seed)
-    attempts: list[ClassAttempt] = []
+    attempts = adaptive_decode_rows(ps.errors[None], schedule, [_seed_list(seed)])[0]
+    last = attempts[-1]
+    if not last.accepted:
+        raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
+    return AdaptiveDecodeResult(
+        message=ps.message(last.mode_index),
+        path=ps.path(last.mode_index),
+        metric=last.distance,
+        accepted_class=last.class_index,
+        attempts=attempts,
+    )
+
+
+def adaptive_decode_rows(
+    errors: np.ndarray,
+    schedule: Sequence[ScheduleEntry],
+    seeds: Sequence[list],
+) -> list[tuple[ClassAttempt, ...]]:
+    """adaptive_decode on every row of a (rows, L) path_error_rows matrix.
+
+    The classes live on the value axis e = 0..max error, with per-row counts,
+    so one schedule entry is one amplification for all rows still pending.
+    Row r measures class c with seed seeds[r] + [c], and a mode's re-encoding
+    distance is its path's error count.  Returns each row's attempts; the
+    last one is accepted unless the schedule was exhausted.
+    """
+    for entry in schedule:
+        QvaParams(omega=entry.omega, iterations=entry.iterations)  # validates the entry
+    rows = len(errors)
+    n_values = int(errors.max()) + 1
+    keys = errors + n_values * np.arange(rows)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=rows * n_values).reshape(rows, n_values)
+    values = np.arange(n_values)
+    attempts: list[list[ClassAttempt]] = [[] for _ in range(rows)]
+    pending = list(range(rows))
     for cls, entry in enumerate(schedule):
-        params = QvaParams(omega=entry.omega, iterations=entry.iterations)
-        result = run_qva(ps, params)
-        counts = measure(result.statevector, base + [cls], entry.trials)
-        mode, count = mode_of(counts)
-        message = ps.message(mode)
-        distance = hamming(code.encode(message, initial_state), received)
-        accepted = distance <= entry.max_errors
-        attempts.append(
-            ClassAttempt(cls, entry.max_errors, mode, count, distance, accepted)
-        )
-        if accepted:
-            return AdaptiveDecodeResult(
-                message=message,
-                path=ps.path(mode),
-                metric=distance,
-                accepted_class=cls,
-                attempts=tuple(attempts),
+        if not pending:
+            break
+        g = np.exp(1j * entry.omega * values)
+        amps = _amplify(g, entry.iterations, counts[pending])
+        left = []
+        for r, v in zip(pending, amps):
+            mode, count = mode_of(measure(v[errors[r]], [*seeds[r], cls], entry.trials))
+            distance = int(errors[r, mode])
+            accepted = distance <= entry.max_errors
+            attempts[r].append(
+                ClassAttempt(cls, entry.max_errors, mode, count, distance, accepted)
             )
-    raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {attempts}")
+            if not accepted:
+                left.append(r)
+        pending = left
+    return [tuple(a) for a in attempts]
 
 
 def formula_iterations(code: ConvCode, n_steps: int) -> int:

@@ -28,21 +28,36 @@ def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
 
     For code-backed spaces the path probability is epsilon^e (1-epsilon)^(B-e)
     up to the constant uniform message prior, with e the path's bit-error
-    count and B the received length in bits.  The argmax amplitude is the
-    classical most-likely path.
+    count and B the received length in bits (see amplitude_loaded_rows).
+    The argmax amplitude is the classical most-likely path.
     """
+    if ps.code is not None and ps.errors is not None:
+        return amplitude_loaded_rows(ps.errors, epsilon, ps.n_steps * ps.code.n)
+    _check_epsilon(epsilon)
+    if ps.weights is None:
+        raise ValueError("path space carries neither a code nor log weights")
+    return _normalised_sqrt(np.exp(-ps.weights))
+
+
+def amplitude_loaded_rows(errors: np.ndarray, epsilon: float, total_bits: int) -> np.ndarray:
+    """Amplitude-loaded states of code-backed spaces, one per row of errors (..., L).
+
+    Row r carries amplitudes proportional to sqrt(epsilon^e (1-epsilon)^(B-e))
+    over the bit-error counts e of row r, with B = total_bits.
+    """
+    _check_epsilon(epsilon)
+    e = errors.astype(float)
+    return _normalised_sqrt(epsilon**e * (1.0 - epsilon) ** (total_bits - e))
+
+
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")
-    if ps.code is not None and ps.errors is not None:
-        e = ps.errors.astype(float)
-        total_bits = ps.n_steps * ps.code.n
-        weights = epsilon**e * (1.0 - epsilon) ** (total_bits - e)
-    elif ps.weights is not None:
-        weights = np.exp(-ps.weights)
-    else:
-        raise ValueError("path space carries neither a code nor log weights")
-    norm = math.sqrt(float(weights.sum()))
-    if norm == 0.0:
+
+
+def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:
+    norm = np.sqrt(weights.sum(axis=-1, keepdims=True))
+    if np.any(norm == 0.0):
         raise ValueError("every path has probability zero at this epsilon")
     return np.sqrt(weights).astype(complex) / norm
 

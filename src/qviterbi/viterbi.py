@@ -3,6 +3,9 @@
 viterbi_decode is the dynamic-programming decoder used as ground truth for
 the quantum simulations; brute_force_decode enumerates every admissible
 path and exists purely as an independent oracle for tests and verification.
+trellis_decode runs the same dynamic program on a code's trellis table for
+many received words at once, with a leading block axis; decode campaigns use
+it, and the two decoders above are its oracles.
 
 Code-derived HMMs (those carrying branch_errors metadata) are decoded with
 exact integer bit-error metrics; general HMMs fall back to negative log
@@ -15,6 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from .convcode import Trellis
 from .errors import NoPathError, SizeLimitError
 from .hmm import Hmm
 
@@ -126,6 +132,38 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
         metric=metric,
         ties=ways[0][initial_state],
     )
+
+
+def trellis_decode(
+    table: Trellis, ys: np.ndarray, initial_state: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-error Viterbi decoding of every row of ys on a code's trellis table.
+
+    ys has shape (rows, N) and holds each received word's n-bit blocks as
+    integers (MSB first).  A backward cost-to-go pass of shape (rows, S) is
+    followed by a forward traceback that takes the smallest co-optimal
+    successor state, the tie rule of viterbi_decode.  Returns the message
+    block driving each step, shape (rows, N), and each row's bit-error count.
+    """
+    num_states = table.next_state.shape[0]
+    if not 0 <= initial_state < num_states:
+        raise ValueError("initial state out of range")
+    rows, n = ys.shape
+    branch = table.dist.transpose(2, 0, 1)[ys]  # [row, step, state, input]
+    to_go = np.zeros((n + 1, rows, num_states), dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        to_go[t] = (branch[:, t] + to_go[t + 1][:, table.next_state]).min(axis=-1)
+
+    r = np.arange(rows)
+    state = np.full(rows, initial_state)
+    inputs = np.empty((rows, n), dtype=np.int64)
+    for t in range(n):
+        succ = table.next_state[state]
+        cost = branch[r, t, state] + to_go[t + 1][r[:, None], succ]
+        best = cost == to_go[t][r, state][:, None]
+        inputs[:, t] = np.where(best, succ, num_states).argmin(axis=-1)
+        state = succ[r, inputs[:, t]]
+    return inputs, to_go[0][:, initial_state]
 
 
 def _guard_enumeration(h: Hmm, n: int) -> None:

@@ -9,29 +9,44 @@ amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration.  Classical Viterbi is checked against
 brute-force enumeration and the path space.
+
+The block axis of decode campaigns is checked row by row against the
+one-word API: path_error_rows against build_path_space, trellis_decode
+against viterbi_decode and brute_force_decode, per-row class counts in the
+kernel against one-dimensional runs, and whole campaigns against the
+per-block loop they replaced, which is kept below as the reference.
 """
+import dataclasses
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qviterbi import cli
 from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
+    _amplify,
     _sample,
     build_path_space,
     build_path_space_hmm,
+    default_schedule,
     diffuse,
+    measure,
+    mode_of,
+    path_error_rows,
     phase_mark,
     run_qva,
     sweep_omega,
     uniform_superposition,
 )
-from qviterbi.viterbi import brute_force_decode, viterbi_decode
+from qviterbi.trials import required_trials, run_trials
+from qviterbi.viterbi import brute_force_decode, trellis_decode, viterbi_decode
 
 TOL = 1e-12
 MAX_STEPS_K1 = 8  # at most 2^8 paths for every k
@@ -290,3 +305,166 @@ def test_exact_tie_across_classes_goes_to_first_path():
         params = QvaParams(omega=0.0, iterations=3)
         dense = np.abs(dense_state(shuffled, params)) ** 2
         assert run_qva(shuffled, params).top_index == int(np.argmax(dense)) == 0
+
+
+# ---------------------------------------------------------------------------
+# block axis
+
+
+@st.composite
+def word_rows(draw):
+    """A code, a start state and 1-4 received words of one frame length."""
+    code = draw(codes())
+    n_steps = draw(st.integers(1, MAX_STEPS_K1 // code.k))
+    bits = st.lists(st.sampled_from("01"), min_size=n_steps * code.n, max_size=n_steps * code.n)
+    words = ["".join(w) for w in draw(st.lists(bits, min_size=1, max_size=4))]
+    return code, draw(st.integers(0, code.num_states - 1)), words
+
+
+def block_values(code, words):
+    return np.array([[int(y, 2) for y in split_blocks(w, code.n)] for w in words])
+
+
+@PROPERTY_SETTINGS
+@given(word_rows())
+def test_path_error_rows_match_build(frame):
+    code, s0, words = frame
+    rows = path_error_rows(code, block_values(code, words), s0)
+    assert rows.dtype == np.int64
+    for row, word in zip(rows, words):
+        assert np.array_equal(row, build_path_space(code, word, s0).errors)
+
+
+@PROPERTY_SETTINGS
+@given(word_rows())
+def test_trellis_decode_matches_viterbi_and_brute_force(frame):
+    code, s0, words = frame
+    inputs, metrics = trellis_decode(code.trellis(), block_values(code, words), s0)
+    h = code.to_hmm(0.1)
+    for steps, metric, word in zip(inputs.tolist(), metrics.tolist(), words):
+        blocks = split_blocks(word, code.n)
+        message = "".join(format(u, f"0{code.k}b") for u in steps)
+        dp = viterbi_decode(h, blocks, s0)
+        assert (message, metric) == (dp.message, dp.metric)
+        # the tie rule: the lexicographically smallest state path of least metric
+        path = [s0]
+        for u in steps:
+            path.append(code.trellis().next_state.item(path[-1], u))
+        assert tuple(path) == brute_force_decode(h, blocks, s0).path
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),
+             min_size=1, max_size=5),
+    omegas,
+    iteration_counts,
+)
+def test_amplify_per_row_counts_match_one_row_runs(counts, omega, iterations):
+    counts = np.array(counts, dtype=np.int64)
+    g = np.exp(1j * omega * np.arange(counts.shape[1]))
+    rows = _amplify(g, iterations, counts)
+    for row, row_counts in zip(rows, counts):
+        assert np.max(np.abs(row - _amplify(g, iterations, row_counts))) <= TOL
+
+
+def per_block_campaign(cfg):
+    """The decode campaign one block at a time through the one-word API.
+
+    This is the loop run_decode_campaign replaced: a choice-drawn message,
+    HMM Viterbi, and for the iterated mode one run_qva per class with the
+    mode re-encoded to check it.
+    """
+    code = ConvCode.from_spec(cfg.code)
+    eps_dec = cli._decode_epsilon(cfg.epsilon)
+    hmm = code.to_hmm(eps_dec)
+    if cfg.mode == "iterated-qva":
+        schedule = default_schedule(
+            code, cfg.n_steps, eps_dec, max_errors=cfg.max_errors,
+            trials=cfg.trials or 7, iterations=cfg.iterations,
+        )
+    prob_r = cfg.trials or required_trials(cfg.n_steps)
+    results = []
+    for block in range(cfg.campaigns):
+        rng = np.random.default_rng([cfg.seed, block, 0])
+        message = "".join(rng.choice(["0", "1"], cfg.n_steps * code.k))
+        channel = BscChannel(cfg.epsilon, seed=[cfg.seed, block, 1])
+        received, flips = channel.transmit(code.encode(message))
+        row = {
+            "block": block,
+            "seed": [cfg.seed, block],
+            "flips": flips,
+            "received": " ".join(split_blocks(received, code.n)),
+            "truth": message,
+        }
+        ps = build_path_space(code, received)
+        if cfg.mode == "classical":
+            row["decoded"] = viterbi_decode(hmm, split_blocks(received, code.n)).message
+        elif cfg.mode == "iterated-qva":
+            row["decoded"] = row["accepted_class"] = None
+            for cls, entry in enumerate(schedule):
+                run = run_qva(ps, QvaParams(omega=entry.omega, iterations=entry.iterations))
+                mode, _ = mode_of(measure(run.statevector, [cfg.seed, block, 2, cls], entry.trials))
+                if hamming(code.encode(ps.message(mode)), received) <= entry.max_errors:
+                    row["decoded"], row["accepted_class"] = ps.message(mode), cls
+                    break
+        else:
+            e = ps.errors.astype(float)
+            weights = eps_dec**e * (1.0 - eps_dec) ** (cfg.n_steps * code.n - e)
+            state = np.sqrt(weights).astype(complex) / math.sqrt(float(weights.sum()))
+            outcome = run_trials(state, prob_r, [cfg.seed, block, 2])
+            row["decoded"] = ps.message(outcome.mode_index)
+            row["mode_index"], row["mode_count"] = outcome.mode_index, outcome.mode_count
+        row["correct"] = int(row["decoded"] == message)
+        results.append(row)
+    errors = sum(1 - row["correct"] for row in results)
+    summary = {
+        "blocks": cfg.campaigns,
+        "block_errors": errors,
+        "block_error_rate": errors / cfg.campaigns,
+        "decode_failures": sum(row["decoded"] is None for row in results),
+    }
+    if cfg.mode == "probabilistic-qva":
+        summary["trials_per_block"] = prob_r
+    return results, summary
+
+
+def campaign_config(spec, mode, n_steps, campaigns, seed, epsilon=0.05, max_errors=2):
+    base = cli.resolve_config(cli.build_parser().parse_args(["decode"]))
+    return dataclasses.replace(
+        base, code=spec, mode=mode, n_steps=n_steps, campaigns=campaigns, seed=seed,
+        epsilon=epsilon, max_errors=max_errors, n_range=(n_steps, n_steps),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    codes(),
+    st.sampled_from(cli.DECODE_MODES),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.integers(0, 2**16),
+    st.sampled_from([0.0, 0.05, 0.2]),
+    st.sampled_from([1, 8, 1 << 14]),
+)
+def test_campaign_rows_match_per_block_loop(
+    code, mode, n_steps, campaigns, seed, epsilon, chunk_paths
+):
+    n_steps = min(n_steps, MAX_STEPS_K1 // code.k)
+    cfg = campaign_config(code.to_spec(), mode, n_steps, campaigns, seed, epsilon,
+                          max_errors=min(2, n_steps * code.n))
+    with mock.patch.object(cli, "CHUNK_PATHS", chunk_paths):
+        assert cli.run_decode_campaign(cfg) == per_block_campaign(cfg)
+
+
+@pytest.mark.parametrize("mode", cli.DECODE_MODES)
+@pytest.mark.parametrize(
+    "spec, n_steps, campaigns",
+    [
+        ("1,2,2;5,7", 10, 37),  # 16 blocks per chunk, the last chunk short
+        ("2,3,1;1,2,3,3,1,2", 7, 3),  # 4^7 paths: one block per chunk
+    ],
+)
+def test_campaign_rows_match_per_block_loop_at_full_chunks(mode, spec, n_steps, campaigns):
+    cfg = campaign_config(spec, mode, n_steps, campaigns, seed=23, epsilon=0.08)
+    assert cli.run_decode_campaign(cfg) == per_block_campaign(cfg)

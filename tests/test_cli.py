@@ -166,6 +166,34 @@ class TestSweep:
             assert len(mantissa.strip("0")) <= 12, (key, record[key])
 
 
+class TestDeterminism:
+    # decode is pinned by GOLDEN_DECODE_SHA256; these commands by run-to-run equality
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["table", "--n-steps", "6", "--seed", "3"], []),
+            (["table", "--n-steps", "4", "--out", "{dir}/table.csv"], ["table.csv"]),
+            (["sweep", "--n-steps", "7", "--seed", "3", "--out", "{dir}/sweep.csv"], ["sweep.csv"]),
+            (["sweep", "--code", "2,3,1;1,2,3,3,1,2", "--n-steps", "3", "--iterations", "4"], []),
+            (["verify", "--seed", "5"], []),
+            (
+                ["circuit", "--omega", "0.9", "--out", "{dir}/step"],
+                ["step.circuit.csv", "step.block.csv"],
+            ),
+        ],
+    )
+    def test_fixed_seed_runs_are_byte_identical(self, tmp_path, capsys, argv, files):
+        runs = []
+        for run in range(2):
+            directory = tmp_path / str(run)
+            directory.mkdir()
+            assert main([arg.format(dir=directory) for arg in argv]) == 0
+            out = capsys.readouterr().out
+            runs.append([out.encode()] + [(directory / name).read_bytes() for name in files])
+        assert b"".join(runs[0])
+        assert runs[0] == runs[1]
+
+
 # sha256 of json.dumps([rows, summary], sort_keys=True) for N = 6, eps = 0.05,
 # 100 blocks, seed 11, computed by the string-walking encoder and channel and
 # Generator.choice sampling that the table-driven code replaced

@@ -10,6 +10,7 @@ from qviterbi.qva import (
     PathSpace,
     QvaParams,
     ScheduleEntry,
+    _amplify,
     adaptive_decode,
     amplify_phases,
     build_path_space,
@@ -314,6 +315,19 @@ class TestSweep:
             ps = build_path_space(code, "0" * (2 * n))
             stars.append(sweep_omega(ps, iterations).omega_star)
         assert all(b < a for a, b in zip(stars, stars[1:]))
+
+    @pytest.mark.parametrize("n_steps", [14, 16])
+    def test_sweep_finds_the_peak_a_fine_scan_finds(self, code, n_steps):
+        # the peak narrows like 1/iterations; at N = 16 a fixed 0.005 grid
+        # stepped over it and settled on a side lobe (prob 0.179 at 2.161)
+        ps = build_path_space(code, "0" * (2 * n_steps))
+        iterations = formula_iterations(code, n_steps)
+        view = ps.classes()
+        # a 5e-5 scan of (0, pi) puts the maximum within 1e-3 of pi / N here
+        omegas = np.arange(math.pi / n_steps - 0.015, math.pi / n_steps + 0.015, 1e-5)
+        amps = _amplify(np.exp(1j * omegas[:, None] * view.values), iterations, view.counts)
+        oracle = float(np.max(np.abs(amps[:, view.inverse[ps.viterbi_index]]) ** 2))
+        assert abs(sweep_omega(ps, iterations).prob_star - oracle) <= 1e-3
 
     def test_sweep_memory_is_per_class_not_per_path(self, code):
         # a 628 x L complex grid at N = 16 would take 0.66 GB per array
