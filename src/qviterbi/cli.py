@@ -6,8 +6,9 @@ circuit (gate-level versus block-matrix comparison).  A run is described by
 a JSON config document; flags override config fields which override
 defaults.  Exit codes: 0 success, 1 check failure, 2 bad config.
 
-A decode campaign draws each block from its own seeds and decodes the blocks
-in chunks, as arrays with a leading block axis (see run_decode_campaign).
+A decode campaign draws each block from its own seeds, as rows of seed
+tables, and decodes the blocks in chunks, as arrays with a leading block
+axis (see run_decode_campaign).
 
 CSV output uses 12 significant digits, '.' decimals, and LF line endings so
 identical configs reproduce byte-identical files across platforms.
@@ -25,8 +26,15 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, circuits, qva, trials
-from .convcode import BscChannel, ConvCode, split_blocks
+from . import __version__, circuits, qva, streams, trials
+from .convcode import (
+    BscChannel,
+    ConvCode,
+    pack_blocks,
+    split_blocks,
+    transmit_rows,
+    unpack_blocks,
+)
 from .errors import SizeLimitError
 from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, viterbi_decode
 
@@ -198,10 +206,15 @@ def _write_csv(stream, header, rows) -> None:
         stream.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _out_stream(cfg: ExperimentConfig):
-    if cfg.out:
-        return open(cfg.out, "w", encoding="utf-8", newline="")
-    return nullcontext(sys.stdout)
+    return _open_out(cfg.out) if cfg.out else nullcontext(sys.stdout)
 
 
 def _decode_epsilon(epsilon: float) -> float:
@@ -296,16 +309,24 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the campaign described by cfg; deterministic in (config, seed).
 
-    Block b derives its seeds as [seed, b, stream] so results are identical
-    however blocks are grouped.  Blocks are drawn one at a time and decoded
-    in chunks of max(1, CHUNK_PATHS // F^N) rows: one trellis Viterbi pass,
-    or one path-error matrix with one amplification per schedule entry,
-    serves every block of a chunk, and each block keeps its own seeded draws.
+    Block b draws from np.random.default_rng([seed, b, stream]): stream 0
+    for its message, 1 for its channel and 2 for its measurements ([2, c]
+    for class c of an iterated-qva schedule).  These generators come from
+    one seed table per stream (see streams), so results are identical
+    however blocks are grouped.  Messages, encoding and channel run over
+    the whole campaign as arrays; decoding runs in chunks of
+    max(1, CHUNK_PATHS // F^N) rows: one trellis Viterbi pass, or one
+    path-error matrix with one amplification and one sampling pass per
+    schedule entry, serves every block of a chunk.
     """
     code = ConvCode.from_spec(cfg.code)
     eps_dec = _decode_epsilon(cfg.epsilon)
 
-    schedule = None
+    def stream_table(*stream):
+        return streams.seed_table([cfg.seed], np.arange(cfg.campaigns), stream)
+
+    # one generator for the whole campaign: each seed-table row overwrites its state
+    gen = np.random.Generator(np.random.PCG64())
     prob_r = None
     if cfg.mode == "iterated-qva":
         schedule = qva.default_schedule(
@@ -316,41 +337,64 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             trials=cfg.trials or 7,
             iterations=cfg.iterations,
         )
+        tables = [stream_table(2, cls) for cls in range(len(schedule))]
     elif cfg.mode == "probabilistic-qva":
         prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
+        draw_table = stream_table(2)
 
     message_bits = cfg.n_steps * code.k
+    messages = np.empty((cfg.campaigns, message_bits), dtype=np.uint8)
+    for row, rng in zip(messages, streams.generators(stream_table(0), gen)):
+        row[:] = rng.integers(0, 2, message_bits)
+    codewords = unpack_blocks(code.encode_rows(pack_blocks(messages, code.k)), code.n)
+    channels = streams.generators(stream_table(1), gen)
+    received, flips = transmit_rows(codewords, cfg.epsilon, channels)
+    ys = pack_blocks(received, code.n)
+    results = [
+        {
+            "block": block,
+            "seed": [cfg.seed, block],
+            "flips": n_flips,
+            "received": " ".join(split_blocks(word.tobytes().decode("ascii"), code.n)),
+            "truth": truth.tobytes().decode("ascii"),
+        }
+        for block, n_flips, word, truth in zip(
+            range(cfg.campaigns), flips.tolist(), received + ord("0"), messages + ord("0")
+        )
+    ]
+
     chunk = max(1, CHUNK_PATHS // code.fanout**cfg.n_steps)
-    block_values = 1 << np.arange(code.n)[::-1]
-    results = []
     for start in range(0, cfg.campaigns, chunk):
-        blocks = range(start, min(start + chunk, cfg.campaigns))
-        rows, words = zip(*(_draw_block(code, cfg, block) for block in blocks))
-        bits = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8) - ord("0")
-        ys = bits.reshape(len(rows), cfg.n_steps, code.n) @ block_values
+        stop = min(start + chunk, cfg.campaigns)
+        rows = results[start:stop]
         if cfg.mode == "classical":
-            inputs, _ = trellis_decode(code.trellis(), ys)
+            inputs, _ = trellis_decode(code.trellis(), ys[start:stop])
             for row, steps in zip(rows, inputs.tolist()):
                 row["decoded"] = "".join(format(u, f"0{code.k}b") for u in steps)
         elif cfg.mode == "iterated-qva":
-            errors = qva.path_error_rows(code, ys)
-            seeds = [[cfg.seed, block, 2] for block in blocks]
-            for row, attempts in zip(rows, qva.adaptive_decode_rows(errors, schedule, seeds)):
+            errors = qva.path_error_rows(code, ys[start:stop])
+            chunk_tables = [table[start:stop] for table in tables]
+            for row, attempts in zip(
+                rows, qva.adaptive_decode_rows(errors, schedule, chunk_tables, gen)
+            ):
                 last = attempts[-1]
                 accepted = last.accepted
                 row["decoded"] = format(last.mode_index, f"0{message_bits}b") if accepted else None
                 row["accepted_class"] = last.class_index if accepted else None
         else:
-            errors = qva.path_error_rows(code, ys)
+            errors = qva.path_error_rows(code, ys[start:stop])
             states = trials.amplitude_loaded_rows(errors, eps_dec, cfg.n_steps * code.n)
-            for row, block, state in zip(rows, blocks, states):
-                outcome = trials.run_trials(state, prob_r, [cfg.seed, block, 2])
-                row["decoded"] = format(outcome.mode_index, f"0{message_bits}b")
-                row["mode_index"] = outcome.mode_index
-                row["mode_count"] = outcome.mode_count
+            counts = qva.sample_rows(
+                np.abs(states) ** 2, streams.generators(draw_table[start:stop], gen), prob_r
+            )
+            for row, mode, mode_count in zip(
+                rows, counts.argmax(axis=1).tolist(), counts.max(axis=1).tolist()
+            ):
+                row["decoded"] = format(mode, f"0{message_bits}b")
+                row["mode_index"] = mode
+                row["mode_count"] = mode_count
         for row in rows:
             row["correct"] = int(row["decoded"] == row["truth"])
-        results += rows
 
     n_errors = sum(1 - row["correct"] for row in results)
     summary = {
@@ -362,22 +406,6 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     if prob_r is not None:
         summary["trials_per_block"] = prob_r
     return results, summary
-
-
-def _draw_block(code: ConvCode, cfg: ExperimentConfig, block: int) -> tuple[dict, str]:
-    """One campaign block's row so far (message, flips) and its received word."""
-    rng = np.random.default_rng([cfg.seed, block, 0])
-    message = "".join(map(str, rng.integers(0, 2, cfg.n_steps * code.k).tolist()))
-    channel = BscChannel(cfg.epsilon, seed=[cfg.seed, block, 1])
-    received, flips = channel.transmit(code.encode(message))
-    row = {
-        "block": block,
-        "seed": [cfg.seed, block],
-        "flips": flips,
-        "received": " ".join(split_blocks(received, code.n)),
-        "truth": message,
-    }
-    return row, received
 
 
 def cmd_decode(cfg: ExperimentConfig) -> int:
@@ -397,7 +425,7 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
             )
             for row in results
         ]
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(cfg.out) as fh:
             _write_csv(fh, header, rows)
     else:
         record = {
@@ -409,7 +437,7 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
         }
         payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
         if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(cfg.out) as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)
@@ -550,7 +578,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def _matrix_csv(path: str, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(path) as fh:
         for row in matrix:
             cells = [f'"{z.real + 0.0:.12g},{z.imag + 0.0:.12g}"' for z in row]
             fh.write(",".join(cells) + "\n")

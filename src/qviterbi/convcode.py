@@ -9,13 +9,16 @@ of message bit i (mask bit t multiplies the block from t steps ago).
 
 ConvCode.step is that definition bit by bit and builds the state diagram;
 per-block work (encode, path-space build, circuits) reads the cached Trellis
-tables derived from the diagram instead.
+tables derived from the diagram instead.  encode_rows and transmit_rows work
+on many words at once, as integer arrays with a leading row axis;
+ConvCode.encode and BscChannel.transmit are their one-row cases on bit
+strings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,17 @@ def _check_bits(bits: str) -> None:
         raise ValueError("bit strings may only contain '0' and '1'")
 
 
+def pack_blocks(bits: np.ndarray, width: int) -> np.ndarray:
+    """(..., N * width) 0/1 array -> (..., N) integers of width-bit blocks, MSB first."""
+    return bits.reshape(*bits.shape[:-1], -1, width) @ (1 << np.arange(width - 1, -1, -1))
+
+
+def unpack_blocks(values: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of pack_blocks: (..., N) block integers -> (..., N * width) uint8 bits."""
+    bits = (values[..., None] >> np.arange(width - 1, -1, -1)) & 1
+    return bits.astype(np.uint8).reshape(*values.shape[:-1], -1)
+
+
 @dataclass(frozen=True)
 class Transition:
     """One labeled edge of the state diagram: from --input/output--> to."""
@@ -53,10 +67,10 @@ class Transition:
 class Trellis(NamedTuple):
     """The state diagram as read-only lookup tables, indexed [state, input].
 
-    next_state and output hold each edge's successor and output bits;
-    dist[s, u, y] is the Hamming distance between the output of edge (s, u)
-    and the n-bit received block whose value, read MSB first, is y, so dist
-    has shape (num_states, fanout, 2^n).
+    next_state and output hold each edge's successor and its n output bits
+    as an integer (MSB first); dist[s, u, y] is the Hamming distance between
+    the output of edge (s, u) and the n-bit received block whose value, read
+    MSB first, is y, so dist has shape (num_states, fanout, 2^n).
     """
 
     next_state: np.ndarray
@@ -159,20 +173,36 @@ class ConvCode:
         return _trellis(self)
 
     def encode(self, message: str, initial_state: int = 0) -> str:
-        """Concatenated output blocks from walking the trellis on message blocks."""
+        """Concatenated output blocks from walking the trellis on message blocks.
+
+        The one-row case of encode_rows.
+        """
         _check_bits(message)
         if len(message) % self.k:
             raise ValueError(f"message length {len(message)} not divisible by k={self.k}")
+        inputs = np.array([[int(u, 2) for u in split_blocks(message, self.k)]], dtype=np.int64)
+        outputs = self.encode_rows(inputs, initial_state)[0]
+        return "".join(format(y, f"0{self.n}b") for y in outputs.tolist())
+
+    def encode_rows(self, inputs: np.ndarray, initial_state: int = 0) -> np.ndarray:
+        """Output blocks of many messages, read off the cached trellis tables.
+
+        inputs has shape (rows, N) and holds each message's k-bit blocks as
+        integers (MSB first); row r of the (rows, N) result holds the n-bit
+        output blocks, as integers, of encoding row r from initial_state.
+        The state before step t depends only on initial_state and the last
+        m inputs.  Each round sets every state to the successor of the one
+        before it, all steps at once, so after m rounds each state has been
+        walked m steps, or from initial_state, and is exact however long
+        the messages are.
+        """
         if not 0 <= initial_state < self.num_states:
             raise ValueError("initial state out of range")
         table = self.trellis()
-        state = initial_state
-        out = []
-        for block in split_blocks(message, self.k):
-            u = int(block, 2)
-            out.append(table.output.item(state, u))
-            state = table.next_state.item(state, u)
-        return "".join(out)
+        states = np.full(inputs.shape, initial_state, dtype=np.int64)
+        for _ in range(self.m):
+            states[:, 1:] = table.next_state[states[:, :-1], inputs[:, :-1]]
+        return table.output[states, inputs]
 
     def to_hmm(self, epsilon: float) -> Hmm:
         """Model of decode over a BSC(epsilon) channel.
@@ -226,7 +256,7 @@ def _trellis(code: ConvCode) -> Trellis:
     blocks = [format(y, f"0{code.n}b") for y in range(1 << code.n)]
     table = Trellis(
         next_state=np.array([t.to_state for t in diagram], dtype=np.int64).reshape(shape),
-        output=np.array([t.output for t in diagram]).reshape(shape),
+        output=np.array([int(t.output, 2) for t in diagram], dtype=np.int64).reshape(shape),
         dist=np.array(
             [[hamming(t.output, y) for y in blocks] for t in diagram], dtype=np.int64
         ).reshape(*shape, len(blocks)),
@@ -252,15 +282,33 @@ class BscChannel:
         self._rng = np.random.default_rng(seed)
 
     def transmit(self, codeword: str) -> tuple[str, int]:
-        """Flip each bit independently with probability epsilon."""
+        """Flip each bit independently with probability epsilon.
+
+        The one-row case of transmit_rows.
+        """
         _check_bits(codeword)
-        flips = self._rng.random(len(codeword)) < self.epsilon
         # '0' and '1' differ in the low bit of their ASCII codes
-        received = np.frombuffer(codeword.encode("ascii"), dtype=np.uint8) ^ flips
-        return received.tobytes().decode("ascii"), int(flips.sum())
+        chars = np.frombuffer(codeword.encode("ascii"), dtype=np.uint8)
+        received, flips = transmit_rows(chars[None], self.epsilon, [self._rng])
+        return received.tobytes().decode("ascii"), int(flips[0])
 
     def __repr__(self) -> str:
         return f"BscChannel(epsilon={self.epsilon}, seed={self.seed!r})"
+
+
+def transmit_rows(
+    codewords: np.ndarray, epsilon: float, generators: Iterable[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass each row of a (rows, B) array of bits through a BSC(epsilon).
+
+    Row r flips (XORs 1 into) the bits where the r-th generator's random(B)
+    falls below epsilon.  Returns the received rows and each row's flip
+    count.
+    """
+    flips = np.empty(codewords.shape, dtype=bool)
+    for row, gen in zip(flips, generators):
+        np.less(gen.random(codewords.shape[1]), epsilon, out=row)
+    return codewords ^ flips, flips.sum(axis=1)
 
 
 # The rate-1/2 memory-2 code with octal generators (5, 7), used throughout

@@ -16,20 +16,22 @@ with the mean weighted by class sizes.  The per-path operators below are the
 dense reference the class engine is tested against.
 
 Decode campaigns add a leading block axis: path_error_rows builds the error
-counts of many received words as one (rows, L) matrix, and
-adaptive_decode_rows amplifies every row at once on the value-indexed class
-axis e = 0..max with per-row class counts.  build_path_space and
-adaptive_decode are their one-row cases.
+counts of many received words as one (rows, L) matrix, adaptive_decode_rows
+amplifies every row at once on the value-indexed class axis e = 0..max with
+per-row class counts, and sample_rows draws every row's measurements from
+one CDF matrix.  build_path_space, adaptive_decode and _sample are their
+one-row cases.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import streams
 from .convcode import ConvCode, split_blocks
 from .errors import DecodeFailure, SizeLimitError
 from .hmm import Hmm
@@ -468,22 +470,40 @@ def sweep_omega(
     )
 
 
-def _sample(v: np.ndarray, seed, size: int) -> Counter:
-    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order.
+def sample_rows(
+    p: np.ndarray, generators: Iterable[np.random.Generator], size: int
+) -> np.ndarray:
+    """Histograms of `size` draws from each row of unnormalised probabilities p (rows, L).
 
-    Draws exactly as Generator.choice(len(p), size, p=p/p.sum()) does, minus its validation.
+    Row r draws with the r-th generator exactly as
+    Generator.choice(L, size, p=p[r] / p[r].sum()) does, minus its
+    validation: one CDF matrix serves every row, and each row's uniforms are
+    looked up in its own CDF.  Returns the (rows, L) draw counts; the first
+    maximum of a row, its argmax, is the mode_of tie rule.
     """
     if size < 1:
         raise ValueError("need at least one draw")
-    p = np.abs(np.asarray(v)) ** 2
-    total = p.sum()
-    if not (np.isfinite(total) and total > 0.0):
+    total = p.sum(axis=-1, keepdims=True)
+    if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise ValueError("probabilities must have a positive finite sum")
-    cdf = np.cumsum(p / total)
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
-    draws.sort()
-    return Counter(draws.tolist())
+    cdf = np.cumsum(p / total, axis=-1)
+    cdf /= cdf[:, -1:]
+    counts = np.empty(p.shape, dtype=np.int64)
+    for row, cdf_row, gen in zip(counts, cdf, generators):
+        row[:] = np.bincount(cdf_row.searchsorted(gen.random(size), side="right"),
+                             minlength=len(cdf_row))
+    return counts
+
+
+def _sample(v: np.ndarray, seed, size: int) -> Counter:
+    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order.
+
+    The one-row case of sample_rows, with the generator np.random.default_rng(seed).
+    """
+    p = np.abs(np.asarray(v)) ** 2
+    counts = sample_rows(p[None], [np.random.default_rng(seed)], size)[0]
+    drawn = np.flatnonzero(counts)
+    return Counter(dict(zip(drawn.tolist(), counts[drawn].tolist())))
 
 
 def measure(v: np.ndarray, seed, shots: int) -> Counter:
@@ -561,7 +581,10 @@ def adaptive_decode(
     if not received:
         raise ValueError("received word is empty")
     ps = build_path_space(code, received, initial_state)
-    attempts = adaptive_decode_rows(ps.errors[None], schedule, [_seed_list(seed)])[0]
+    # class c measures with default_rng([*seed, c]): c takes the block column
+    tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
+    gen = np.random.Generator(np.random.PCG64())
+    attempts = adaptive_decode_rows(ps.errors[None], schedule, tables, gen)[0]
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
@@ -577,15 +600,17 @@ def adaptive_decode(
 def adaptive_decode_rows(
     errors: np.ndarray,
     schedule: Sequence[ScheduleEntry],
-    seeds: Sequence[list],
+    tables: Sequence[np.ndarray],
+    gen: np.random.Generator,
 ) -> list[tuple[ClassAttempt, ...]]:
     """adaptive_decode on every row of a (rows, L) path_error_rows matrix.
 
     The classes live on the value axis e = 0..max error, with per-row counts,
-    so one schedule entry is one amplification for all rows still pending.
-    Row r measures class c with seed seeds[r] + [c], and a mode's re-encoding
-    distance is its path's error count.  Returns each row's attempts; the
-    last one is accepted unless the schedule was exhausted.
+    so one schedule entry is one amplification and one sample_rows call for
+    all rows still pending.  Row r measures class c with row r of the seed
+    table tables[c], loaded into gen (see streams.generators), and a mode's
+    re-encoding distance is its path's error count.  Returns each row's
+    attempts; the last one is accepted unless the schedule was exhausted.
     """
     for entry in schedule:
         QvaParams(omega=entry.omega, iterations=entry.iterations)  # validates the entry
@@ -601,10 +626,16 @@ def adaptive_decode_rows(
             break
         g = np.exp(1j * entry.omega * values)
         amps = _amplify(g, entry.iterations, counts[pending])
+        path_errors = errors[pending]
+        # |v[errors[r]]|^2 of each row's class amplitudes v, gathered onto paths
+        p = np.take_along_axis(np.abs(amps) ** 2, path_errors, axis=1)
+        hist = sample_rows(p, streams.generators(tables[cls][pending], gen), entry.trials)
+        modes = hist.argmax(axis=1)
+        distances = np.take_along_axis(path_errors, modes[:, None], axis=1)[:, 0]
         left = []
-        for r, v in zip(pending, amps):
-            mode, count = mode_of(measure(v[errors[r]], [*seeds[r], cls], entry.trials))
-            distance = int(errors[r, mode])
+        for r, mode, count, distance in zip(
+            pending, modes.tolist(), hist.max(axis=1).tolist(), distances.tolist()
+        ):
             accepted = distance <= entry.max_errors
             attempts[r].append(
                 ClassAttempt(cls, entry.max_errors, mode, count, distance, accepted)

@@ -138,7 +138,10 @@ class TrialOutcome:
 
 
 def run_trials(v: np.ndarray, r: int, seed) -> TrialOutcome:
-    """Draw r single-shot measurements and extract the mode (ties go to the smallest index)."""
+    """Draw r single-shot measurements and extract the mode (ties go to the smallest index).
+
+    The one-row case of qva.sample_rows, through qva._sample.
+    """
     counts = _sample(v, seed, r)
     return TrialOutcome(*mode_of(counts), counts=counts)
 

@@ -2,7 +2,8 @@
 
 The table-driven encoder is checked against walking ConvCode.step block by
 block, the channel against flipping bits one at a time, and the sampler
-against Generator.choice.  The path-space builder is checked against
+against Generator.choice; the row encoder and row sampler are checked
+against their one-row cases, row by row.  The path-space builder is checked against
 re-encoding every message with the step walk, and the class view against a
 sort-based grouping.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qviterbi import cli
+from qviterbi import cli, streams
 from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks
 from qviterbi.qva import (
     PathSpace,
@@ -40,6 +41,7 @@ from qviterbi.qva import (
     measure,
     mode_of,
     path_error_rows,
+    sample_rows,
     phase_mark,
     run_qva,
     sweep_omega,
@@ -165,6 +167,22 @@ def test_encode_matches_step_walk(code, data):
 
 
 @PROPERTY_SETTINGS
+@given(codes(), st.data())
+def test_encode_rows_match_encode(code, data):
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    n_steps = data.draw(st.integers(0, 10))
+    steps = st.lists(st.integers(0, code.fanout - 1), min_size=n_steps, max_size=n_steps)
+    messages = data.draw(st.lists(steps, min_size=1, max_size=5))
+    inputs = np.array(messages, dtype=np.int64).reshape(len(messages), n_steps)
+    outputs = code.encode_rows(inputs, s0)
+    for blocks, row in zip(messages, outputs.tolist()):
+        message = "".join(format(u, f"0{code.k}b") for u in blocks)
+        expected = encode_by_step(code, message, s0)
+        assert "".join(format(y, f"0{code.n}b") for y in row) == expected
+        assert code.encode(message, s0) == expected
+
+
+@PROPERTY_SETTINGS
 @given(st.text("01", max_size=64), st.floats(0.0, 0.49), seeds)
 def test_transmit_matches_per_bit_flips(codeword, epsilon, seed):
     clone = np.random.default_rng(seed)
@@ -195,6 +213,28 @@ def test_sample_matches_generator_choice(real, imag, seed, size):
     got = _sample(v, seed, size)
     assert got == expected
     assert list(got) == sorted(got)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 40),
+    st.lists(st.lists(amplitudes, min_size=80, max_size=80), min_size=1, max_size=5),
+    st.integers(0, 2**32),
+    st.integers(1, 300),
+)
+@example(2, [[1.0] * 80] * 3, 0, 2)  # equal halves: two-draw ties go to the smaller index
+def test_sample_rows_match_one_row_sampler(length, parts, seed, size):
+    real = np.array([row[:length] for row in parts])
+    v = real + 1j * np.array([row[40 : 40 + length] for row in parts])
+    v[:, 0] += np.abs(v).sum(axis=1) == 0.0  # every row needs a positive total
+    gen = np.random.Generator(np.random.PCG64())
+    table = streams.seed_table([seed], np.arange(len(v)), [2])
+    counts = sample_rows(np.abs(v) ** 2, streams.generators(table, gen), size)
+    for r, (row, row_counts) in enumerate(zip(v, counts)):
+        expected = _sample(row, [seed, r, 2], size)
+        drawn = np.flatnonzero(row_counts)
+        assert dict(zip(drawn.tolist(), row_counts[drawn].tolist())) == expected
+        assert mode_of(expected) == (row_counts.argmax(), row_counts.max())
 
 
 @pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])

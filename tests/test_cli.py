@@ -85,6 +85,23 @@ class TestConfigResolution:
         assert main(["verify", "--seed", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["decode", "--n-steps", "3", "--out"], "{}"),
+            (["table", "--n-steps", "4", "--out"], "{}"),
+            (["sweep", "--n-steps", "3", "--out"], "{}"),
+            (["circuit", "--out"], "{}.circuit.csv"),
+        ],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, argv, written):
+        target = str(tmp_path / "missing" / "x.json")
+        assert main(argv + [target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"bad config: cannot write {written.format(target)}: "), err
+        assert err.count("\n") == 1, err
+
     def test_table_range_validation(self, tmp_path):
         path = config_file(tmp_path, {"n_range": [2, 9]})
         assert main(["table", "--config", path]) == 2
@@ -204,7 +221,38 @@ GOLDEN_DECODE_SHA256 = {
 }
 
 
+# The same digest at two more corners, computed before campaigns drew their
+# generators from seed tables, when every block built its own
+# np.random.default_rng: the k = 2 code 2,2,1;1,2,3,1 at N = 4 (40 blocks,
+# seed 3), and seed 5e9, which takes two 32-bit entropy words (N = 5, 60
+# blocks).  Both at eps = 0.05; keys are (code, n_steps, campaigns, seed).
+CORNER_DECODE_SHA256 = {
+    ("2,2,1;1,2,3,1", 4, 40, 3): {
+        "classical": "6b4abe4fea5c3a0f075d2f6a4e970592539b0825974392e1c880ef28bb0deab9",
+        "iterated-qva": "15ded00a511a5f165cb816f4e6b8096ce277c9e539c3206296dad0b3a43322ba",
+        "probabilistic-qva": "2cebb13d602f4f0bc8b212ab10c99673bf81f5ec4ac8be23cf285e5852f302e0",
+    },
+    ("1,2,2;5,7", 5, 60, 5_000_000_000): {
+        "classical": "b7719948dd9328ca5e78c097f7cb7fe0607f50e2ad11d2aa7ff1493397175a1c",
+        "iterated-qva": "2c33945ab4dbbceb644b84ca31c05d483891269aed6f3f9863c40cbc67e3f8ab",
+        "probabilistic-qva": "3904c7a32acd46694e3e42d8b42f34133dcceb029387c036f5bfe1309eddd2b4",
+    },
+}
+
+
 class TestDecode:
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_DECODE_SHA256))
+    @pytest.mark.parametrize("corner", sorted(CORNER_DECODE_SHA256))
+    def test_campaign_corners_match_golden_digest(self, tmp_path, corner, mode):
+        code, n_steps, campaigns, seed = corner
+        doc = {"code": code, "mode": mode, "n_steps": n_steps, "epsilon": 0.05,
+               "campaigns": campaigns, "seed": seed}
+        cfg = resolve_config(parse(["decode", "--config", config_file(tmp_path, doc)]))
+        digest = hashlib.sha256(
+            json.dumps(list(run_decode_campaign(cfg)), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == CORNER_DECODE_SHA256[corner][mode]
+
     @pytest.mark.parametrize("mode", sorted(GOLDEN_DECODE_SHA256))
     def test_fixed_seed_campaign_matches_golden_digest(self, tmp_path, mode):
         doc = {"mode": mode, "n_steps": 6, "epsilon": 0.05, "campaigns": 100, "seed": 11}
