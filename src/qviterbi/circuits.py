@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .convcode import ConvCode, split_blocks
+from .convcode import ConvCode, _check_bits, split_blocks
 from .errors import SizeLimitError
 from .hmm import Hmm
 from .qva import build_path_space
@@ -125,8 +125,7 @@ def _block_errors(code: ConvCode, received_block: str) -> np.ndarray:
     """Bit errors of every edge against one received block, shape (states, inputs)."""
     if len(received_block) != code.n:
         raise ValueError(f"received block must have {code.n} bits")
-    if set(received_block) - {"0", "1"}:
-        raise ValueError("received block may only contain '0' and '1'")
+    _check_bits(received_block)
     return code.trellis().dist[:, :, int(received_block, 2)]
 
 

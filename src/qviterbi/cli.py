@@ -455,7 +455,8 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
 
 def _random_instance(code: ConvCode, seed) -> list[str]:
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 9))
+    # brute force walks 2^(k N) paths; keep k N <= 8 where N >= 2 allows
+    n = int(rng.integers(2, max(2, 8 // code.k) + 1))
     message = "".join(map(str, rng.integers(0, 2, n * code.k).tolist()))
     channel = BscChannel(0.1, seed=[*seed, 1])
     received, _ = channel.transmit(code.encode(message))
@@ -526,7 +527,10 @@ def _check_circuit_vs_block(code, _seed) -> tuple[bool | None, str]:
     return True, "5 phase units agree"
 
 
-def _check_chain_vs_path(code, _seed) -> tuple[bool, str]:
+def _check_chain_vs_path(code, _seed) -> tuple[bool | None, str]:
+    qubits, limit = 3 * code.state_bits, circuits.CHAIN_QUBIT_LIMIT
+    if qubits > limit:
+        return None, f"N = 2 chain needs {qubits} qubits, over the {limit}-qubit guard"
     worst = 0.0
     for n in (1, 2):
         for value in range(1 << (n * code.n)):

@@ -124,11 +124,11 @@ class Hmm:
         key = (i, j, y)
         return self.trans.get(key, 0.0) * self.emit.get(key, 0.0)
 
-    def check_row_stochastic(self) -> RowCheck:
-        """Verify sum_j P(j|i,y) = 1 for every (i, y) row of the transition table."""
+    def _row_check(self, joint: bool) -> RowCheck:
+        """Scan sum_j P(j|i,y) over every (i, y) row, each term times P(y|i,j) if joint."""
         sums: dict[tuple[int, str], float] = defaultdict(float)
-        for (i, _j, y), p in self.trans.items():
-            sums[(i, y)] += p
+        for key, p in self.trans.items():
+            sums[(key[0], key[2])] += p * self.emit.get(key, 0.0) if joint else p
         worst, worst_row = 0.0, None
         for i in range(self.num_states):
             for y in self.emissions:
@@ -137,20 +137,17 @@ class Hmm:
                     worst, worst_row = residual, (i, y)
         return RowCheck(passed=worst <= PROB_TOL, residual=worst, worst_row=worst_row)
 
+    def check_row_stochastic(self) -> RowCheck:
+        """Verify sum_j P(j|i,y) = 1 for every (i, y) row of the transition table."""
+        return self._row_check(joint=False)
+
     def check_doubly_normalized(self) -> bool:
         """True when sum_j P(j|i,y)P(y|i,j) = 1 for every (i, y).
 
         This is the condition that lets path probabilities be loaded directly
         into amplitudes without any amplification; it rarely holds.
         """
-        sums: dict[tuple[int, str], float] = defaultdict(float)
-        for key, p in self.trans.items():
-            sums[(key[0], key[2])] += p * self.emit.get(key, 0.0)
-        for i in range(self.num_states):
-            for y in self.emissions:
-                if abs(sums.get((i, y), 0.0) - 1.0) > PROB_TOL:
-                    return False
-        return True
+        return self._row_check(joint=True).passed
 
     def fanout(self) -> FanoutReport:
         """Successor counts per state, maximized over emissions."""

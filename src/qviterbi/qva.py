@@ -15,6 +15,9 @@ and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
 with the mean weighted by class sizes.  The per-path operators below are the
 dense reference the class engine is tested against.
 
+HMM-backed spaces come from viterbi.walk_paths, the enumeration that also
+serves brute_force_decode and path_metric_multiset.
+
 Decode campaigns add a leading block axis: path_error_rows builds the error
 counts of many received words as one (rows, L) matrix, adaptive_decode_rows
 amplifies every row at once on the value-indexed class axis e = 0..max with
@@ -32,9 +35,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import streams
-from .convcode import ConvCode, split_blocks
+from .convcode import ConvCode, _check_bits, split_blocks
 from .errors import DecodeFailure, SizeLimitError
 from .hmm import Hmm
+from .viterbi import _branch_cost, _neglog, walk_paths
 
 PATH_SPACE_LIMIT = 1 << 24
 
@@ -76,7 +80,6 @@ class PathSpace:
         weights: np.ndarray | None,
         *,
         code: ConvCode | None = None,
-        blocks: tuple[str, ...] | None = None,
         initial_state: int = 0,
         explicit_paths: tuple[tuple[int, ...], ...] | None = None,
         input_bits: int | None = None,
@@ -85,7 +88,6 @@ class PathSpace:
         self.errors = errors
         self.weights = weights
         self.code = code
-        self.blocks = blocks
         self.initial_state = initial_state
         self._paths = explicit_paths
         self._input_bits = input_bits
@@ -180,9 +182,8 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     block first) starting from initial_state; its errors come from the
     one-row case of path_error_rows.
     """
-    if set(received) - {"0", "1"}:
-        raise ValueError("received word may only contain '0' and '1'")
-    blocks = tuple(split_blocks(received, code.n))
+    _check_bits(received)
+    blocks = split_blocks(received, code.n)
     n = len(blocks)
     if n < 1:
         raise ValueError("received word is empty")
@@ -194,7 +195,6 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         errors=path_error_rows(code, ys, initial_state)[0],
         weights=None,
         code=code,
-        blocks=blocks,
         initial_state=initial_state,
         input_bits=code.k,
     )
@@ -228,40 +228,27 @@ def path_error_rows(code: ConvCode, ys: np.ndarray, initial_state: int = 0) -> n
 
 
 def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> PathSpace:
-    """Enumerate admissible paths of a general HMM with neg-log weights."""
-    n = len(emissions)
-    if n < 1:
-        raise ValueError("need at least one emission")
-    fan = h.fanout().fanout
-    if fan**n > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"about {fan}^{n} paths exceeds the path-space guard")
+    """Enumerate admissible paths of a general HMM with neg-log weights.
 
+    Paths and weights come from viterbi.walk_paths; code-derived HMMs get
+    their bit-error counts from a second walk in the same path order.
+    """
     paths: list[tuple[int, ...]] = []
     weights: list[float] = []
-    errors: list[int] = []
-    has_errors = h.branch_errors is not None
 
-    def walk(i: int, t: int, w: float, e: int, trail: list[int]):
-        if t == n:
-            paths.append(tuple(trail))
-            weights.append(w)
-            if has_errors:
-                errors.append(e)
-            return
-        y = emissions[t]
-        for j, p in h.successors(i, y):
-            joint = p * h.emit.get((i, j, y), 0.0)
-            wj = math.inf if joint == 0.0 else -math.log(joint)
-            ej = h.branch_errors[(i, j, y)] if has_errors else 0
-            trail.append(j)
-            walk(j, t + 1, w + wj, e + ej, trail)
-            trail.pop()
+    def keep(trail: list[int], weight: float) -> None:
+        paths.append(tuple(trail))
+        weights.append(weight)
 
-    walk(initial_state, 0, 0.0, 0, [initial_state])
+    walk_paths(h, emissions, initial_state, _neglog, keep)
     if not paths:
         raise ValueError("no admissible path; check the model and emissions")
+    errors: list[int] = []
+    has_errors = h.branch_errors is not None
+    if has_errors:
+        walk_paths(h, emissions, initial_state, _branch_cost, lambda _trail, e: errors.append(e))
     return PathSpace(
-        n_steps=n,
+        n_steps=len(emissions),
         errors=np.asarray(errors, dtype=np.int64) if has_errors else None,
         weights=np.asarray(weights, dtype=float),
         initial_state=initial_state,

@@ -96,9 +96,13 @@ def required_trials(
     Solves exp(-lambda r) = target with the reduced rate; for e0 = 0.8 and
     target exp(-2) this is ceil(24 * 1.25^N - 4).
     """
+    return _trials_for(reduced_mode_failure_rate(e0, n_steps), target_failure)
+
+
+def _trials_for(rate: float, target_failure: float) -> int:
+    """Smallest trial count r >= 1 with exp(-rate * r) <= target_failure."""
     if not 0.0 < target_failure <= 1.0:
         raise ValueError("target_failure must lie in (0, 1]")
-    rate = reduced_mode_failure_rate(e0, n_steps)
     raw = -math.log(target_failure) / rate
     return max(1, math.ceil(raw - _CEIL_GUARD * max(1.0, raw)))
 
@@ -120,13 +124,10 @@ def plan_trials(
     symmetric: bool = False,
 ) -> TrialPlan:
     """Trial count from the general rate formula for given top-two odds."""
-    if not 0.0 < target_failure <= 1.0:
-        raise ValueError("target_failure must lie in (0, 1]")
     rate = mode_failure_rate(b, b_prime, symmetric=symmetric)
     if rate == 0.0:
         raise ValueError("b == b': no trial count separates the outcomes")
-    raw = -math.log(target_failure) / rate
-    r = max(1, math.ceil(raw - _CEIL_GUARD * max(1.0, raw)))
+    r = _trials_for(rate, target_failure)
     return TrialPlan(r=r, target_failure=target_failure, b=b, b_prime=b_prime)
 
 

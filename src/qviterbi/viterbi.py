@@ -1,11 +1,12 @@
 """Classical most-likely-path decoding.
 
 viterbi_decode is the dynamic-programming decoder used as ground truth for
-the quantum simulations; brute_force_decode enumerates every admissible
-path and exists purely as an independent oracle for tests and verification.
-trellis_decode runs the same dynamic program on a code's trellis table for
-many received words at once, with a leading block axis; decode campaigns use
-it, and the two decoders above are its oracles.
+the quantum simulations.  trellis_decode runs the same dynamic program on a
+code's trellis table for many received words at once, with a leading block
+axis; decode campaigns use it, and the two decoders are its oracles.
+walk_paths is the one enumeration of admissible paths, read off the Hmm and
+never off the trellis tables: brute_force_decode, path_metric_multiset and
+qva.build_path_space_hmm are its visitors, the oracles of every fast path.
 
 Code-derived HMMs (those carrying branch_errors metadata) are decoded with
 exact integer bit-error metrics; general HMMs fall back to negative log
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,11 +48,17 @@ class DecodeResult:
     ties: int
 
 
+def _neglog(h: Hmm, i: int, j: int, y: str) -> float:
+    """-log P(j|i,y)P(y|i,j) of a branch; infinite when it has probability zero."""
+    p = h.trans[(i, j, y)] * h.emit.get((i, j, y), 0.0)
+    return math.inf if p == 0.0 else -math.log(p)
+
+
 def _branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
     if h.branch_errors is not None:
         return h.branch_errors[(i, j, y)]
-    p = h.trans[(i, j, y)] * h.emit.get((i, j, y), 0.0)
-    return math.inf if p == 0.0 else -math.log(p)
+    return _neglog(h, i, j, y)
+
 
 def _slack(h: Hmm, value: float) -> float:
     if h.branch_errors is not None:
@@ -166,44 +173,57 @@ def trellis_decode(
     return inputs, to_go[0][:, initial_state]
 
 
-def _guard_enumeration(h: Hmm, n: int) -> None:
+def walk_paths(
+    h: Hmm, emissions: Sequence[str], initial_state: int, cost: Callable, visit: Callable
+) -> None:
+    """Depth-first walk over every admissible path, in lexicographic order.
+
+    At each leaf, visit(trail, total) gets the state sequence (start state
+    included; the list is reused, so copy it to keep it) and the sum of
+    cost(h, i, j, y) over the path's branches, added from its start (an int
+    when every cost is one).
+    """
+    _check_emissions(h, emissions)
+    n = len(emissions)
     fan = h.fanout().fanout
     if fan**n > ENUMERATION_LIMIT:
         raise SizeLimitError(f"about {fan}^{n} paths exceeds the enumeration guard")
+    trail = [initial_state]
+
+    def step(i: int, t: int, acc: float) -> None:
+        if t == n:
+            visit(trail, acc)
+            return
+        y = emissions[t]
+        for j, _p in h.successors(i, y):
+            trail.append(j)
+            step(j, t + 1, acc + cost(h, i, j, y))
+            trail.pop()
+
+    step(initial_state, 0, 0)
 
 
 def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
     """Exhaustive oracle: walk every admissible path and keep the best.
 
-    Depth-first in successor order, so paths are visited in lexicographic
-    order and the first optimum seen is the lexicographically smallest.
+    Paths arrive in lexicographic order, so the first optimum seen is the
+    lexicographically smallest; paths of probability zero are skipped.
     """
-    _check_emissions(h, emissions)
-    n = len(emissions)
-    _guard_enumeration(h, n)
-
     best_metric = math.inf
     best_path: tuple[int, ...] | None = None
     ties = 0
 
-    def walk(i: int, t: int, acc: float, trail: list[int]):
+    def keep(trail: list[int], total: float) -> None:
         nonlocal best_metric, best_path, ties
-        if t == n:
-            tol = _slack(h, min(acc, best_metric))
-            if acc < best_metric - tol:
-                best_metric, best_path, ties = acc, tuple(trail), 1
-            elif abs(acc - best_metric) <= tol:
-                ties += 1
+        if total == math.inf:
             return
-        for j, _p in h.successors(i, emissions[t]):
-            cost = _branch_cost(h, i, j, emissions[t])
-            if cost == math.inf:
-                continue
-            trail.append(j)
-            walk(j, t + 1, acc + cost, trail)
-            trail.pop()
+        tol = _slack(h, min(total, best_metric))
+        if total < best_metric - tol:
+            best_metric, best_path, ties = total, tuple(trail), 1
+        elif abs(total - best_metric) <= tol:
+            ties += 1
 
-    walk(initial_state, 0, 0.0, [initial_state])
+    walk_paths(h, emissions, initial_state, _branch_cost, keep)
     if best_path is None:
         raise NoPathError(f"no admissible path from state {initial_state}")
     metric = int(best_metric) if h.branch_errors is not None else best_metric
@@ -223,19 +243,6 @@ def path_metric_multiset(h: Hmm, emissions: Sequence[str], initial_state: int = 
     """
     if h.branch_errors is None:
         raise ValueError("integer branch metrics required (code-derived HMM)")
-    _check_emissions(h, emissions)
-    n = len(emissions)
-    _guard_enumeration(h, n)
-
     out: Counter = Counter()
-
-    def walk(i: int, t: int, acc: int):
-        if t == n:
-            out[acc] += 1
-            return
-        y = emissions[t]
-        for j, _p in h.successors(i, y):
-            walk(j, t + 1, acc + h.branch_errors[(i, j, y)])
-
-    walk(initial_state, 0, 0)
+    walk_paths(h, emissions, initial_state, _branch_cost, lambda _trail, e: out.update((e,)))
     return out

@@ -382,6 +382,21 @@ class TestVerify:
         assert out.count("[SKIP]") == 2 and "skipped:" not in out
         assert out.endswith("6/6 checks passed, 2 skipped\n")
 
+    def test_chain_over_qubit_guard_skips(self, capsys):
+        # state_bits = 5: the N = 2 chain needs 15 qubits, over the 12-qubit guard
+        assert main(["verify", "--code", "1,2,5;53,75", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "[SKIP] chain-vs-path" in out
+        assert out.endswith("5/5 checks passed, 3 skipped\n")
+
+    def test_wide_input_code_finishes(self, capsys):
+        # k = 3: random instances keep 2^(k N) brute-force paths small
+        assert main(["verify", "--code", "3,3,1;1,2,3,2,3,1,3,1,2", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] decoder-oracle-equivalence" in out
+        assert out.endswith("6/6 checks passed, 2 skipped\n")
+
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])
         out = capsys.readouterr().out

@@ -3,10 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi.convcode import hamming, split_blocks
 from qviterbi.errors import NoPathError, SizeLimitError
 from qviterbi.hmm import Hmm
+from qviterbi.qva import build_path_space_hmm
 from qviterbi.viterbi import brute_force_decode, path_metric_multiset, viterbi_decode
 
 
@@ -149,6 +152,37 @@ class TestGeneralHmm:
         rng = np.random.default_rng(33)
         h = random_general_hmm(rng)
         assert viterbi_decode(h, ["u"]).message is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(1, 4),
+    n=st.integers(1, 5),
+    start=st.integers(0, 3),
+)
+def test_zero_probability_branches_match_oracles(seed, num_states, n, start):
+    """About half the emission entries are 0, so many branches cost infinity."""
+    rng = np.random.default_rng(seed)
+    dense = random_general_hmm(rng, num_states)
+    emit = {key: p if rng.random() < 0.5 else 0.0 for key, p in dense.emit.items()}
+    h = Hmm(num_states, dense.emissions, dense.trans, emit)
+    emissions = [("u", "v")[int(x)] for x in rng.integers(0, 2, n)]
+    start %= num_states
+    ps = build_path_space_hmm(h, emissions, start)
+    try:
+        b = brute_force_decode(h, emissions, start)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            viterbi_decode(h, emissions, start)
+        assert np.all(ps.weights == math.inf)
+        return
+    a = viterbi_decode(h, emissions, start)
+    assert a.metric == pytest.approx(b.metric, abs=1e-9)
+    assert a.path == b.path
+    first_best = int(np.argmin(ps.weights))
+    assert b.path == ps.path(first_best)
+    assert b.metric == ps.weights[first_best]
 
 
 class TestMetricMonotonicity:
