@@ -1,4 +1,4 @@
-"""Dense-matrix gate constructions for the trellis step operators.
+"""Gate constructions for the trellis step operators.
 
 Everything here is verified at desk scale against the path-level simulator:
 state-preparation unitaries built from two-level rotations, controlled
@@ -6,9 +6,10 @@ blocks, the per-step fan-out-plus-phase operator, its explicit gate-level
 form for the bundled (5,7) code, the full-register chain of step operators,
 and the analytic gate-count accounting.
 
-Controlled operations are realized as explicit block-diagonal matrices; the
-Gray-code synthesis down to elementary gates is counted analytically by
-gate_counts but never emitted as a netlist.
+The step operator is held as its (S, S, S) stack of per-control blocks
+(step_blocks); the dense two-register matrix is built only for comparison
+with the gate-level circuit.  The Gray-code synthesis down to elementary
+gates is counted by gate_counts but never emitted as a netlist.
 """
 from __future__ import annotations
 
@@ -121,56 +122,48 @@ def controlled_block(control_value: int, u: np.ndarray, num_control_levels: int)
     return out
 
 
-def _block_errors(code: ConvCode, received_block: str) -> np.ndarray:
-    """Bit errors of every edge against one received block, shape (states, inputs)."""
+def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
+    """One trellis step as its stack of per-control blocks, shape (S, S, S).
+
+    Block i sends target |0> to the phase-weighted superposition over i's
+    successors (fan-out and marking combined, as on the first amplification
+    pass): a phase diagonal times Hadamards on the fresh message bits times
+    the NOT pattern copying the retained control bits, as the gate-level
+    construction realizes it.
+    """
     if len(received_block) != code.n:
         raise ValueError(f"received block must have {code.n} bits")
     _check_bits(received_block)
-    return code.trellis().dist[:, :, int(received_block, 2)]
+    # bit errors of every edge against the block, shape (states, inputs)
+    errors = code.trellis().dist[:, :, int(received_block, 2)]
+    h_k = reduce(np.kron, [_H1] * code.k)
+    suffix_bits = code.k * (code.m - 1)
+    low = (1 << suffix_bits) - 1
+    i, j, c = np.ix_(*[np.arange(code.num_states)] * 3)
+    copies = (j & low) == (c & low) ^ (i >> code.k)
+    phases = np.exp(1j * omega * errors[i, j >> suffix_bits])
+    return np.where(copies, phases * h_k[j >> suffix_bits, c >> suffix_bits], 0.0)
+
+
+def step_block(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
+    """The step operator as one block-diagonal unitary on two state registers."""
+    blocks = step_blocks(code, received_block, omega)
+    q = len(blocks)
+    out = np.zeros((q, q, q, q), dtype=complex)
+    out[np.arange(q), :, np.arange(q), :] = blocks
+    return out.reshape(q * q, q * q)
 
 
 def successor_superposition(code: ConvCode, state: int, received_block: str, omega: float) -> np.ndarray:
     """Phase-weighted equal superposition over the successors of a state.
 
     Entry j is exp(i * omega * d) / sqrt(2^k) when the edge state->j exists
-    and its output is d bit flips away from the received block, else 0.
+    and its output is d bit flips away from the received block, else 0: the
+    first column of the state's step block.
     """
     if not 0 <= state < code.num_states:
         raise ValueError("state out of range")
-    errors = _block_errors(code, received_block)
-    psi = np.zeros(code.num_states, dtype=complex)
-    amp = 1.0 / math.sqrt(code.fanout)
-    psi[code.trellis().next_state[state]] = amp * np.exp(1j * omega * errors[state])
-    return psi
-
-
-def step_block(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
-    """One trellis step as a block-diagonal unitary on two state registers.
-
-    The block for control state i sends target |0> to the phase-weighted
-    superposition over i's successors (fan-out and marking combined, as used
-    on the first amplification pass).  Each block is structured as a phase
-    diagonal times Hadamards on the fresh message bits times the NOT pattern
-    copying the retained register bits, which is exactly what the gate-level
-    construction realizes.
-    """
-    errors = _block_errors(code, received_block)
-    q = code.num_states
-    h_k = reduce(np.kron, [_H1] * code.k)
-    suffix_bits = code.k * (code.m - 1)
-    suffix_dim = 1 << suffix_bits
-    # the input block of each target basis state, its most significant bits
-    inputs = np.arange(q) >> suffix_bits
-    out = np.zeros((q * q, q * q), dtype=complex)
-    for i in range(q):
-        prefix = i >> code.k
-        perm = np.zeros((suffix_dim, suffix_dim), dtype=complex)
-        cols = np.arange(suffix_dim)
-        perm[cols ^ prefix, cols] = 1.0
-        base = np.kron(h_k, perm)
-        phases = np.exp(1j * omega * errors[i, inputs])
-        out[i * q : (i + 1) * q, i * q : (i + 1) * q] = phases[:, None] * base
-    return out
+    return step_blocks(code, received_block, omega)[state, :, 0]
 
 
 def _controlled_1q(n_qubits: int, control: int, cval: int, target: int, gate: np.ndarray) -> np.ndarray:
@@ -245,7 +238,8 @@ def _chain(code: ConvCode, received: str, omega: float, initial_state: int | Non
     """Step operators applied to |initial_state>|0...0>, or to the identity if None.
 
     Step t touches only registers t-1 and t, so it is one matmul of the step
-    block against a (left, Q^2, rest) view of the state.
+    blocks against a (left, Q, Q, rest) view of the state, broadcast over
+    the control register t-1.
     """
     blocks = split_blocks(received, code.n)
     n = len(blocks)
@@ -257,8 +251,8 @@ def _chain(code: ConvCode, received: str, omega: float, initial_state: int | Non
         x = np.zeros(dim, dtype=complex)
         x[initial_state << (q_bits * n)] = 1.0
     for t, y in enumerate(blocks, start=1):
-        v = step_block(code, y, omega)
-        x = (v @ x.reshape(1 << (q_bits * (t - 1)), len(v), -1)).reshape(x.shape)
+        v = step_blocks(code, y, omega)
+        x = (v @ x.reshape(1 << (q_bits * (t - 1)), len(v), len(v), -1)).reshape(x.shape)
     return x
 
 

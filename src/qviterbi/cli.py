@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__, circuits, qva, streams, trials
 from .convcode import (
     BscChannel,
+    CODE_5_7,
     ConvCode,
     pack_blocks,
     split_blocks,
@@ -232,7 +233,7 @@ def cmd_table(cfg: ExperimentConfig) -> int:
     reference = load_reference()
     ref_rows = (
         {row["n_steps"]: row for row in reference["rows"]}
-        if reference.get("code") == cfg.code
+        if reference.get("code") == code.to_spec()
         else {}
     )
     lo, hi = cfg.n_range
@@ -511,13 +512,13 @@ def _check_single_iteration(code, seed) -> tuple[bool, str]:
 def _check_block_unitarity(code, _seed) -> tuple[bool, str]:
     for value in range(1 << code.n):
         block = format(value, f"0{code.n}b")
-        if not circuits.is_unitary(circuits.step_block(code, block, 0.68)):
+        if not all(map(circuits.is_unitary, circuits.step_blocks(code, block, 0.68))):
             return False, f"step block for {block} not unitary"
     return True, "all receive blocks unitary"
 
 
 def _check_circuit_vs_block(code, _seed) -> tuple[bool | None, str]:
-    if code.to_spec() != "1,2,2;5,7":
+    if code != CODE_5_7:
         return None, "gate-level circuit is defined for the (5,7) code"
     for w in (0.1, 0.68, 1.3, 2.2, 3.0):
         if not circuits.equal_up_to_global_phase(
@@ -542,7 +543,7 @@ def _check_chain_vs_path(code, _seed) -> tuple[bool | None, str]:
 
 
 def _check_point_value(code, _seed) -> tuple[bool | None, str]:
-    if code.to_spec() != "1,2,2;5,7":
+    if code != CODE_5_7:
         return None, "reference point is defined for the (5,7) code"
     point = load_reference()["point_value"]
     ps = qva.build_path_space(code, "0" * (point["n_steps"] * code.n))
@@ -589,10 +590,10 @@ def _matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 
 def cmd_circuit(cfg: ExperimentConfig) -> int:
-    if cfg.code != "1,2,2;5,7":
+    code = ConvCode.from_spec(cfg.code)
+    if code != CODE_5_7:
         print("bad config: the gate-level circuit is defined for code 1,2,2;5,7", file=sys.stderr)
         return 2
-    code = ConvCode.from_spec(cfg.code)
     omega = cfg.omega if cfg.omega is not None else 0.68
     circuit = circuits.step_circuit_00(omega)
     block = circuits.step_block(code, "00", omega)

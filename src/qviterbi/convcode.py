@@ -266,6 +266,11 @@ def _trellis(code: ConvCode) -> Trellis:
     return table
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 0.5:
+        raise ValueError("epsilon must lie in [0, 0.5)")
+
+
 class BscChannel:
     """Memoryless binary symmetric channel with a private seeded generator.
 
@@ -275,8 +280,7 @@ class BscChannel:
     """
 
     def __init__(self, epsilon: float, seed=0):
-        if not 0.0 <= epsilon < 0.5:
-            raise ValueError("epsilon must lie in [0, 0.5)")
+        _check_epsilon(epsilon)
         self.epsilon = float(epsilon)
         self.seed = seed
         self._rng = np.random.default_rng(seed)

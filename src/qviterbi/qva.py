@@ -103,6 +103,8 @@ class PathSpace:
         if phase_mode == "neglog":
             if self.weights is None:
                 raise ValueError("this path space carries no log-probability weights")
+            if not np.all(np.isfinite(self.weights)):
+                raise ValueError("a zero-probability path has no neglog phase")
             return self.weights
         raise ValueError(f"unknown phase mode {phase_mode!r}")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convcode import _check_epsilon
 from .qva import PathSpace, _sample, mode_of
 
 DEFAULT_TARGET_FAILURE = math.exp(-2.0)
@@ -48,11 +49,6 @@ def amplitude_loaded_rows(errors: np.ndarray, epsilon: float, total_bits: int) -
     _check_epsilon(epsilon)
     e = errors.astype(float)
     return _normalised_sqrt(epsilon**e * (1.0 - epsilon) ** (total_bits - e))
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError("epsilon must lie in [0, 0.5)")
 
 
 def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi.circuits import (
     TwoLevelRotation,
@@ -14,6 +16,7 @@ from qviterbi.circuits import (
     path_reference,
     state_preparation,
     step_block,
+    step_blocks,
     step_circuit_00,
     successor_superposition,
 )
@@ -217,6 +220,46 @@ class TestStepBlock:
             assert np.allclose(column, successor_superposition(wide, i, "101", 0.44), atol=1e-12)
 
 
+@st.composite
+def codes_with_block(draw):
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    masks = draw(st.lists(st.integers(0, (1 << (m + 1)) - 1), min_size=k * n, max_size=k * n))
+    masks[0] |= 1 << m  # some generator must have degree exactly m
+    code = ConvCode(k=k, n=n, m=m, generators=tuple(
+        tuple(masks[i * n : (i + 1) * n]) for i in range(k)
+    ))
+    return code, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes_with_block(), st.floats(0.0, math.pi))
+def test_step_blocks_feed_every_view_of_the_step(code_and_block, omega):
+    code, y = code_and_block
+    received = format(y, f"0{code.n}b")
+    blocks = step_blocks(code, received, omega)
+    q = code.num_states
+    assert blocks.shape == (q, q, q)
+    assert all(is_unitary(b) for b in blocks)
+    if q <= 16:  # the dense form has q^4 entries
+        dense = step_block(code, received, omega)
+        expected = np.zeros_like(dense)
+        for i in range(q):
+            expected[i * q : (i + 1) * q, i * q : (i + 1) * q] = blocks[i]
+        assert np.array_equal(dense, expected)
+    trellis = code.trellis()
+    for i in range(q):
+        psi = successor_superposition(code, i, received, omega)
+        assert np.array_equal(psi, blocks[i, :, 0])
+        built = np.zeros(q, dtype=complex)
+        built[trellis.next_state[i]] = np.exp(1j * omega * trellis.dist[i, :, y]) / math.sqrt(
+            code.fanout
+        )
+        # (1/sqrt 2)^k and 1/sqrt(2^k) differ by an ulp for k >= 2
+        assert np.max(np.abs(psi - built)) <= (0.0 if code.k == 1 else 1e-15)
+
+
 class TestStepCircuit:
     def test_matches_block_for_twenty_random_phase_units(self, code):
         rng = np.random.default_rng(41)
@@ -290,6 +333,14 @@ class TestChain:
         received = "101010"
         state = chain_state(wide, received, 0.3)
         assert np.max(np.abs(state - path_reference(wide, received, 0.3))) <= 1e-12
+
+
+    def test_constraint_length_seven_chain_matches_path_level(self):
+        # the standard (171,133) code: one step spans two 6-qubit registers
+        k7 = ConvCode.from_spec("1,2,6;171,133")
+        for received in ("00", "01", "10", "11"):
+            state = chain_state(k7, received, 0.68)
+            assert np.max(np.abs(state - path_reference(k7, received, 0.68))) <= 1e-12
 
 
 class TestGateCounts:

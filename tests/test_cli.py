@@ -151,6 +151,12 @@ class TestTable:
         assert main(["table", "--n-steps", "5"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_reference_rows_follow_the_code_not_its_spelling(self, capsys):
+        assert main(["table", "--n-steps", "4"]) == 0
+        canonical = capsys.readouterr().out
+        assert main(["table", "--code", "1,2,2;05,07", "--n-steps", "4"]) == 0
+        assert capsys.readouterr().out == canonical
+
 
 class TestSweep:
     def test_csv_deterministic_and_lf_only(self, tmp_path):
@@ -397,6 +403,13 @@ class TestVerify:
         assert "[PASS] decoder-oracle-equivalence" in out
         assert out.endswith("6/6 checks passed, 2 skipped\n")
 
+    def test_constraint_length_seven_code(self, capsys):
+        # the standard (171,133) code: 64 states, checked block by block
+        assert main(["verify", "--code", "1,2,6;171,133", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] step-block-unitarity" in out
+        assert out.endswith("5/5 checks passed, 3 skipped\n")
+
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])
         out = capsys.readouterr().out
@@ -417,6 +430,10 @@ class TestCircuit:
 
     def test_non_default_code_rejected(self, capsys):
         assert main(["circuit", "--code", "1,2,1;1,3"]) == 2
+
+    def test_other_spelling_of_the_code_accepted(self, capsys):
+        assert main(["circuit", "--code", "1,2,2;05,07"]) == 0
+        assert "match=yes" in capsys.readouterr().out
 
 
 class TestReferenceFixture:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qviterbi.errors import DecodeFailure, SizeLimitError
+from qviterbi.hmm import Hmm
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
@@ -215,6 +216,18 @@ class TestRunQva:
         assert run_qva(shuffled, params).prob_top == pytest.approx(
             run_qva(ps, params).prob_top, abs=1e-12
         )
+
+    def test_neglog_rejects_zero_probability_paths(self):
+        # one zero emission entry gives three paths of weight inf; their
+        # neglog phase exp(i omega inf) would be NaN
+        trans = {(i, j, "a"): 0.5 for i in range(2) for j in range(2)}
+        emit = {**{key: 1.0 for key in trans}, (0, 1, "a"): 0.0}
+        ps = build_path_space_hmm(Hmm(2, ["a"], trans, emit), ["a", "a"])
+        assert np.isinf(ps.weights).sum() == 3
+        with pytest.raises(ValueError, match="zero-probability"):
+            run_qva(ps, QvaParams(0.5, 1, "neglog"))
+        with pytest.raises(ValueError, match="zero-probability"):
+            sweep_omega(ps, 1, phase_mode="neglog")
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
