@@ -131,6 +131,11 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     the NOT pattern copying the retained control bits, as the gate-level
     construction realizes it.
     """
+    return _step_blocks(code, received_block, omega, slice(None))
+
+
+def _step_blocks(code: ConvCode, received_block: str, omega: float, controls) -> np.ndarray:
+    """The step blocks of the control states states[controls], shape (controls, S, S)."""
     if len(received_block) != code.n:
         raise ValueError(f"received block must have {code.n} bits")
     _check_bits(received_block)
@@ -139,7 +144,8 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     h_k = reduce(np.kron, [_H1] * code.k)
     suffix_bits = code.k * (code.m - 1)
     low = (1 << suffix_bits) - 1
-    i, j, c = np.ix_(*[np.arange(code.num_states)] * 3)
+    states = np.arange(code.num_states)
+    i, j, c = np.ix_(states[controls], states, states)
     copies = (j & low) == (c & low) ^ (i >> code.k)
     phases = np.exp(1j * omega * errors[i, j >> suffix_bits])
     return np.where(copies, phases * h_k[j >> suffix_bits, c >> suffix_bits], 0.0)
@@ -163,7 +169,7 @@ def successor_superposition(code: ConvCode, state: int, received_block: str, ome
     """
     if not 0 <= state < code.num_states:
         raise ValueError("state out of range")
-    return step_blocks(code, received_block, omega)[state, :, 0]
+    return _step_blocks(code, received_block, omega, [state])[0, :, 0]
 
 
 def _controlled_1q(n_qubits: int, control: int, cval: int, target: int, gate: np.ndarray) -> np.ndarray:

@@ -41,9 +41,11 @@ from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, v
 
 DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
 
-# Paths a decode chunk holds at once: a campaign decodes
-# max(1, CHUNK_PATHS // F^N) blocks per array pass, so its working set does
-# not grow with the number of blocks.
+# Cells a decode chunk holds at once: a QVA campaign takes
+# max(1, CHUNK_PATHS // F^N) blocks of F^N paths per array pass, and a
+# classical one as many blocks as keep trellis_decode's (blocks, N, S, F)
+# branch costs within it, so the working set does not grow with the number
+# of blocks.
 CHUNK_PATHS = 1 << 14
 
 COMMAND_MODES = {
@@ -307,6 +309,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 # decode
 
 
+def _bit_strings(bits: np.ndarray) -> list[str]:
+    """The rows of a (rows, width) array of 0/1 values as strings of '0' and '1'."""
+    chars = np.ascontiguousarray(bits + ord("0"), dtype=np.uint8)
+    return chars.view(f"S{bits.shape[1]}").ravel().astype(str).tolist()
+
+
 def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Run the campaign described by cfg; deterministic in (config, seed).
 
@@ -315,10 +323,12 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     for class c of an iterated-qva schedule).  These generators come from
     one seed table per stream (see streams), so results are identical
     however blocks are grouped.  Messages, encoding and channel run over
-    the whole campaign as arrays; decoding runs in chunks of
-    max(1, CHUNK_PATHS // F^N) rows: one trellis Viterbi pass, or one
-    path-error matrix with one amplification and one sampling pass per
-    schedule entry, serves every block of a chunk.
+    the whole campaign as arrays.  classical decodes chunks of blocks whose
+    trellis_decode arrays hold CHUNK_PATHS cells; the QVA modes build one
+    codeword table per campaign and take path errors, gathers and samples
+    in chunks of max(1, CHUNK_PATHS // F^N) blocks, and iterated-qva
+    amplifies every pending block at once per schedule entry (see
+    qva.adaptive_decode_rows).
     """
     code = ConvCode.from_spec(cfg.code)
     eps_dec = _decode_epsilon(cfg.epsilon)
@@ -356,46 +366,48 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             "block": block,
             "seed": [cfg.seed, block],
             "flips": n_flips,
-            "received": " ".join(split_blocks(word.tobytes().decode("ascii"), code.n)),
-            "truth": truth.tobytes().decode("ascii"),
+            "received": " ".join(split_blocks(word, code.n)),
+            "truth": truth,
         }
         for block, n_flips, word, truth in zip(
-            range(cfg.campaigns), flips.tolist(), received + ord("0"), messages + ord("0")
+            range(cfg.campaigns), flips.tolist(), _bit_strings(received), _bit_strings(messages)
         )
     ]
 
-    chunk = max(1, CHUNK_PATHS // code.fanout**cfg.n_steps)
-    for start in range(0, cfg.campaigns, chunk):
-        stop = min(start + chunk, cfg.campaigns)
-        rows = results[start:stop]
-        if cfg.mode == "classical":
-            inputs, _ = trellis_decode(code.trellis(), ys[start:stop])
-            for row, steps in zip(rows, inputs.tolist()):
-                row["decoded"] = "".join(format(u, f"0{code.k}b") for u in steps)
-        elif cfg.mode == "iterated-qva":
-            errors = qva.path_error_rows(code, ys[start:stop])
-            chunk_tables = [table[start:stop] for table in tables]
-            for row, attempts in zip(
-                rows, qva.adaptive_decode_rows(errors, schedule, chunk_tables, gen)
-            ):
-                last = attempts[-1]
-                accepted = last.accepted
-                row["decoded"] = format(last.mode_index, f"0{message_bits}b") if accepted else None
-                row["accepted_class"] = last.class_index if accepted else None
-        else:
-            errors = qva.path_error_rows(code, ys[start:stop])
-            states = trials.amplitude_loaded_rows(errors, eps_dec, cfg.n_steps * code.n)
-            counts = qva.sample_rows(
-                np.abs(states) ** 2, streams.generators(draw_table[start:stop], gen), prob_r
-            )
-            for row, mode, mode_count in zip(
-                rows, counts.argmax(axis=1).tolist(), counts.max(axis=1).tolist()
-            ):
-                row["decoded"] = format(mode, f"0{message_bits}b")
-                row["mode_index"] = mode
-                row["mode_count"] = mode_count
-        for row in rows:
-            row["correct"] = int(row["decoded"] == row["truth"])
+    # blocks per array pass: a chunk holds CHUNK_PATHS cells, which are the
+    # (blocks, N, S, F) branch costs of trellis_decode or the F^N paths of a block
+    path_chunk = max(1, CHUNK_PATHS // code.fanout**cfg.n_steps)
+    if cfg.mode == "classical":
+        table = code.trellis()
+        chunk = max(1, CHUNK_PATHS // (cfg.n_steps * table.next_state.size))
+        inputs = np.concatenate([
+            trellis_decode(table, ys[start : start + chunk])[0]
+            for start in range(0, cfg.campaigns, chunk)
+        ])
+        for row, decoded in zip(results, _bit_strings(unpack_blocks(inputs, code.k))):
+            row["decoded"] = decoded
+    elif cfg.mode == "iterated-qva":
+        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables, gen, path_chunk)
+        lasts = [a[-1] for a in attempts]
+        modes = unpack_blocks(np.array([[last.mode_index] for last in lasts]), message_bits)
+        for row, last, decoded in zip(results, lasts, _bit_strings(modes)):
+            row["decoded"] = decoded if last.accepted else None
+            row["accepted_class"] = last.class_index if last.accepted else None
+    else:
+        words = qva.codeword_table(code, cfg.n_steps)
+        modes = np.empty(cfg.campaigns, dtype=np.int64)
+        mode_counts = np.empty_like(modes)
+        for start in range(0, cfg.campaigns, path_chunk):
+            part = slice(start, start + path_chunk)
+            errors = qva.path_error_rows(code, ys[part], table=words)
+            weights = trials.path_weight_rows(errors, eps_dec, cfg.n_steps * code.n)
+            counts = qva.sample_rows(weights, streams.generators(draw_table[part], gen), prob_r)
+            modes[part], mode_counts[part] = counts.argmax(axis=1), counts.max(axis=1)
+        decoded = _bit_strings(unpack_blocks(modes[:, None], message_bits))
+        for row, bits, mode, count in zip(results, decoded, modes.tolist(), mode_counts.tolist()):
+            row["decoded"], row["mode_index"], row["mode_count"] = bits, mode, count
+    for row in results:
+        row["correct"] = int(row["decoded"] == row["truth"])
 
     n_errors = sum(1 - row["correct"] for row in results)
     summary = {
@@ -529,11 +541,13 @@ def _check_circuit_vs_block(code, _seed) -> tuple[bool | None, str]:
 
 
 def _check_chain_vs_path(code, _seed) -> tuple[bool | None, str]:
-    qubits, limit = 3 * code.state_bits, circuits.CHAIN_QUBIT_LIMIT
-    if qubits > limit:
-        return None, f"N = 2 chain needs {qubits} qubits, over the {limit}-qubit guard"
+    # an N-step chain holds N + 1 state registers; check N = 1, 2 as far as they fit
+    limit = circuits.CHAIN_QUBIT_LIMIT
+    longest = min(2, limit // code.state_bits - 1)
+    if longest < 1:
+        return None, f"N = 1 chain needs {2 * code.state_bits} qubits, over the {limit}-qubit guard"
     worst = 0.0
-    for n in (1, 2):
+    for n in range(1, longest + 1):
         for value in range(1 << (n * code.n)):
             received = format(value, f"0{n * code.n}b")
             state = circuits.chain_state(code, received, 0.68)

@@ -18,9 +18,13 @@ dense reference the class engine is tested against.
 HMM-backed spaces come from viterbi.walk_paths, the enumeration that also
 serves brute_force_decode and path_metric_multiset.
 
-Decode campaigns add a leading block axis: path_error_rows builds the error
-counts of many received words as one (rows, L) matrix, adaptive_decode_rows
-amplifies every row at once on the value-indexed class axis e = 0..max with
+A code path's error count is the Hamming distance from the received word
+to its codeword.  The codes are linear over GF(2), so codeword_table builds
+the packed codewords of all F^N messages by XOR doubling over the message
+bits, and path_error_rows takes the counts of many received words at once
+as popcounts of their XOR against that table, one (rows, L) matrix.
+Decode campaigns add this leading block axis: adaptive_decode_rows
+amplifies every pending row at once on the class axis e = 0..N*n with
 per-row class counts, and sample_rows draws every row's measurements from
 one CDF matrix.  build_path_space, adaptive_decode and _sample are their
 one-row cases.
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -148,15 +153,7 @@ class PathSpace:
             raise IndexError("path index out of range")
         if self._paths is not None:
             return self._paths[index]
-        k = self.code.k
-        next_state = self.code.trellis().next_state
-        state = self.initial_state
-        out = [state]
-        for t in range(self.n_steps):
-            u = (index >> (k * (self.n_steps - 1 - t))) & ((1 << k) - 1)
-            state = next_state.item(state, u)
-            out.append(state)
-        return tuple(out)
+        return _code_path(self.code, self.initial_state, self.n_steps, index)
 
     def paths(self) -> list[tuple[int, ...]]:
         """Materialized path list; guarded because it is O(L * N) memory."""
@@ -177,6 +174,18 @@ class PathSpace:
         return Counter(dict(zip(view.values.tolist(), view.counts.tolist())))
 
 
+def _code_path(code: ConvCode, initial_state: int, n_steps: int, index: int) -> tuple[int, ...]:
+    """State sequence driven by the k*N message bits of index, start state included."""
+    k = code.k
+    next_state = code.trellis().next_state
+    state = initial_state
+    out = [state]
+    for t in range(n_steps):
+        state = next_state.item(state, (index >> (k * (n_steps - 1 - t))) & ((1 << k) - 1))
+        out.append(state)
+    return tuple(out)
+
+
 def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> PathSpace:
     """Enumerate all message sequences and their total bit-error counts.
 
@@ -184,16 +193,11 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     block first) starting from initial_state; its errors come from the
     one-row case of path_error_rows.
     """
-    _check_bits(received)
-    blocks = split_blocks(received, code.n)
-    n = len(blocks)
-    if n < 1:
-        raise ValueError("received word is empty")
     if not 0 <= initial_state < code.num_states:
         raise ValueError("initial state out of range")
-    ys = np.array([[int(y, 2) for y in blocks]], dtype=np.int64)
+    ys = _received_blocks(code, received)
     return PathSpace(
-        n_steps=n,
+        n_steps=ys.shape[1],
         errors=path_error_rows(code, ys, initial_state)[0],
         weights=None,
         code=code,
@@ -202,31 +206,86 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     )
 
 
-def path_error_rows(code: ConvCode, ys: np.ndarray, initial_state: int = 0) -> np.ndarray:
+def _received_blocks(code: ConvCode, received: str) -> np.ndarray:
+    """A received bit string as the (1, N) array of its n-bit blocks."""
+    _check_bits(received)
+    blocks = split_blocks(received, code.n)
+    if not blocks:
+        raise ValueError("received word is empty")
+    return np.array([[int(y, 2) for y in blocks]], dtype=np.int64)
+
+
+def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
+    """Packed codewords of all F^N messages from state 0, shape (W, F^N) uint64.
+
+    The code is linear over GF(2), so the codeword of message i is the XOR
+    of the codewords of its set bits: doubling over the message bits,
+    words[h:2h] = words[:h] ^ unit[j] with h = 2^j, fills the table in F^N
+    XORs per word.  Column i is message i in path order, in the word layout
+    of _frame_layout.
+    """
+    if code.fanout**n_steps > PATH_SPACE_LIMIT:
+        raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the path-space guard")
+    unit_words = _frame_layout(code, n_steps)[1]
+    words = np.zeros((unit_words.shape[1], code.fanout**n_steps), dtype=np.uint64)
+    for j, unit in enumerate(unit_words):
+        h = 1 << j
+        np.bitwise_xor(words[:, :h], unit[:, None], out=words[:, h : 2 * h])
+    return words
+
+
+@cache
+def _frame_layout(code: ConvCode, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """How an N-block frame packs into 64-bit words, and its unit codewords.
+
+    blocks.astype(np.uint64) @ weights packs (rows, N) n-bit blocks into
+    (rows, W) words: word w holds blocks w * G .. w * G + G - 1 counted back
+    from the last one (G = 64 // n), the last block in its lowest bits, so
+    the words are the frame's bit string read in 64-bit pieces from the
+    end.  Row j of unit_words is the packed codeword from state 0 of the
+    message whose only set bit is bit j of the path index.  Both are built
+    once per code and frame length (k*N <= 24 rows under the path-space
+    guard).
+    """
+    per_word = 64 // code.n
+    back = np.arange(n_steps - 1, -1, -1)  # block t counted back from the last
+    shifts = (code.n * (back % per_word)).astype(np.uint64)
+    weights = np.zeros((n_steps, -(-n_steps // per_word)), dtype=np.uint64)
+    weights[np.arange(n_steps), back // per_word] = 1 << shifts
+    bits = np.arange(code.k * n_steps)
+    units = ((1 << bits)[:, None] >> (code.k * back)) & (code.fanout - 1)
+    unit_words = code.encode_rows(units).astype(np.uint64) @ weights
+    for array in (weights, unit_words):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return weights, unit_words
+
+
+def path_error_rows(
+    code: ConvCode, ys: np.ndarray, initial_state: int = 0, table: np.ndarray | None = None
+) -> np.ndarray:
     """Bit-error counts of all F^N paths, one row per received word.
 
     ys has shape (rows, N) and holds each word's n-bit blocks as integers
-    (MSB first); row r of the (rows, F^N) result is indexed by message like
-    build_path_space.  The paths grow forward over the trellis one step at a
-    time: each prefix splits into its F successors and a row-major ravel
-    appends the step's input below the earlier ones, so after step t the
-    prefixes are already in message-index order.  The work is about
-    F/(F-1) * L gathers per row rather than N * L.  The per-step branch error
-    counts come from the code's cached trellis table.
+    (MSB first); row r of the (rows, F^N) int64 result is indexed by message
+    like build_path_space.  A path's error count is the Hamming distance
+    from the received word to its codeword.  The codeword from
+    initial_state is the zero-input response from there XOR the codeword
+    from state 0, so the response is XORed into the received words once and
+    each count is a popcount against codeword_table(code, N), summed over
+    its 64-bit words.  Callers that decode many chunks of one frame length
+    pass that table in.
     """
-    rows, n = ys.shape
-    if code.fanout**n > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"{code.fanout}^{n} paths exceeds the path-space guard")
-    table = code.trellis()
-    by_block = table.dist.transpose(2, 0, 1)  # [received block, state, input]
-    states = np.array([initial_state], dtype=np.int64)
-    errors = np.zeros((rows, 1), dtype=np.int64)
-    for t in range(n):
-        step = by_block[ys[:, t, None], states]  # (rows, prefixes, inputs)
-        errors = (errors[:, :, None] + step).reshape(rows, -1)
-        if t + 1 < n:
-            states = table.next_state[states].ravel()
-    return errors
+    n_steps = ys.shape[1]
+    if table is None:
+        table = codeword_table(code, n_steps)
+    if initial_state:
+        ys = ys ^ code.encode_rows(np.zeros((1, n_steps), dtype=np.int64), initial_state)
+    received = ys.astype(np.uint64) @ _frame_layout(code, n_steps)[0]
+    errors = np.bitwise_xor(received[:, :1], table[0])
+    np.bitwise_count(errors, out=errors)
+    for w in range(1, len(table)):
+        errors += np.bitwise_count(received[:, w, None] ^ table[w])
+    return errors.view(np.int64)
 
 
 def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> PathSpace:
@@ -567,19 +626,18 @@ def adaptive_decode(
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
-    if not received:
-        raise ValueError("received word is empty")
-    ps = build_path_space(code, received, initial_state)
+    ys = _received_blocks(code, received)
     # class c measures with default_rng([*seed, c]): c takes the block column
     tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
     gen = np.random.Generator(np.random.PCG64())
-    attempts = adaptive_decode_rows(ps.errors[None], schedule, tables, gen)[0]
+    attempts = adaptive_decode_rows(code, ys, schedule, tables, gen, 1, initial_state)[0]
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
+    n_steps = ys.shape[1]
     return AdaptiveDecodeResult(
-        message=ps.message(last.mode_index),
-        path=ps.path(last.mode_index),
+        message=format(last.mode_index, f"0{code.k * n_steps}b"),
+        path=_code_path(code, initial_state, n_steps, last.mode_index),
         metric=last.distance,
         accepted_class=last.class_index,
         attempts=attempts,
@@ -587,51 +645,64 @@ def adaptive_decode(
 
 
 def adaptive_decode_rows(
-    errors: np.ndarray,
+    code: ConvCode,
+    ys: np.ndarray,
     schedule: Sequence[ScheduleEntry],
     tables: Sequence[np.ndarray],
     gen: np.random.Generator,
+    chunk: int,
+    initial_state: int = 0,
 ) -> list[tuple[ClassAttempt, ...]]:
-    """adaptive_decode on every row of a (rows, L) path_error_rows matrix.
+    """adaptive_decode on every received word of ys, shape (rows, N) as in path_error_rows.
 
-    The classes live on the value axis e = 0..max error, with per-row counts,
-    so one schedule entry is one amplification and one sample_rows call for
-    all rows still pending.  Row r measures class c with row r of the seed
-    table tables[c], loaded into gen (see streams.generators), and a mode's
-    re-encoding distance is its path's error count.  Returns each row's
-    attempts; the last one is accepted unless the schedule was exhausted.
+    Each row's class counts live on the value axis e = 0..N*n for the whole
+    run, so one schedule entry is one amplification for every row still
+    pending.  Only what spans the F^N paths is chunked, `chunk` pending rows
+    at a time: their path_error_rows (against one codeword table), the
+    gather of class probabilities onto paths, and sample_rows.  Row r
+    measures class c with row r of the seed table tables[c], loaded into
+    gen (see streams.generators), and a mode's re-encoding distance is its
+    path's error count.  Returns each row's attempts; the last one is
+    accepted unless the schedule was exhausted.
     """
     for entry in schedule:
         QvaParams(omega=entry.omega, iterations=entry.iterations)  # validates the entry
-    rows = len(errors)
-    n_values = int(errors.max()) + 1
-    keys = errors + n_values * np.arange(rows)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=rows * n_values).reshape(rows, n_values)
+    rows, n_steps = ys.shape
+    table = codeword_table(code, n_steps)
+    n_values = n_steps * code.n + 1
+    counts = np.empty((rows, n_values), dtype=np.int64)
+    for start in range(0, rows, chunk):
+        errors = path_error_rows(code, ys[start : start + chunk], initial_state, table)
+        keys = errors + n_values * np.arange(len(errors))[:, None]
+        counts[start : start + chunk] = np.bincount(
+            keys.ravel(), minlength=len(errors) * n_values
+        ).reshape(-1, n_values)
     values = np.arange(n_values)
     attempts: list[list[ClassAttempt]] = [[] for _ in range(rows)]
-    pending = list(range(rows))
+    pending = np.arange(rows)
     for cls, entry in enumerate(schedule):
-        if not pending:
+        if not len(pending):
             break
         g = np.exp(1j * entry.omega * values)
-        amps = _amplify(g, entry.iterations, counts[pending])
-        path_errors = errors[pending]
-        # |v[errors[r]]|^2 of each row's class amplitudes v, gathered onto paths
-        p = np.take_along_axis(np.abs(amps) ** 2, path_errors, axis=1)
-        hist = sample_rows(p, streams.generators(tables[cls][pending], gen), entry.trials)
-        modes = hist.argmax(axis=1)
-        distances = np.take_along_axis(path_errors, modes[:, None], axis=1)[:, 0]
-        left = []
-        for r, mode, count, distance in zip(
-            pending, modes.tolist(), hist.max(axis=1).tolist(), distances.tolist()
+        probs = np.abs(_amplify(g, entry.iterations, counts[pending])) ** 2
+        modes = np.empty(len(pending), dtype=np.int64)
+        mode_counts, distances = np.empty_like(modes), np.empty_like(modes)
+        for start in range(0, len(pending), chunk):
+            part = slice(start, start + chunk)
+            errors = path_error_rows(code, ys[pending[part]], initial_state, table)
+            # |v[errors[r]]|^2 of each row's class amplitudes v, gathered onto paths
+            p = np.take_along_axis(probs[part], errors, axis=1)
+            hist = sample_rows(p, streams.generators(tables[cls][pending[part]], gen), entry.trials)
+            modes[part] = hist.argmax(axis=1)
+            mode_counts[part] = hist.max(axis=1)
+            distances[part] = np.take_along_axis(errors, modes[part, None], axis=1)[:, 0]
+        accepted = distances <= entry.max_errors
+        for r, mode, count, distance, ok in zip(
+            pending.tolist(), modes.tolist(), mode_counts.tolist(), distances.tolist(),
+            accepted.tolist(),
         ):
-            accepted = distance <= entry.max_errors
-            attempts[r].append(
-                ClassAttempt(cls, entry.max_errors, mode, count, distance, accepted)
-            )
-            if not accepted:
-                left.append(r)
-        pending = left
+            attempts[r].append(ClassAttempt(cls, entry.max_errors, mode, count, distance, ok))
+        pending = pending[~accepted]
     return [tuple(a) for a in attempts]
 
 

@@ -29,26 +29,29 @@ def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
 
     For code-backed spaces the path probability is epsilon^e (1-epsilon)^(B-e)
     up to the constant uniform message prior, with e the path's bit-error
-    count and B the received length in bits (see amplitude_loaded_rows).
+    count and B the received length in bits (see path_weight_rows).
     The argmax amplitude is the classical most-likely path.
     """
     if ps.code is not None and ps.errors is not None:
-        return amplitude_loaded_rows(ps.errors, epsilon, ps.n_steps * ps.code.n)
+        return _normalised_sqrt(path_weight_rows(ps.errors, epsilon, ps.n_steps * ps.code.n))
     _check_epsilon(epsilon)
     if ps.weights is None:
         raise ValueError("path space carries neither a code nor log weights")
     return _normalised_sqrt(np.exp(-ps.weights))
 
 
-def amplitude_loaded_rows(errors: np.ndarray, epsilon: float, total_bits: int) -> np.ndarray:
-    """Amplitude-loaded states of code-backed spaces, one per row of errors (..., L).
+def path_weight_rows(errors: np.ndarray, epsilon: float, total_bits: int) -> np.ndarray:
+    """Path probabilities epsilon^e (1-epsilon)^(B-e) up to the message prior.
 
-    Row r carries amplitudes proportional to sqrt(epsilon^e (1-epsilon)^(B-e))
-    over the bit-error counts e of row r, with B = total_bits.
+    e runs over the bit-error counts of errors (..., L) and B = total_bits;
+    the B + 1 possible weights are computed once and gathered onto the
+    paths.  Measuring an amplitude-loaded state draws path i with
+    probability weight_i / sum(weights), so these rows feed qva.sample_rows
+    as they are.
     """
     _check_epsilon(epsilon)
-    e = errors.astype(float)
-    return _normalised_sqrt(epsilon**e * (1.0 - epsilon) ** (total_bits - e))
+    e = np.arange(total_bits + 1, dtype=float)
+    return (epsilon**e * (1.0 - epsilon) ** (total_bits - e))[errors]
 
 
 def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:

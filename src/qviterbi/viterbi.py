@@ -174,14 +174,21 @@ def trellis_decode(
 
 
 def walk_paths(
-    h: Hmm, emissions: Sequence[str], initial_state: int, cost: Callable, visit: Callable
+    h: Hmm,
+    emissions: Sequence[str],
+    initial_state: int,
+    cost: Callable,
+    visit: Callable,
+    skip_infinite: bool = False,
 ) -> None:
     """Depth-first walk over every admissible path, in lexicographic order.
 
     At each leaf, visit(trail, total) gets the state sequence (start state
     included; the list is reused, so copy it to keep it) and the sum of
     cost(h, i, j, y) over the path's branches, added from its start (an int
-    when every cost is one).
+    when every cost is one).  With skip_infinite, a prefix whose cost is
+    already infinite is not extended, so paths of probability zero are
+    never visited.
     """
     _check_emissions(h, emissions)
     n = len(emissions)
@@ -196,8 +203,11 @@ def walk_paths(
             return
         y = emissions[t]
         for j, _p in h.successors(i, y):
+            total = acc + cost(h, i, j, y)
+            if skip_infinite and total == math.inf:
+                continue
             trail.append(j)
-            step(j, t + 1, acc + cost(h, i, j, y))
+            step(j, t + 1, total)
             trail.pop()
 
     step(initial_state, 0, 0)
@@ -207,7 +217,8 @@ def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0)
     """Exhaustive oracle: walk every admissible path and keep the best.
 
     Paths arrive in lexicographic order, so the first optimum seen is the
-    lexicographically smallest; paths of probability zero are skipped.
+    lexicographically smallest; the walk does not extend prefixes of
+    probability zero.
     """
     best_metric = math.inf
     best_path: tuple[int, ...] | None = None
@@ -215,15 +226,14 @@ def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0)
 
     def keep(trail: list[int], total: float) -> None:
         nonlocal best_metric, best_path, ties
-        if total == math.inf:
-            return
         tol = _slack(h, min(total, best_metric))
         if total < best_metric - tol:
             best_metric, best_path, ties = total, tuple(trail), 1
         elif abs(total - best_metric) <= tol:
             ties += 1
 
-    walk_paths(h, emissions, initial_state, _branch_cost, keep)
+    # integer bit-error costs are never infinite
+    walk_paths(h, emissions, initial_state, _branch_cost, keep, h.branch_errors is None)
     if best_path is None:
         raise NoPathError(f"no admissible path from state {initial_state}")
     metric = int(best_metric) if h.branch_errors is not None else best_metric

@@ -11,11 +11,12 @@ per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration.  Classical Viterbi is checked against
 brute-force enumeration and the path space.
 
-The block axis of decode campaigns is checked row by row against the
-one-word API: path_error_rows against build_path_space, trellis_decode
-against viterbi_decode and brute_force_decode, per-row class counts in the
-kernel against one-dimensional runs, and whole campaigns against the
-per-block loop they replaced, which is kept below as the reference.
+The block axis of decode campaigns is checked row by row: path_error_rows
+against re-encoding every message with the step walk, also where a frame
+spans several 64-bit words, trellis_decode against viterbi_decode and
+brute_force_decode, per-row class counts in the kernel against
+one-dimensional runs, and whole campaigns against the per-block loop they
+replaced, which is kept below as the reference.
 """
 import dataclasses
 import math
@@ -365,14 +366,43 @@ def block_values(code, words):
     return np.array([[int(y, 2) for y in split_blocks(w, code.n)] for w in words])
 
 
+def assert_errors_match_reencoding(code, s0, words, indices=None):
+    """path_error_rows against hamming(encode_by_step(message), word), path by path."""
+    n_steps = len(words[0]) // code.n
+    rows = path_error_rows(code, block_values(code, words), s0)
+    assert rows.dtype == np.int64 and rows.shape == (len(words), code.fanout**n_steps)
+    if indices is None:
+        indices = range(rows.shape[1])
+    for i in indices:
+        codeword = encode_by_step(code, format(i, f"0{code.k * n_steps}b"), s0)
+        assert rows[:, i].tolist() == [hamming(codeword, word) for word in words]
+
+
 @PROPERTY_SETTINGS
 @given(word_rows())
-def test_path_error_rows_match_build(frame):
+def test_path_error_rows_match_reencoding(frame):
     code, s0, words = frame
-    rows = path_error_rows(code, block_values(code, words), s0)
-    assert rows.dtype == np.int64
-    for row, word in zip(rows, words):
-        assert np.array_equal(row, build_path_space(code, word, s0).errors)
+    assert_errors_match_reencoding(code, s0, words)
+
+
+@pytest.mark.parametrize(
+    "spec, n_steps, s0, sampled",
+    [
+        ("1,7,2;5,7,3,1,6,4,7", 10, 3, False),  # 70 bits: words of 9 and 1 blocks
+        ("1,5,3;17,13,15,11,7", 13, 5, False),  # 65 bits: words of 12 and 1 blocks
+        ("1,4,2;5,7,3,6", 16, 2, True),  # exactly 64 bits, the top bit of one word in use
+    ],
+)
+def test_path_error_rows_across_words(spec, n_steps, s0, sampled):
+    code = ConvCode.from_spec(spec)
+    rng = np.random.default_rng([n_steps, s0])
+    words = ["".join(map(str, rng.integers(0, 2, n_steps * code.n))) for _ in range(3)]
+    words.append("1" * (n_steps * code.n))
+    indices = None
+    if sampled:
+        last = code.fanout**n_steps - 1
+        indices = [0, last, *rng.integers(0, last, 400).tolist()]
+    assert_errors_match_reencoding(code, s0, words, indices)
 
 
 @PROPERTY_SETTINGS

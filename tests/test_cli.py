@@ -389,12 +389,19 @@ class TestVerify:
         assert out.endswith("6/6 checks passed, 2 skipped\n")
 
     def test_chain_over_qubit_guard_skips(self, capsys):
-        # state_bits = 5: the N = 2 chain needs 15 qubits, over the 12-qubit guard
-        assert main(["verify", "--code", "1,2,5;53,75", "--seed", "5"]) == 0
+        # state_bits = 7: even the N = 1 chain needs 14 qubits, over the 12-qubit guard
+        assert main(["verify", "--code", "1,2,7;247,371", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "[SKIP] chain-vs-path" in out
+        assert "[SKIP] chain-vs-path" in out and "N = 1 chain needs 14 qubits" in out
         assert out.endswith("5/5 checks passed, 3 skipped\n")
+
+    def test_chain_checked_at_the_longest_frame_that_fits(self, capsys):
+        # state_bits = 5: the N = 2 chain needs 15 qubits, the N = 1 chain 10
+        assert main(["verify", "--code", "1,2,5;53,75", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] chain-vs-path" in out
+        assert out.endswith("6/6 checks passed, 2 skipped\n")
 
     def test_wide_input_code_finishes(self, capsys):
         # k = 3: random instances keep 2^(k N) brute-force paths small
@@ -407,8 +414,8 @@ class TestVerify:
         # the standard (171,133) code: 64 states, checked block by block
         assert main(["verify", "--code", "1,2,6;171,133", "--seed", "5"]) == 0
         out = capsys.readouterr().out
-        assert "[PASS] step-block-unitarity" in out
-        assert out.endswith("5/5 checks passed, 3 skipped\n")
+        assert "[PASS] step-block-unitarity" in out and "[PASS] chain-vs-path" in out
+        assert out.endswith("6/6 checks passed, 2 skipped\n")
 
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])

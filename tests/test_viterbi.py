@@ -1,11 +1,13 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qviterbi import viterbi
 from qviterbi.convcode import hamming, split_blocks
 from qviterbi.errors import NoPathError, SizeLimitError
 from qviterbi.hmm import Hmm
@@ -183,6 +185,37 @@ def test_zero_probability_branches_match_oracles(seed, num_states, n, start):
     first_best = int(np.argmin(ps.weights))
     assert b.path == ps.path(first_best)
     assert b.metric == ps.weights[first_best]
+
+
+def test_brute_force_does_not_extend_zero_probability_prefixes():
+    """Half the emissions are 0 at N = 8; only finite prefixes are extended."""
+    rng = np.random.default_rng(66)
+    dense = random_general_hmm(rng, 3)
+    emit = {key: p if rng.random() < 0.5 else 0.0 for key, p in dense.emit.items()}
+    h = Hmm(3, dense.emissions, dense.trans, emit)
+    emissions = [("u", "v")[int(x)] for x in rng.integers(0, 2, 8)]
+    # branch-cost calls of a walk that extends only finite prefixes, counted
+    # forward: finite[s] prefixes of finite cost end in state s
+    finite, expected = Counter({0: 1}), 0
+    for y in emissions:
+        nxt = Counter()
+        for i, ways in finite.items():
+            for j, _p in h.successors(i, y):
+                expected += ways
+                if h.joint_prob(i, j, y) > 0.0:
+                    nxt[j] += ways
+        finite = nxt
+    assert finite, "the instance must have a path of positive probability"
+    with mock.patch.object(viterbi, "_branch_cost", wraps=viterbi._branch_cost) as cost:
+        b = brute_force_decode(h, emissions)
+    assert cost.call_count == expected
+    a = viterbi_decode(h, emissions)
+    assert a.metric == pytest.approx(b.metric, abs=1e-9) and a.path == b.path
+    assert b.ties == 1
+    # the path space still holds every admissible path, zero-probability ones included
+    ps = build_path_space_hmm(h, emissions)
+    assert ps.L == 3**8 > sum(finite.values())
+    assert b.metric == ps.weights.min() and b.path == ps.path(int(np.argmin(ps.weights)))
 
 
 class TestMetricMonotonicity:
