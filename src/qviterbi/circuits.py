@@ -22,7 +22,7 @@ import numpy as np
 from .convcode import ConvCode, _check_bits, split_blocks
 from .errors import SizeLimitError
 from .hmm import Hmm
-from .qva import build_path_space
+from .qva import PATH_SPACE_LIMIT, build_path_space
 
 UNITARY_TOL = 1e-10
 
@@ -129,8 +129,10 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     successors (fan-out and marking combined, as on the first amplification
     pass): a phase diagonal times Hadamards on the fresh message bits times
     the NOT pattern copying the retained control bits, as the gate-level
-    construction realizes it.
+    construction realizes it.  Stacks over PATH_SPACE_LIMIT entries are refused.
     """
+    if code.num_states**3 > PATH_SPACE_LIMIT:
+        raise SizeLimitError(f"{code.num_states}^3 step-block entries exceeds the path-space guard")
     return _step_blocks(code, received_block, omega, slice(None))
 
 

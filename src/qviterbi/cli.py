@@ -7,8 +7,9 @@ a JSON config document; flags override config fields which override
 defaults.  Exit codes: 0 success, 1 check failure, 2 bad config.
 
 A decode campaign draws each block from its own seeds, as rows of seed
-tables, and decodes the blocks in chunks, as arrays with a leading block
-axis (see run_decode_campaign).
+tables, and hands the whole campaign to the library's row functions
+(viterbi.trellis_decode, qva.adaptive_decode_rows and qva.sample_modes),
+which split their own arrays into chunks (see run_decode_campaign).
 
 CSV output uses 12 significant digits, '.' decimals, and LF line endings so
 identical configs reproduce byte-identical files across platforms.
@@ -41,13 +42,6 @@ from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, v
 
 DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
 
-# Cells a decode chunk holds at once: a QVA campaign takes
-# max(1, CHUNK_PATHS // F^N) blocks of F^N paths per array pass, and a
-# classical one as many blocks as keep trellis_decode's (blocks, N, S, F)
-# branch costs within it, so the working set does not grow with the number
-# of blocks.
-CHUNK_PATHS = 1 << 14
-
 COMMAND_MODES = {
     "table": ("table-reproduction",),
     "sweep": ("omega-sweep",),
@@ -56,28 +50,24 @@ COMMAND_MODES = {
     "circuit": ("circuit-verify",),
 }
 
-DEFAULTS = {
-    "code": "1,2,2;5,7",
-    "n_steps": 4,
-    "epsilon": 0.1,
-    "mode": None,
-    "omega": None,
-    "iterations": None,
-    "trials": None,
-    "seed": 0,
-    "grid": 0.005,
-    "out": None,
-    "campaigns": 100,
-    "n_range": None,
-    "max_errors": 2,
-}
-
-
-# JSON types each config field accepts; null is accepted where the default is None.
-FIELD_TYPES = {
-    **dict.fromkeys(("n_steps", "iterations", "trials", "seed", "campaigns", "max_errors"), (int,)),
-    **dict.fromkeys(("epsilon", "omega", "grid"), (int, float)),
-    **dict.fromkeys(("code", "mode", "out"), (str,)),
+# Config field -> (default, JSON types it accepts, flag help or None for a
+# config-only field).  null is accepted where the default is None; n_range,
+# with no types here, is checked where table reads it.  A field with a
+# default takes its default's type, so JSON 0 for epsilon becomes 0.0.
+FIELDS = {
+    "code": ("1,2,2;5,7", (str,), "code spec string 'k,n,m;g11,...' (octal masks)"),
+    "n_steps": (4, (int,), "decode frame length in blocks"),
+    "epsilon": (0.1, (int, float), "channel crossover probability"),
+    "mode": (None, (str,), None),
+    "omega": (None, (int, float), "phase unit in radians"),
+    "iterations": (None, (int,), "amplification iterations"),
+    "trials": (None, (int,), "measurement trials per block"),
+    "seed": (0, (int,), "master seed"),
+    "grid": (0.005, (int, float), "sweep grid step"),
+    "out": (None, (str,), "output path (CSV or JSON record)"),
+    "campaigns": (100, (int,), None),
+    "n_range": (None, (), None),
+    "max_errors": (2, (int,), None),
 }
 
 
@@ -110,7 +100,7 @@ def load_reference() -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(DEFAULTS)
+    merged = {key: default for key, (default, _, _) in FIELDS.items()}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -119,18 +109,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = set(doc) - set(DEFAULTS)
+        unknown = set(doc) - set(FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
-    for key in FIELD_TYPES:
+    for key, (default, types, _) in FIELDS.items():
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    for key, types in FIELD_TYPES.items():
         value = merged[key]
         # type(), not isinstance(): JSON true/false must not pass as an integer
-        if type(value) not in types and not (value is None and DEFAULTS[key] is None):
+        if types and type(value) not in types and not (value is None and default is None):
             raise ConfigError(f"{key} must be {types[-1].__name__}, got {json.dumps(value)}")
 
     mode = merged["mode"] or COMMAND_MODES[args.command][0]
@@ -176,23 +165,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("table n_range must lie within [3, 12]")
     else:
         n_range = (merged["n_steps"], merged["n_steps"])
-
-    return ExperimentConfig(
-        command=args.command,
-        code=merged["code"],
-        n_steps=int(merged["n_steps"]),
-        epsilon=float(merged["epsilon"]),
-        mode=mode,
-        omega=merged["omega"],
-        iterations=merged["iterations"],
-        trials=merged["trials"],
-        seed=int(merged["seed"]),
-        grid=float(merged["grid"]),
-        out=merged["out"],
-        campaigns=int(merged["campaigns"]),
-        n_range=n_range,
-        max_errors=int(merged["max_errors"]),
-    )
+    for key, (default, _, _) in FIELDS.items():
+        if default is not None:
+            merged[key] = type(default)(merged[key])
+    return ExperimentConfig(command=args.command, **{**merged, "mode": mode, "n_range": n_range})
 
 
 def _fmt(value) -> str:
@@ -221,8 +197,8 @@ def _out_stream(cfg: ExperimentConfig):
 
 
 def _decode_epsilon(epsilon: float) -> float:
-    # Branch metrics are error counts, so any valid channel parameter gives
-    # the same decodes; noiseless campaigns still need one inside (0, 0.5).
+    # It orders the iterated-qva schedule and weights the probabilistic-qva draws
+    # (classical ignores it); both need one inside (0, 0.5), so noiseless runs use 0.1.
     return epsilon if 0.0 < epsilon < 0.5 else 0.1
 
 
@@ -323,12 +299,12 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     for class c of an iterated-qva schedule).  These generators come from
     one seed table per stream (see streams), so results are identical
     however blocks are grouped.  Messages, encoding and channel run over
-    the whole campaign as arrays.  classical decodes chunks of blocks whose
-    trellis_decode arrays hold CHUNK_PATHS cells; the QVA modes build one
-    codeword table per campaign and take path errors, gathers and samples
-    in chunks of max(1, CHUNK_PATHS // F^N) blocks, and iterated-qva
-    amplifies every pending block at once per schedule entry (see
-    qva.adaptive_decode_rows).
+    the whole campaign as arrays, and so does decoding: classical is one
+    trellis_decode call, iterated-qva one qva.adaptive_decode_rows call,
+    which amplifies every pending block at once per schedule entry, and
+    probabilistic-qva one qva.sample_modes pass with the error weights of
+    trials.error_weights shared by every block.  Those functions bound
+    their own working sets (viterbi.CHUNK_CELLS).
     """
     code = ConvCode.from_spec(cfg.code)
     eps_dec = _decode_epsilon(cfg.epsilon)
@@ -338,7 +314,6 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
     # one generator for the whole campaign: each seed-table row overwrites its state
     gen = np.random.Generator(np.random.PCG64())
-    prob_r = None
     if cfg.mode == "iterated-qva":
         schedule = qva.default_schedule(
             code,
@@ -349,9 +324,6 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             iterations=cfg.iterations,
         )
         tables = [stream_table(2, cls) for cls in range(len(schedule))]
-    elif cfg.mode == "probabilistic-qva":
-        prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
-        draw_table = stream_table(2)
 
     message_bits = cfg.n_steps * code.k
     messages = np.empty((cfg.campaigns, message_bits), dtype=np.uint8)
@@ -374,35 +346,22 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         )
     ]
 
-    # blocks per array pass: a chunk holds CHUNK_PATHS cells, which are the
-    # (blocks, N, S, F) branch costs of trellis_decode or the F^N paths of a block
-    path_chunk = max(1, CHUNK_PATHS // code.fanout**cfg.n_steps)
     if cfg.mode == "classical":
-        table = code.trellis()
-        chunk = max(1, CHUNK_PATHS // (cfg.n_steps * table.next_state.size))
-        inputs = np.concatenate([
-            trellis_decode(table, ys[start : start + chunk])[0]
-            for start in range(0, cfg.campaigns, chunk)
-        ])
+        inputs = trellis_decode(code.trellis(), ys)[0]
         for row, decoded in zip(results, _bit_strings(unpack_blocks(inputs, code.k))):
             row["decoded"] = decoded
     elif cfg.mode == "iterated-qva":
-        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables, gen, path_chunk)
+        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables, gen)
         lasts = [a[-1] for a in attempts]
         modes = unpack_blocks(np.array([[last.mode_index] for last in lasts]), message_bits)
         for row, last, decoded in zip(results, lasts, _bit_strings(modes)):
             row["decoded"] = decoded if last.accepted else None
             row["accepted_class"] = last.class_index if last.accepted else None
     else:
-        words = qva.codeword_table(code, cfg.n_steps)
-        modes = np.empty(cfg.campaigns, dtype=np.int64)
-        mode_counts = np.empty_like(modes)
-        for start in range(0, cfg.campaigns, path_chunk):
-            part = slice(start, start + path_chunk)
-            errors = qva.path_error_rows(code, ys[part], table=words)
-            weights = trials.path_weight_rows(errors, eps_dec, cfg.n_steps * code.n)
-            counts = qva.sample_rows(weights, streams.generators(draw_table[part], gen), prob_r)
-            modes[part], mode_counts[part] = counts.argmax(axis=1), counts.max(axis=1)
+        weights = trials.error_weights(eps_dec, cfg.n_steps * code.n)
+        weights = np.broadcast_to(weights, (cfg.campaigns, len(weights)))
+        prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
+        modes, mode_counts, _ = qva.sample_modes(code, ys, weights, stream_table(2), gen, prob_r)
         decoded = _bit_strings(unpack_blocks(modes[:, None], message_bits))
         for row, bits, mode, count in zip(results, decoded, modes.tolist(), mode_counts.tolist()):
             row["decoded"], row["mode_index"], row["mode_count"] = bits, mode, count
@@ -416,7 +375,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         "block_error_rate": n_errors / cfg.campaigns,
         "decode_failures": sum(row["decoded"] is None for row in results),
     }
-    if prob_r is not None:
+    if cfg.mode == "probabilistic-qva":
         summary["trials_per_block"] = prob_r
     return results, summary
 
@@ -521,17 +480,26 @@ def _check_single_iteration(code, seed) -> tuple[bool, str]:
     return worst <= 1e-12, f"worst closed-form deviation {worst:.2e}"
 
 
-def _check_block_unitarity(code, _seed) -> tuple[bool, str]:
+def _check_block_unitarity(code, _seed) -> tuple[bool | None, str]:
     for value in range(1 << code.n):
         block = format(value, f"0{code.n}b")
-        if not all(map(circuits.is_unitary, circuits.step_blocks(code, block, 0.68))):
+        try:
+            blocks = circuits.step_blocks(code, block, 0.68)
+        except SizeLimitError as exc:
+            return None, str(exc)
+        if not all(map(circuits.is_unitary, blocks)):
             return False, f"step block for {block} not unitary"
     return True, "all receive blocks unitary"
 
 
+def _only_5_7(code: ConvCode, subject: str) -> str | None:
+    """Why `subject`, defined for the (5,7) code only, does not apply to code; None if it does."""
+    return None if code == CODE_5_7 else f"{subject} is defined for code {CODE_5_7.to_spec()}"
+
+
 def _check_circuit_vs_block(code, _seed) -> tuple[bool | None, str]:
-    if code != CODE_5_7:
-        return None, "gate-level circuit is defined for the (5,7) code"
+    if reason := _only_5_7(code, "the gate-level circuit"):
+        return None, reason
     for w in (0.1, 0.68, 1.3, 2.2, 3.0):
         if not circuits.equal_up_to_global_phase(
             circuits.step_circuit_00(w), circuits.step_block(code, "00", w)
@@ -557,8 +525,8 @@ def _check_chain_vs_path(code, _seed) -> tuple[bool | None, str]:
 
 
 def _check_point_value(code, _seed) -> tuple[bool | None, str]:
-    if code != CODE_5_7:
-        return None, "reference point is defined for the (5,7) code"
+    if reason := _only_5_7(code, "the reference point"):
+        return None, reason
     point = load_reference()["point_value"]
     ps = qva.build_path_space(code, "0" * (point["n_steps"] * code.n))
     run = qva.run_qva(ps, qva.QvaParams(point["omega"], point["iterations"]))
@@ -605,9 +573,8 @@ def _matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 def cmd_circuit(cfg: ExperimentConfig) -> int:
     code = ConvCode.from_spec(cfg.code)
-    if code != CODE_5_7:
-        print("bad config: the gate-level circuit is defined for code 1,2,2;5,7", file=sys.stderr)
-        return 2
+    if reason := _only_5_7(code, "the gate-level circuit"):
+        raise ConfigError(reason)
     omega = cfg.omega if cfg.omega is not None else 0.68
     circuit = circuits.step_circuit_00(omega)
     block = circuits.step_block(code, "00", omega)
@@ -647,15 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in helps.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--code", help="code spec string 'k,n,m;g11,...' (octal masks)")
-        sp.add_argument("--n-steps", dest="n_steps", type=int, help="decode frame length in blocks")
-        sp.add_argument("--epsilon", type=float, help="channel crossover probability")
-        sp.add_argument("--omega", type=float, help="phase unit in radians")
-        sp.add_argument("--iterations", type=int, help="amplification iterations")
-        sp.add_argument("--trials", type=int, help="measurement trials per block")
-        sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--grid", type=float, help="sweep grid step")
-        sp.add_argument("--out", help="output path (CSV or JSON record)")
+        for key, (_, types, flag_help) in FIELDS.items():
+            if flag_help:
+                flag = "--" + key.replace("_", "-")
+                sp.add_argument(flag, dest=key, type=types[-1], help=flag_help)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
     return parser
 

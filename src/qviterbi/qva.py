@@ -25,9 +25,10 @@ bits, and path_error_rows takes the counts of many received words at once
 as popcounts of their XOR against that table, one (rows, L) matrix.
 Decode campaigns add this leading block axis: adaptive_decode_rows
 amplifies every pending row at once on the class axis e = 0..N*n with
-per-row class counts, and sample_rows draws every row's measurements from
-one CDF matrix.  build_path_space, adaptive_decode and _sample are their
-one-row cases.
+per-row class counts, and sample_modes, the one measurement pass of both
+QVA decode modes, draws every row of a chunk of viterbi.CHUNK_CELLS path
+cells from one CDF matrix (sample_rows).  build_path_space,
+adaptive_decode and measure are their one-row cases.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import streams
+from . import streams, viterbi
 from .convcode import ConvCode, _check_bits, split_blocks
 from .errors import DecodeFailure, SizeLimitError
 from .hmm import Hmm
@@ -480,8 +481,9 @@ def sweep_omega(
     The objective is the probability of the classically optimal path after
     the given number of iterations.  Its peak narrows like 1/iterations, so
     the grid step is at most PEAK_STEP / iterations and the refinement
-    tolerance shrinks with it; `grid` is the step while it is finer.  The
-    full grid curve is returned so callers can plot or diff it.
+    tolerance shrinks with it; `grid` is the step while it is finer.  Grids
+    over PATH_SPACE_LIMIT (point, class) amplitudes are refused.  The full
+    grid curve is returned so callers can plot or diff it.
     """
     if not 0.0 < grid < math.pi:
         raise ValueError("grid step must lie in (0, pi)")
@@ -492,6 +494,9 @@ def sweep_omega(
     vit = view.inverse[ps.viterbi_index]
     peak_step = PEAK_STEP / iterations
     step = min(grid, peak_step)
+    points = int(math.pi / step)
+    if points * len(x) > PATH_SPACE_LIMIT:
+        raise SizeLimitError(f"{points} grid points x {len(x)} classes exceeds the path guard")
     omegas = np.arange(step, math.pi, step)
 
     amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations, view.counts)
@@ -543,20 +548,50 @@ def sample_rows(
     return counts
 
 
-def _sample(v: np.ndarray, seed, size: int) -> Counter:
-    """Histogram of `size` seeded draws from |v|^2, keyed in ascending outcome order.
+def measure(v: np.ndarray, seed, shots: int) -> Counter:
+    """Histogram of `shots` seeded draws from |v|^2, keyed in ascending outcome order.
 
     The one-row case of sample_rows, with the generator np.random.default_rng(seed).
     """
     p = np.abs(np.asarray(v)) ** 2
-    counts = sample_rows(p[None], [np.random.default_rng(seed)], size)[0]
+    counts = sample_rows(p[None], [np.random.default_rng(seed)], shots)[0]
     drawn = np.flatnonzero(counts)
     return Counter(dict(zip(drawn.tolist(), counts[drawn].tolist())))
 
 
-def measure(v: np.ndarray, seed, shots: int) -> Counter:
-    """Sample `shots` outcomes from |v|^2 with a seeded generator."""
-    return _sample(v, seed, shots)
+def _error_chunks(code: ConvCode, ys: np.ndarray, initial_state: int, table: np.ndarray):
+    """(row slice, path_error_rows) pairs over ys, at most CHUNK_CELLS path cells a pair."""
+    step = max(1, viterbi.CHUNK_CELLS // table.shape[1])
+    for start in range(0, len(ys), step):
+        part = slice(start, start + step)
+        yield part, path_error_rows(code, ys[part], initial_state, table)
+
+
+def sample_modes(
+    code: ConvCode, ys: np.ndarray, value_probs: np.ndarray, seeds: np.ndarray,
+    gen: np.random.Generator, size: int, initial_state: int = 0, table: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mode of `size` draws for every received word of ys, shape (rows, N) as in path_error_rows.
+
+    Row r draws path i with probability proportional to value_probs[r, e_i],
+    e_i the path's error count (value_probs may be a broadcast view of one
+    (N*n + 1)-vector), with row r of the seed table `seeds` loaded into gen
+    (see streams.generators).  Returns the (3, rows) int64 array of each
+    row's mode (its first maximum, the mode_of tie rule), the mode's count
+    and its error count.  Callers measuring one frame length many times
+    pass its codeword_table in.
+    """
+    if table is None:
+        table = codeword_table(code, ys.shape[1])
+    out = np.empty((3, len(ys)), dtype=np.int64)
+    for part, errors in _error_chunks(code, ys, initial_state, table):
+        # value_probs[r, errors[r, i]] as one flat gather (take_along_axis is ~4x slower)
+        keys = errors + value_probs.shape[1] * np.arange(len(errors))[:, None]
+        p = value_probs[part].ravel()[keys]
+        hist = sample_rows(p, streams.generators(seeds[part], gen), size)
+        modes = hist.argmax(axis=1)
+        out[:, part] = modes, hist.max(axis=1), np.take_along_axis(errors, modes[:, None], 1)[:, 0]
+    return out
 
 
 def mode_of(counts: Counter) -> tuple[int, int]:
@@ -630,7 +665,7 @@ def adaptive_decode(
     # class c measures with default_rng([*seed, c]): c takes the block column
     tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
     gen = np.random.Generator(np.random.PCG64())
-    attempts = adaptive_decode_rows(code, ys, schedule, tables, gen, 1, initial_state)[0]
+    attempts = adaptive_decode_rows(code, ys, schedule, tables, gen, initial_state)[0]
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
@@ -650,19 +685,15 @@ def adaptive_decode_rows(
     schedule: Sequence[ScheduleEntry],
     tables: Sequence[np.ndarray],
     gen: np.random.Generator,
-    chunk: int,
     initial_state: int = 0,
 ) -> list[tuple[ClassAttempt, ...]]:
     """adaptive_decode on every received word of ys, shape (rows, N) as in path_error_rows.
 
     Each row's class counts live on the value axis e = 0..N*n for the whole
     run, so one schedule entry is one amplification for every row still
-    pending.  Only what spans the F^N paths is chunked, `chunk` pending rows
-    at a time: their path_error_rows (against one codeword table), the
-    gather of class probabilities onto paths, and sample_rows.  Row r
-    measures class c with row r of the seed table tables[c], loaded into
-    gen (see streams.generators), and a mode's re-encoding distance is its
-    path's error count.  Returns each row's attempts; the last one is
+    pending, and one sample_modes pass, against the codeword table built
+    once per call, measures them.  Row r measures class c with row r of the
+    seed table tables[c].  Returns each row's attempts; the last one is
     accepted unless the schedule was exhausted.
     """
     for entry in schedule:
@@ -670,13 +701,11 @@ def adaptive_decode_rows(
     rows, n_steps = ys.shape
     table = codeword_table(code, n_steps)
     n_values = n_steps * code.n + 1
-    counts = np.empty((rows, n_values), dtype=np.int64)
-    for start in range(0, rows, chunk):
-        errors = path_error_rows(code, ys[start : start + chunk], initial_state, table)
-        keys = errors + n_values * np.arange(len(errors))[:, None]
-        counts[start : start + chunk] = np.bincount(
-            keys.ravel(), minlength=len(errors) * n_values
-        ).reshape(-1, n_values)
+    counts = np.concatenate([
+        np.bincount((errors + n_values * np.arange(len(errors))[:, None]).ravel(),
+                    minlength=len(errors) * n_values).reshape(-1, n_values)
+        for _, errors in _error_chunks(code, ys, initial_state, table)
+    ])
     values = np.arange(n_values)
     attempts: list[list[ClassAttempt]] = [[] for _ in range(rows)]
     pending = np.arange(rows)
@@ -685,22 +714,12 @@ def adaptive_decode_rows(
             break
         g = np.exp(1j * entry.omega * values)
         probs = np.abs(_amplify(g, entry.iterations, counts[pending])) ** 2
-        modes = np.empty(len(pending), dtype=np.int64)
-        mode_counts, distances = np.empty_like(modes), np.empty_like(modes)
-        for start in range(0, len(pending), chunk):
-            part = slice(start, start + chunk)
-            errors = path_error_rows(code, ys[pending[part]], initial_state, table)
-            # |v[errors[r]]|^2 of each row's class amplitudes v, gathered onto paths
-            p = np.take_along_axis(probs[part], errors, axis=1)
-            hist = sample_rows(p, streams.generators(tables[cls][pending[part]], gen), entry.trials)
-            modes[part] = hist.argmax(axis=1)
-            mode_counts[part] = hist.max(axis=1)
-            distances[part] = np.take_along_axis(errors, modes[part, None], axis=1)[:, 0]
-        accepted = distances <= entry.max_errors
-        for r, mode, count, distance, ok in zip(
-            pending.tolist(), modes.tolist(), mode_counts.tolist(), distances.tolist(),
-            accepted.tolist(),
-        ):
+        found = sample_modes(
+            code, ys[pending], probs, tables[cls][pending], gen, entry.trials, initial_state, table
+        )
+        accepted = found[2] <= entry.max_errors  # a mode's distance is its error count
+        for r, mode, count, distance, ok in zip(pending.tolist(), *found.tolist(),
+                                                accepted.tolist()):
             attempts[r].append(ClassAttempt(cls, entry.max_errors, mode, count, distance, ok))
         pending = pending[~accepted]
     return [tuple(a) for a in attempts]
@@ -708,7 +727,12 @@ def adaptive_decode_rows(
 
 def formula_iterations(code: ConvCode, n_steps: int) -> int:
     """ceil(pi/4 * sqrt(F^N)), the usual amplitude-amplification count."""
-    return math.ceil(math.pi / 4.0 * math.sqrt(float(code.fanout**n_steps)))
+    return path_iterations(code.fanout**n_steps)
+
+
+def path_iterations(paths: int) -> int:
+    """ceil(pi/4 * sqrt(L)), the amplitude-amplification count over L paths."""
+    return math.ceil(math.pi / 4.0 * math.sqrt(float(paths)))
 
 
 def representative_received(code: ConvCode, n_steps: int, n_errors: int) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convcode import _check_epsilon
-from .qva import PathSpace, _sample, mode_of
+from .qva import PathSpace, measure, mode_of, path_iterations
 
 DEFAULT_TARGET_FAILURE = math.exp(-2.0)
 
@@ -29,29 +29,27 @@ def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
 
     For code-backed spaces the path probability is epsilon^e (1-epsilon)^(B-e)
     up to the constant uniform message prior, with e the path's bit-error
-    count and B the received length in bits (see path_weight_rows).
+    count and B the received length in bits, gathered from error_weights.
     The argmax amplitude is the classical most-likely path.
     """
     if ps.code is not None and ps.errors is not None:
-        return _normalised_sqrt(path_weight_rows(ps.errors, epsilon, ps.n_steps * ps.code.n))
+        return _normalised_sqrt(error_weights(epsilon, ps.n_steps * ps.code.n)[ps.errors])
     _check_epsilon(epsilon)
     if ps.weights is None:
         raise ValueError("path space carries neither a code nor log weights")
     return _normalised_sqrt(np.exp(-ps.weights))
 
 
-def path_weight_rows(errors: np.ndarray, epsilon: float, total_bits: int) -> np.ndarray:
-    """Path probabilities epsilon^e (1-epsilon)^(B-e) up to the message prior.
+def error_weights(epsilon: float, total_bits: int) -> np.ndarray:
+    """Path probability epsilon^e (1-epsilon)^(B-e), up to the message prior, for e = 0..B.
 
-    e runs over the bit-error counts of errors (..., L) and B = total_bits;
-    the B + 1 possible weights are computed once and gathered onto the
-    paths.  Measuring an amplitude-loaded state draws path i with
-    probability weight_i / sum(weights), so these rows feed qva.sample_rows
-    as they are.
+    B = total_bits.  Measuring an amplitude-loaded state draws a path of
+    e errors with probability proportional to entry e, so this vector,
+    broadcast over rows, is what decode campaigns pass qva.sample_modes.
     """
     _check_epsilon(epsilon)
     e = np.arange(total_bits + 1, dtype=float)
-    return (epsilon**e * (1.0 - epsilon) ** (total_bits - e))[errors]
+    return epsilon**e * (1.0 - epsilon) ** (total_bits - e)
 
 
 def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:
@@ -140,9 +138,9 @@ class TrialOutcome:
 def run_trials(v: np.ndarray, r: int, seed) -> TrialOutcome:
     """Draw r single-shot measurements and extract the mode (ties go to the smallest index).
 
-    The one-row case of qva.sample_rows, through qva._sample.
+    The one-row case of qva.sample_rows, through qva.measure.
     """
-    counts = _sample(v, seed, r)
+    counts = measure(v, seed, r)
     return TrialOutcome(*mode_of(counts), counts=counts)
 
 
@@ -172,7 +170,7 @@ def compare_costs(
     if prob_trials is None:
         prob_trials = required_trials(n_steps, e0, target_failure)
     if qva_iterations is None:
-        qva_iterations = math.ceil(math.pi / 4.0 * math.sqrt(float(fanout**n_steps)))
+        qva_iterations = path_iterations(fanout**n_steps)
     return CostReport(
         n_steps=n_steps,
         probabilistic_calls=prob_trials,

@@ -3,7 +3,8 @@
 viterbi_decode is the dynamic-programming decoder used as ground truth for
 the quantum simulations.  trellis_decode runs the same dynamic program on a
 code's trellis table for many received words at once, with a leading block
-axis; decode campaigns use it, and the two decoders are its oracles.
+axis, CHUNK_CELLS branch costs at a time; decode campaigns use it, and
+the two decoders are its oracles.
 walk_paths is the one enumeration of admissible paths, read off the Hmm and
 never off the trellis tables: brute_force_decode, path_metric_multiset and
 qva.build_path_space_hmm are its visitors, the oracles of every fast path.
@@ -30,6 +31,11 @@ ENUMERATION_LIMIT = 1 << 24
 
 # Relative slack for float metric comparisons; integer metrics compare exactly.
 FLOAT_SLACK = 1e-12
+
+# Cells a row-axis pass holds at once (trellis_decode's (rows, N, S, F) branch
+# costs, qva.sample_modes' (rows, F^N) paths), so campaigns' working sets do not
+# grow with their block counts.
+CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -149,13 +155,19 @@ def trellis_decode(
     ys has shape (rows, N) and holds each received word's n-bit blocks as
     integers (MSB first).  A backward cost-to-go pass of shape (rows, S) is
     followed by a forward traceback that takes the smallest co-optimal
-    successor state, the tie rule of viterbi_decode.  Returns the message
-    block driving each step, shape (rows, N), and each row's bit-error count.
+    successor state, the tie rule of viterbi_decode, in chunks of rows whose
+    branch costs hold CHUNK_CELLS cells.  Returns the message block driving
+    each step, shape (rows, N), and each row's bit-error count.
     """
     num_states = table.next_state.shape[0]
     if not 0 <= initial_state < num_states:
         raise ValueError("initial state out of range")
     rows, n = ys.shape
+    chunk = max(1, CHUNK_CELLS // (n * table.next_state.size))
+    if rows > chunk:
+        parts = [trellis_decode(table, ys[s : s + chunk], initial_state)
+                 for s in range(0, rows, chunk)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     branch = table.dist.transpose(2, 0, 1)[ys]  # [row, step, state, input]
     to_go = np.zeros((n + 1, rows, num_states), dtype=np.int64)
     for t in range(n - 1, -1, -1):

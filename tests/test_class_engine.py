@@ -28,13 +28,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qviterbi import cli, streams
+from qviterbi import cli, streams, viterbi
 from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
     _amplify,
-    _sample,
     build_path_space,
     build_path_space_hmm,
     default_schedule,
@@ -207,11 +206,11 @@ def test_sample_matches_generator_choice(real, imag, seed, size):
     p = np.abs(v) ** 2
     if p.sum() == 0.0:
         with pytest.raises(ValueError):
-            _sample(v, seed, size)
+            measure(v, seed, size)
         return
     draws = np.random.default_rng(seed).choice(len(p), size, p=p / p.sum())
     expected = Counter(dict(zip(*(a.tolist() for a in np.unique(draws, return_counts=True)))))
-    got = _sample(v, seed, size)
+    got = measure(v, seed, size)
     assert got == expected
     assert list(got) == sorted(got)
 
@@ -232,7 +231,7 @@ def test_sample_rows_match_one_row_sampler(length, parts, seed, size):
     table = streams.seed_table([seed], np.arange(len(v)), [2])
     counts = sample_rows(np.abs(v) ** 2, streams.generators(table, gen), size)
     for r, (row, row_counts) in enumerate(zip(v, counts)):
-        expected = _sample(row, [seed, r, 2], size)
+        expected = measure(row, [seed, r, 2], size)
         drawn = np.flatnonzero(row_counts)
         assert dict(zip(drawn.tolist(), row_counts[drawn].tolist())) == expected
         assert mode_of(expected) == (row_counts.argmax(), row_counts.max())
@@ -241,7 +240,7 @@ def test_sample_rows_match_one_row_sampler(length, parts, seed, size):
 @pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
 def test_sample_rejects_vectors_without_a_finite_positive_total(v):
     with pytest.raises(ValueError):
-        _sample(v, 0, 5)
+        measure(v, 0, 5)
     # Generator.choice, which the sampler replaced, raised on these too
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         np.random.default_rng(0).choice(len(v), 5, p=np.abs(v) ** 2 / np.sum(np.abs(v) ** 2))
@@ -523,7 +522,7 @@ def test_campaign_rows_match_per_block_loop(
     n_steps = min(n_steps, MAX_STEPS_K1 // code.k)
     cfg = campaign_config(code.to_spec(), mode, n_steps, campaigns, seed, epsilon,
                           max_errors=min(2, n_steps * code.n))
-    with mock.patch.object(cli, "CHUNK_PATHS", chunk_paths):
+    with mock.patch.object(viterbi, "CHUNK_CELLS", chunk_paths):
         assert cli.run_decode_campaign(cfg) == per_block_campaign(cfg)
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import qviterbi.qva as qva_module
+from qviterbi import cli
 from qviterbi.cli import (
     ConfigError,
     build_parser,
@@ -12,6 +13,7 @@ from qviterbi.cli import (
     resolve_config,
     run_decode_campaign,
 )
+from qviterbi.convcode import ConvCode
 
 
 def parse(argv):
@@ -73,6 +75,8 @@ class TestConfigResolution:
             {"mode": "probabilistic-qva", "n_steps": 30},
             {"mode": "iterated-qva", "iterations": 0},
             {"mode": "iterated-qva", "n_steps": 3, "max_errors": 50, "campaigns": 2},
+            # the schedule's sweep grid would hold billions of amplitudes
+            {"mode": "iterated-qva", "n_steps": 2, "iterations": 1_000_000_000},
         ]
         for i, doc in enumerate(bad_docs):
             path = config_file(tmp_path, doc, name=f"bad{i}.json")
@@ -80,6 +84,7 @@ class TestConfigResolution:
             err = capsys.readouterr().err
             assert err.startswith("bad config: ") and err.count("\n") == 1, err
         assert main(["sweep", "--iterations", "0"]) == 2
+        assert main(["sweep", "--n-steps", "2", "--iterations", "1000000000"]) == 2
         assert main(["circuit", "--omega", "5"]) == 2
         assert main(["decode", "--seed", "-1", "--n-steps", "3"]) == 2
         assert main(["verify", "--seed", "-1"]) == 2
@@ -417,6 +422,11 @@ class TestVerify:
         assert "[PASS] step-block-unitarity" in out and "[PASS] chain-vs-path" in out
         assert out.endswith("6/6 checks passed, 2 skipped\n")
 
+    def test_step_block_stack_over_guard_skips(self):
+        # K = 10: the (512, 512, 512) stack would be 2 GiB; a full verify is too slow here
+        ok, detail = cli._check_block_unitarity(ConvCode.from_spec("1,2,9;1001,1777"), 5)
+        assert ok is None and "512^3 step-block entries" in detail
+
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])
         out = capsys.readouterr().out
@@ -437,6 +447,9 @@ class TestCircuit:
 
     def test_non_default_code_rejected(self, capsys):
         assert main(["circuit", "--code", "1,2,1;1,3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "bad config: the gate-level circuit is defined for code 1,2,2;5,7\n"
 
     def test_other_spelling_of_the_code_accepted(self, capsys):
         assert main(["circuit", "--code", "1,2,2;05,07"]) == 0
