@@ -296,10 +296,11 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
     Block b draws from np.random.default_rng([seed, b, stream]): stream 0
     for its message, 1 for its channel and 2 for its measurements ([2, c]
-    for class c of an iterated-qva schedule).  These generators come from
-    one seed table per stream (see streams), so results are identical
-    however blocks are grouped.  Messages, encoding and channel run over
-    the whole campaign as arrays, and so does decoding: classical is one
+    for class c of an iterated-qva schedule).  streams.bits and
+    streams.uniforms compute those draws for the rows of one seed table per
+    stream as arrays, so results are identical however blocks are grouped.
+    Messages, encoding and channel run over the whole campaign as arrays,
+    and so does decoding: classical is one
     trellis_decode call, iterated-qva one qva.adaptive_decode_rows call,
     which amplifies every pending block at once per schedule entry, and
     probabilistic-qva one qva.sample_modes pass with the error weights of
@@ -312,8 +313,6 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     def stream_table(*stream):
         return streams.seed_table([cfg.seed], np.arange(cfg.campaigns), stream)
 
-    # one generator for the whole campaign: each seed-table row overwrites its state
-    gen = np.random.Generator(np.random.PCG64())
     if cfg.mode == "iterated-qva":
         schedule = qva.default_schedule(
             code,
@@ -326,12 +325,10 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         tables = [stream_table(2, cls) for cls in range(len(schedule))]
 
     message_bits = cfg.n_steps * code.k
-    messages = np.empty((cfg.campaigns, message_bits), dtype=np.uint8)
-    for row, rng in zip(messages, streams.generators(stream_table(0), gen)):
-        row[:] = rng.integers(0, 2, message_bits)
+    messages = streams.bits(stream_table(0), message_bits)
     codewords = unpack_blocks(code.encode_rows(pack_blocks(messages, code.k)), code.n)
-    channels = streams.generators(stream_table(1), gen)
-    received, flips = transmit_rows(codewords, cfg.epsilon, channels)
+    uniforms = streams.uniforms(stream_table(1), codewords.shape[1])
+    received, flips = transmit_rows(codewords, cfg.epsilon, uniforms)
     ys = pack_blocks(received, code.n)
     results = [
         {
@@ -351,7 +348,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         for row, decoded in zip(results, _bit_strings(unpack_blocks(inputs, code.k))):
             row["decoded"] = decoded
     elif cfg.mode == "iterated-qva":
-        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables, gen)
+        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables)
         lasts = [a[-1] for a in attempts]
         modes = unpack_blocks(np.array([[last.mode_index] for last in lasts]), message_bits)
         for row, last, decoded in zip(results, lasts, _bit_strings(modes)):
@@ -361,7 +358,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         weights = trials.error_weights(eps_dec, cfg.n_steps * code.n)
         weights = np.broadcast_to(weights, (cfg.campaigns, len(weights)))
         prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
-        modes, mode_counts, _ = qva.sample_modes(code, ys, weights, stream_table(2), gen, prob_r)
+        modes, mode_counts, _ = qva.sample_modes(code, ys, weights, stream_table(2), prob_r)
         decoded = _bit_strings(unpack_blocks(modes[:, None], message_bits))
         for row, bits, mode, count in zip(results, decoded, modes.tolist(), mode_counts.tolist()):
             row["decoded"], row["mode_index"], row["mode_count"] = bits, mode, count

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -293,7 +293,8 @@ class BscChannel:
         _check_bits(codeword)
         # '0' and '1' differ in the low bit of their ASCII codes
         chars = np.frombuffer(codeword.encode("ascii"), dtype=np.uint8)
-        received, flips = transmit_rows(chars[None], self.epsilon, [self._rng])
+        uniforms = self._rng.random(len(chars))[None]
+        received, flips = transmit_rows(chars[None], self.epsilon, uniforms)
         return received.tobytes().decode("ascii"), int(flips[0])
 
     def __repr__(self) -> str:
@@ -301,17 +302,15 @@ class BscChannel:
 
 
 def transmit_rows(
-    codewords: np.ndarray, epsilon: float, generators: Iterable[np.random.Generator]
+    codewords: np.ndarray, epsilon: float, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pass each row of a (rows, B) array of bits through a BSC(epsilon).
 
-    Row r flips (XORs 1 into) the bits where the r-th generator's random(B)
+    Bit (r, i) flips (XORs 1 in) where uniforms[r, i], a draw from [0, 1),
     falls below epsilon.  Returns the received rows and each row's flip
     count.
     """
-    flips = np.empty(codewords.shape, dtype=bool)
-    for row, gen in zip(flips, generators):
-        np.less(gen.random(codewords.shape[1]), epsilon, out=row)
+    flips = uniforms < epsilon
     return codewords ^ flips, flips.sum(axis=1)
 
 

@@ -26,8 +26,9 @@ as popcounts of their XOR against that table, one (rows, L) matrix.
 Decode campaigns add this leading block axis: adaptive_decode_rows
 amplifies every pending row at once on the class axis e = 0..N*n with
 per-row class counts, and sample_modes, the one measurement pass of both
-QVA decode modes, draws every row of a chunk of viterbi.CHUNK_CELLS path
-cells from one CDF matrix (sample_rows).  build_path_space,
+QVA decode modes, draws the shot uniforms of many rows at once
+(streams.uniforms) and samples every row of a chunk of viterbi.CHUNK_CELLS
+path cells from one CDF matrix (sample_rows).  build_path_space,
 adaptive_decode and measure are their one-row cases.
 """
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +51,21 @@ PATH_SPACE_LIMIT = 1 << 24
 
 PHASE_MODES = ("errors", "neglog")
 
+# sample_modes draws the shot uniforms of this many (row, shot) cells at a
+# time: streams.draws costs a few array passes per block of a row's stream,
+# so small groups pay that overhead many times over
+SHOT_CELLS = 8 * viterbi.CHUNK_CELLS
+
 # The peak of prob_top(omega) is about 0.3 / iterations wide at half maximum,
 # so sweep_omega's grid step is at most PEAK_STEP / iterations.  Up to 51
 # iterations (N <= 12 for a rate-1/k code) the 0.005 sweep grid stays finer,
 # and up to 26 (N <= 10) the 0.01 schedule grid does.
 PEAK_STEP = 0.27
+
+# sweep_omega refuses grids of more (point, class, iteration) amplitude
+# updates: `sweep --n-steps 20` makes about 2.5e8 (1.7 s on a 2-vCPU host),
+# so the bound is about half a minute of sweeping
+SWEEP_WORK_LIMIT = 1 << 32
 
 
 class ClassView(NamedTuple):
@@ -482,7 +493,8 @@ def sweep_omega(
     the given number of iterations.  Its peak narrows like 1/iterations, so
     the grid step is at most PEAK_STEP / iterations and the refinement
     tolerance shrinks with it; `grid` is the step while it is finer.  Grids
-    over PATH_SPACE_LIMIT (point, class) amplitudes are refused.  The full
+    over PATH_SPACE_LIMIT (point, class) amplitudes, or whose iterations
+    would make over SWEEP_WORK_LIMIT amplitude updates, are refused.  The full
     grid curve is returned so callers can plot or diff it.
     """
     if not 0.0 < grid < math.pi:
@@ -497,6 +509,11 @@ def sweep_omega(
     points = int(math.pi / step)
     if points * len(x) > PATH_SPACE_LIMIT:
         raise SizeLimitError(f"{points} grid points x {len(x)} classes exceeds the path guard")
+    if points * len(x) * iterations > SWEEP_WORK_LIMIT:
+        raise SizeLimitError(
+            f"{points} grid points x {len(x)} classes x {iterations} iterations"
+            " exceeds the sweep work guard"
+        )
     omegas = np.arange(step, math.pi, step)
 
     amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations, view.counts)
@@ -523,18 +540,17 @@ def sweep_omega(
     )
 
 
-def sample_rows(
-    p: np.ndarray, generators: Iterable[np.random.Generator], size: int
-) -> np.ndarray:
-    """Histograms of `size` draws from each row of unnormalised probabilities p (rows, L).
+def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Histograms of draws from each row of unnormalised probabilities p (rows, L).
 
-    Row r draws with the r-th generator exactly as
-    Generator.choice(L, size, p=p[r] / p[r].sum()) does, minus its
-    validation: one CDF matrix serves every row, and each row's uniforms are
-    looked up in its own CDF.  Returns the (rows, L) draw counts; the first
-    maximum of a row, its argmax, is the mode_of tie rule.
+    Row r draws one path per uniform of u[r], u of shape (rows, size) with
+    entries in [0, 1), exactly as Generator.choice(L, size, p=p[r] / p[r].sum())
+    does from a generator whose random(size) is u[r], minus its validation:
+    one CDF matrix serves every row, and each row's uniforms are looked up
+    in its own CDF.  Returns the (rows, L) draw counts; the first maximum of
+    a row, its argmax, is the mode_of tie rule.
     """
-    if size < 1:
+    if u.shape[1] < 1:
         raise ValueError("need at least one draw")
     total = p.sum(axis=-1, keepdims=True)
     if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
@@ -542,19 +558,18 @@ def sample_rows(
     cdf = np.cumsum(p / total, axis=-1)
     cdf /= cdf[:, -1:]
     counts = np.empty(p.shape, dtype=np.int64)
-    for row, cdf_row, gen in zip(counts, cdf, generators):
-        row[:] = np.bincount(cdf_row.searchsorted(gen.random(size), side="right"),
-                             minlength=len(cdf_row))
+    for row, cdf_row, u_row in zip(counts, cdf, u):
+        row[:] = np.bincount(cdf_row.searchsorted(u_row, side="right"), minlength=len(cdf_row))
     return counts
 
 
 def measure(v: np.ndarray, seed, shots: int) -> Counter:
     """Histogram of `shots` seeded draws from |v|^2, keyed in ascending outcome order.
 
-    The one-row case of sample_rows, with the generator np.random.default_rng(seed).
+    The one-row case of sample_rows, with the uniforms of np.random.default_rng(seed).
     """
     p = np.abs(np.asarray(v)) ** 2
-    counts = sample_rows(p[None], [np.random.default_rng(seed)], shots)[0]
+    counts = sample_rows(p[None], np.random.default_rng(seed).random(shots)[None])[0]
     drawn = np.flatnonzero(counts)
     return Counter(dict(zip(drawn.tolist(), counts[drawn].tolist())))
 
@@ -568,29 +583,37 @@ def _error_chunks(code: ConvCode, ys: np.ndarray, initial_state: int, table: np.
 
 
 def sample_modes(
-    code: ConvCode, ys: np.ndarray, value_probs: np.ndarray, seeds: np.ndarray,
-    gen: np.random.Generator, size: int, initial_state: int = 0, table: np.ndarray | None = None,
+    code: ConvCode, ys: np.ndarray, value_probs: np.ndarray, seeds: np.ndarray, size: int,
+    initial_state: int = 0, table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mode of `size` draws for every received word of ys, shape (rows, N) as in path_error_rows.
 
     Row r draws path i with probability proportional to value_probs[r, e_i],
     e_i the path's error count (value_probs may be a broadcast view of one
-    (N*n + 1)-vector), with row r of the seed table `seeds` loaded into gen
-    (see streams.generators).  Returns the (3, rows) int64 array of each
-    row's mode (its first maximum, the mode_of tie rule), the mode's count
-    and its error count.  Callers measuring one frame length many times
-    pass its codeword_table in.
+    (N*n + 1)-vector), from the stream of row r of the seed table `seeds`
+    (streams.uniforms).  The uniforms are drawn for groups of rows of at
+    most SHOT_CELLS draws.  Returns the (3, rows) int64 array of each row's
+    mode (its first maximum, the mode_of tie rule), the mode's count and
+    its error count.  Callers measuring one frame length many times pass
+    its codeword_table in.
     """
+    if size < 1:
+        raise ValueError("need at least one draw")
     if table is None:
         table = codeword_table(code, ys.shape[1])
     out = np.empty((3, len(ys)), dtype=np.int64)
-    for part, errors in _error_chunks(code, ys, initial_state, table):
-        # value_probs[r, errors[r, i]] as one flat gather (take_along_axis is ~4x slower)
-        keys = errors + value_probs.shape[1] * np.arange(len(errors))[:, None]
-        p = value_probs[part].ravel()[keys]
-        hist = sample_rows(p, streams.generators(seeds[part], gen), size)
-        modes = hist.argmax(axis=1)
-        out[:, part] = modes, hist.max(axis=1), np.take_along_axis(errors, modes[:, None], 1)[:, 0]
+    group = max(1, SHOT_CELLS // size)
+    for start in range(0, len(ys), group):
+        rows = slice(start, start + group)
+        u = streams.uniforms(seeds[rows], size)
+        for part, errors in _error_chunks(code, ys[rows], initial_state, table):
+            # value_probs[r, errors[r, i]] as one flat gather (take_along_axis is ~4x slower)
+            keys = errors + value_probs.shape[1] * np.arange(len(errors))[:, None]
+            p = value_probs[rows][part].ravel()[keys]
+            hist = sample_rows(p, u[part])
+            modes = hist.argmax(axis=1)
+            out[:, rows][:, part] = (modes, hist.max(axis=1),
+                                     np.take_along_axis(errors, modes[:, None], 1)[:, 0])
     return out
 
 
@@ -664,8 +687,7 @@ def adaptive_decode(
     ys = _received_blocks(code, received)
     # class c measures with default_rng([*seed, c]): c takes the block column
     tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
-    gen = np.random.Generator(np.random.PCG64())
-    attempts = adaptive_decode_rows(code, ys, schedule, tables, gen, initial_state)[0]
+    attempts = adaptive_decode_rows(code, ys, schedule, tables, initial_state)[0]
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
@@ -684,7 +706,6 @@ def adaptive_decode_rows(
     ys: np.ndarray,
     schedule: Sequence[ScheduleEntry],
     tables: Sequence[np.ndarray],
-    gen: np.random.Generator,
     initial_state: int = 0,
 ) -> list[tuple[ClassAttempt, ...]]:
     """adaptive_decode on every received word of ys, shape (rows, N) as in path_error_rows.
@@ -715,7 +736,7 @@ def adaptive_decode_rows(
         g = np.exp(1j * entry.omega * values)
         probs = np.abs(_amplify(g, entry.iterations, counts[pending])) ** 2
         found = sample_modes(
-            code, ys[pending], probs, tables[cls][pending], gen, entry.trials, initial_state, table
+            code, ys[pending], probs, tables[cls][pending], entry.trials, initial_state, table
         )
         accepted = found[2] <= entry.max_errors  # a mode's distance is its error count
         for r, mode, count, distance, ok in zip(pending.tolist(), *found.tolist(),

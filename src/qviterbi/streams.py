@@ -1,18 +1,27 @@
-"""Seeded per-block generators of decode campaigns, derived as arrays.
+"""Seeded per-block draws of decode campaigns, computed as arrays.
 
 Block b of a campaign draws from np.random.default_rng([seed, b, *stream]).
 That generator's start state is a pure function of its key: NumPy's
 SeedSequence hashes the key's 32-bit words into a 4-word pool and expands
 the pool into four 64-bit words, from which PCG64 derives its 128-bit state
 and increment.  seed_table runs the hash for many keys at once, one array
-operation per step of the scalar algorithm, and generators loads each row
-into one reused Generator.  The streams are exactly those of default_rng,
-so campaign rows do not depend on how blocks are drawn.
+operation per step of the scalar algorithm.
+
+PCG64 is a 128-bit LCG, s -> M*s + inc mod 2^128, whose 64-bit output is
+the XSL-RR permutation of the new state (O'Neill 2014).  So the j-th state
+of a stream is M^j*s + (1 + M + ... + M^(j-1))*inc, and draws computes the
+outputs of every row of a seed table at once on uint64 arrays: each 128-bit
+state is a (high, low) pair of words, and 64 x 64 -> 128-bit products come
+from 32-bit limbs.  uniforms and bits are Generator.random and
+Generator.integers(0, 2, n) on top of it.  The draws are exactly those of
+default_rng, so campaign rows do not depend on how blocks are drawn.
 """
 from __future__ import annotations
 
+import math
 import operator
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +34,7 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 # PCG64's 128-bit LCG multiplier
@@ -115,23 +125,101 @@ def _hash_rows(entropy: np.ndarray) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << 32)
 
 
-def generators(table: np.ndarray, gen: np.random.Generator) -> Iterator[np.random.Generator]:
-    """gen loaded in turn with each row of a seed table.
+def _mul_wide(a, b):
+    """(high, low) words of the 128-bit products a*b of uint64 arrays, broadcast."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    # neither sum can carry out of 64 bits: (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64
+    upper = a1 * b0 + ((a0 * b0) >> 32)
+    middle = a0 * b1 + (upper & _MASK32)
+    return a1 * b1 + (upper >> 32) + (middle >> 32), a * b
 
-    After loading row r, gen draws what PCG64 seeded from the SeedSequence
-    of that row draws: state = ((inc + s) * M + inc) mod 2^128 with
-    s = w0 * 2^64 + w1, inc = 2 * (w2 * 2^64 + w3) + 1 and M the PCG64
-    multiplier, and no buffered 32-bit half.  Consume each yielded
-    generator before taking the next.
+
+def _mul(x, m):
+    """x*m mod 2^128 on (high, low) word pairs."""
+    high, low = _mul_wide(x[1], m[1])
+    return high + x[0] * m[1] + x[1] * m[0], low
+
+
+def _add(x, c):
+    """x + c mod 2^128 on (high, low) word pairs."""
+    low = x[1] + c[1]
+    return x[0] + c[0] + (low < c[1]), low
+
+
+def _words128(values) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 word arrays of 128-bit Python ints."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+@cache
+def _jumps(width: int):
+    """M^j and C_j = 1 + M + ... + M^(j-1) for j = 1..width, as (high, low) word arrays.
+
+    State j of a stream that starts at s is M^j*s + C_j*inc.
     """
-    bit_generator = gen.bit_generator
-    for w0, w1, w2, w3 in table.tolist():
-        inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-        state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    powers, sums = [_PCG64_MULT], [1]
+    for _ in range(width - 1):
+        powers.append(powers[-1] * _PCG64_MULT & _MASK128)
+        sums.append((sums[-1] * _PCG64_MULT + 1) & _MASK128)
+    jumps = _words128(powers), _words128(sums)
+    for words in (*jumps[0], *jumps[1]):
+        words.flags.writeable = False  # shared by every caller of this width
+    return jumps
+
+
+def draws(table: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` 64-bit PCG64 outputs of each row of a seed table.
+
+    Row r equals default_rng(key).bit_generator.random_raw(size) for the
+    key of row r.  Each row jumps to its first block of width =
+    ceil(sqrt(size)) states (one column per M^j, C_j), and each later block
+    steps the one before by M^width plus the row's C_width*inc, so the
+    first block costs two 128-bit products a cell and the others one.
+    Returns a (rows, size) uint64 array.
+    """
+    table = np.asarray(table, dtype=np.uint64)
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError("a seed table has shape (rows, 4)")
+    if size < 1:
+        raise ValueError("need at least one draw")
+    width = math.isqrt(size - 1) + 1
+    w0, w1, w2, w3 = (table[:, i : i + 1] for i in range(4))
+    # PCG64 seeding: inc = 2*(w2*2^64 + w3) + 1, start (inc + s)*M + inc, s = w0*2^64 + w1
+    inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
+    start = _add(_mul(_add((w0, w1), inc), _words128([_PCG64_MULT])), inc)
+    powers, sums = _jumps(width)
+    last = slice(width - 1, width)
+    stride = (powers[0][last], powers[1][last])
+    carry = _mul(inc, (sums[0][last], sums[1][last]))
+    states = _add(_mul(start, powers), _mul(inc, sums))
+    out = np.empty((len(table), -(-size // width), width), dtype=np.uint64)
+    for b in range(out.shape[1]):
+        if b:
+            states = _add(_mul(states, stride), carry)
+        high, low = states
+        xored, rot = high ^ low, high >> 58
+        out[:, b] = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return out.reshape(len(table), out.shape[1] * width)[:, :size]
+
+
+def uniforms(table: np.ndarray, size: int) -> np.ndarray:
+    """Generator.random(size) of each row's stream: (x >> 11) * 2^-53, shape (rows, size)."""
+    raw = draws(table, size)
+    raw >>= 11
+    return raw * 2.0**-53
+
+
+def bits(table: np.ndarray, size: int) -> np.ndarray:
+    """Generator.integers(0, 2, size) of each row's stream, as a (rows, size) uint8 array.
+
+    Generator.integers takes a bounded 32-bit value from each half of an
+    output, low half first, and for the range {0, 1} that value is bit 31
+    of the half (Lemire's method never rejects for two outcomes).
+    """
+    raw = draws(table, (size + 1) // 2)
+    out = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.uint8)
+    out[:, 0::2] = (raw >> 31) & 1
+    out[:, 1::2] = raw >> 63
+    return out[:, :size]

@@ -2,8 +2,8 @@
 
 The table-driven encoder is checked against walking ConvCode.step block by
 block, the channel against flipping bits one at a time, and the sampler
-against Generator.choice; the row encoder and row sampler are checked
-against their one-row cases, row by row.  The path-space builder is checked against
+against Generator.choice; the row encoder, row channel and row sampler
+are checked against their one-row cases, row by row.  The path-space builder is checked against
 re-encoding every message with the step walk, and the class view against a
 sort-based grouping.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
@@ -29,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qviterbi import cli, streams, viterbi
-from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks
+from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks, transmit_rows
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
@@ -191,6 +191,19 @@ def test_transmit_matches_per_bit_flips(codeword, epsilon, seed):
     assert BscChannel(epsilon, seed=seed).transmit(codeword) == (expected, sum(flips))
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(1, 64), st.floats(0.0, 0.49), st.integers(0, 2**40), st.data())
+def test_transmit_rows_match_one_row_channel(width, epsilon, seed, data):
+    words = data.draw(st.lists(st.text("01", min_size=width, max_size=width),
+                               min_size=1, max_size=5))
+    codewords = np.array([[int(bit) for bit in word] for word in words], dtype=np.uint8)
+    table = streams.seed_table([seed], np.arange(len(words)), [1])
+    received, flips = transmit_rows(codewords, epsilon, streams.uniforms(table, width))
+    for r, (word, got, n_flips) in enumerate(zip(words, received, flips.tolist())):
+        expected = BscChannel(epsilon, seed=[seed, r, 1]).transmit(word)
+        assert ("".join(map(str, got)), n_flips) == expected
+
+
 amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
@@ -227,14 +240,22 @@ def test_sample_rows_match_one_row_sampler(length, parts, seed, size):
     real = np.array([row[:length] for row in parts])
     v = real + 1j * np.array([row[40 : 40 + length] for row in parts])
     v[:, 0] += np.abs(v).sum(axis=1) == 0.0  # every row needs a positive total
-    gen = np.random.Generator(np.random.PCG64())
     table = streams.seed_table([seed], np.arange(len(v)), [2])
-    counts = sample_rows(np.abs(v) ** 2, streams.generators(table, gen), size)
+    counts = sample_rows(np.abs(v) ** 2, streams.uniforms(table, size))
     for r, (row, row_counts) in enumerate(zip(v, counts)):
         expected = measure(row, [seed, r, 2], size)
         drawn = np.flatnonzero(row_counts)
         assert dict(zip(drawn.tolist(), row_counts[drawn].tolist())) == expected
         assert mode_of(expected) == (row_counts.argmax(), row_counts.max())
+
+
+def test_sample_rows_renormalise_the_cdf():
+    # the cumsum of ten equal probabilities ends one ulp below 1, at the
+    # largest uniform Generator.random can return; that draw is the last path
+    p = np.ones((1, 10))
+    end = np.cumsum(p[0] / p.sum())[-1]
+    assert end == np.nextafter(1.0, 0.0)
+    assert sample_rows(p, np.array([[end]])).tolist() == [[0] * 9 + [1]]
 
 
 @pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])

@@ -77,6 +77,8 @@ class TestConfigResolution:
             {"mode": "iterated-qva", "n_steps": 3, "max_errors": 50, "campaigns": 2},
             # the schedule's sweep grid would hold billions of amplitudes
             {"mode": "iterated-qva", "n_steps": 2, "iterations": 1_000_000_000},
+            # a grid that fits in memory, but whose iterations would take hours
+            {"mode": "iterated-qva", "n_steps": 2, "iterations": 100_000},
         ]
         for i, doc in enumerate(bad_docs):
             path = config_file(tmp_path, doc, name=f"bad{i}.json")
@@ -85,6 +87,10 @@ class TestConfigResolution:
             assert err.startswith("bad config: ") and err.count("\n") == 1, err
         assert main(["sweep", "--iterations", "0"]) == 2
         assert main(["sweep", "--n-steps", "2", "--iterations", "1000000000"]) == 2
+        capsys.readouterr()
+        assert main(["sweep", "--n-steps", "2", "--iterations", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: ") and err.count("\n") == 1, err
         assert main(["circuit", "--omega", "5"]) == 2
         assert main(["decode", "--seed", "-1", "--n-steps", "3"]) == 2
         assert main(["verify", "--seed", "-1"]) == 2
