@@ -20,9 +20,9 @@ from functools import reduce
 import numpy as np
 
 from .convcode import ConvCode, _check_bits, split_blocks
-from .errors import SizeLimitError
+from .errors import SIZE_LIMIT, SizeLimitError
 from .hmm import Hmm
-from .qva import PATH_SPACE_LIMIT, build_path_space
+from .qva import build_path_space
 
 UNITARY_TOL = 1e-10
 
@@ -129,10 +129,10 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     successors (fan-out and marking combined, as on the first amplification
     pass): a phase diagonal times Hadamards on the fresh message bits times
     the NOT pattern copying the retained control bits, as the gate-level
-    construction realizes it.  Stacks over PATH_SPACE_LIMIT entries are refused.
+    construction realizes it.  Stacks over SIZE_LIMIT entries are refused.
     """
-    if code.num_states**3 > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"{code.num_states}^3 step-block entries exceeds the path-space guard")
+    if code.num_states**3 > SIZE_LIMIT:
+        raise SizeLimitError(f"{code.num_states}^3 step-block entries exceeds the size guard")
     return _step_blocks(code, received_block, omega, slice(None))
 
 
@@ -142,7 +142,7 @@ def _step_blocks(code: ConvCode, received_block: str, omega: float, controls) ->
         raise ValueError(f"received block must have {code.n} bits")
     _check_bits(received_block)
     # bit errors of every edge against the block, shape (states, inputs)
-    errors = code.trellis().dist[:, :, int(received_block, 2)]
+    errors = np.bitwise_count(code.trellis().output ^ int(received_block, 2))
     h_k = reduce(np.kron, [_H1] * code.k)
     suffix_bits = code.k * (code.m - 1)
     low = (1 << suffix_bits) - 1

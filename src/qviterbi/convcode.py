@@ -9,10 +9,11 @@ of message bit i (mask bit t multiplies the block from t steps ago).
 
 ConvCode.step is that definition bit by bit and builds the state diagram;
 per-block work (encode, path-space build, circuits) reads the cached Trellis
-tables derived from the diagram instead.  encode_rows and transmit_rows work
-on many words at once, as integer arrays with a leading row axis;
-ConvCode.encode and BscChannel.transmit are their one-row cases on bit
-strings.
+tables derived from the diagram instead, and counts bit errors as popcounts
+of XORed output blocks; hamming serves only the Hmm side (to_hmm,
+error_count).  encode_rows and transmit_rows work on many words at once, as
+integer arrays with a leading row axis; ConvCode.encode and
+BscChannel.transmit are their one-row cases on bit strings.
 """
 from __future__ import annotations
 
@@ -68,14 +69,13 @@ class Trellis(NamedTuple):
     """The state diagram as read-only lookup tables, indexed [state, input].
 
     next_state and output hold each edge's successor and its n output bits
-    as an integer (MSB first); dist[s, u, y] is the Hamming distance between
-    the output of edge (s, u) and the n-bit received block whose value, read
-    MSB first, is y, so dist has shape (num_states, fanout, 2^n).
+    as an integer (MSB first).  The bit errors of edge (s, u) against an
+    n-bit received block y, packed the same way, are
+    np.bitwise_count(output[s, u] ^ y).
     """
 
     next_state: np.ndarray
     output: np.ndarray
-    dist: np.ndarray
 
 
 def error_count(t: Transition, received_block: str) -> int:
@@ -100,6 +100,8 @@ class ConvCode:
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.m < 1:
             raise ValueError("k, n, m must all be positive")
+        if self.n > 63:  # output blocks are int64 and frames pack into 64-bit words
+            raise ValueError(f"n = {self.n} outputs exceeds the 63-output limit")
         if len(self.generators) != self.k or any(
             len(row) != self.n for row in self.generators
         ):
@@ -253,13 +255,9 @@ def _diagram(code: ConvCode) -> tuple[Transition, ...]:
 def _trellis(code: ConvCode) -> Trellis:
     diagram = code.state_diagram()
     shape = (code.num_states, code.fanout)
-    blocks = [format(y, f"0{code.n}b") for y in range(1 << code.n)]
     table = Trellis(
         next_state=np.array([t.to_state for t in diagram], dtype=np.int64).reshape(shape),
         output=np.array([int(t.output, 2) for t in diagram], dtype=np.int64).reshape(shape),
-        dist=np.array(
-            [[hamming(t.output, y) for y in blocks] for t in diagram], dtype=np.int64
-        ).reshape(*shape, len(blocks)),
     )
     for array in table:
         array.flags.writeable = False  # shared by every caller of the cache

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the desk-scale size bound."""
 
 
 class NoPathError(Exception):
@@ -7,6 +7,10 @@ class NoPathError(Exception):
 
 class SizeLimitError(Exception):
     """An enumeration or dense-matrix guard was exceeded."""
+
+
+# Most paths, sweep amplitudes, step-block entries or draws per row one array holds
+SIZE_LIMIT = 1 << 24
 
 
 class DecodeFailure(Exception):

@@ -43,11 +43,9 @@ import numpy as np
 
 from . import streams, viterbi
 from .convcode import ConvCode, _check_bits, split_blocks
-from .errors import DecodeFailure, SizeLimitError
+from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
 from .hmm import Hmm
 from .viterbi import _branch_cost, _neglog, walk_paths
-
-PATH_SPACE_LIMIT = 1 << 24
 
 PHASE_MODES = ("errors", "neglog")
 
@@ -236,8 +234,8 @@ def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
     XORs per word.  Column i is message i in path order, in the word layout
     of _frame_layout.
     """
-    if code.fanout**n_steps > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the path-space guard")
+    if code.fanout**n_steps > SIZE_LIMIT:
+        raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the size guard")
     unit_words = _frame_layout(code, n_steps)[1]
     words = np.zeros((unit_words.shape[1], code.fanout**n_steps), dtype=np.uint64)
     for j, unit in enumerate(unit_words):
@@ -256,8 +254,7 @@ def _frame_layout(code: ConvCode, n_steps: int) -> tuple[np.ndarray, np.ndarray]
     the words are the frame's bit string read in 64-bit pieces from the
     end.  Row j of unit_words is the packed codeword from state 0 of the
     message whose only set bit is bit j of the path index.  Both are built
-    once per code and frame length (k*N <= 24 rows under the path-space
-    guard).
+    once per code and frame length (k*N <= 24 rows under the size guard).
     """
     per_word = 64 // code.n
     back = np.arange(n_steps - 1, -1, -1)  # block t counted back from the last
@@ -493,7 +490,7 @@ def sweep_omega(
     the given number of iterations.  Its peak narrows like 1/iterations, so
     the grid step is at most PEAK_STEP / iterations and the refinement
     tolerance shrinks with it; `grid` is the step while it is finer.  Grids
-    over PATH_SPACE_LIMIT (point, class) amplitudes, or whose iterations
+    over SIZE_LIMIT (point, class) amplitudes, or whose iterations
     would make over SWEEP_WORK_LIMIT amplitude updates, are refused.  The full
     grid curve is returned so callers can plot or diff it.
     """
@@ -507,8 +504,8 @@ def sweep_omega(
     peak_step = PEAK_STEP / iterations
     step = min(grid, peak_step)
     points = int(math.pi / step)
-    if points * len(x) > PATH_SPACE_LIMIT:
-        raise SizeLimitError(f"{points} grid points x {len(x)} classes exceeds the path guard")
+    if points * len(x) > SIZE_LIMIT:
+        raise SizeLimitError(f"{points} grid points x {len(x)} classes exceeds the size guard")
     if points * len(x) * iterations > SWEEP_WORK_LIMIT:
         raise SizeLimitError(
             f"{points} grid points x {len(x)} classes x {iterations} iterations"

@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SIZE_LIMIT, SizeLimitError
+
 # SeedSequence constants (numpy/random/bit_generator.pyx)
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -177,13 +179,15 @@ def draws(table: np.ndarray, size: int) -> np.ndarray:
     ceil(sqrt(size)) states (one column per M^j, C_j), and each later block
     steps the one before by M^width plus the row's C_width*inc, so the
     first block costs two 128-bit products a cell and the others one.
-    Returns a (rows, size) uint64 array.
+    Returns a (rows, size) uint64 array; over SIZE_LIMIT draws a row are refused.
     """
     table = np.asarray(table, dtype=np.uint64)
     if table.ndim != 2 or table.shape[1] != 4:
         raise ValueError("a seed table has shape (rows, 4)")
     if size < 1:
         raise ValueError("need at least one draw")
+    if size > SIZE_LIMIT:
+        raise SizeLimitError(f"{size} draws per row exceeds the {SIZE_LIMIT}-draw guard")
     width = math.isqrt(size - 1) + 1
     w0, w1, w2, w3 = (table[:, i : i + 1] for i in range(4))
     # PCG64 seeding: inc = 2*(w2*2^64 + w3) + 1, start (inc + s)*M + inc, s = w0*2^64 + w1

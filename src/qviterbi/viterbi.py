@@ -23,11 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .convcode import Trellis
-from .errors import NoPathError, SizeLimitError
+from .errors import SIZE_LIMIT, NoPathError, SizeLimitError
 from .hmm import Hmm
-
-# Largest admissible-path count the enumeration oracle will walk.
-ENUMERATION_LIMIT = 1 << 24
 
 # Relative slack for float metric comparisons; integer metrics compare exactly.
 FLOAT_SLACK = 1e-12
@@ -153,11 +150,12 @@ def trellis_decode(
     """Bit-error Viterbi decoding of every row of ys on a code's trellis table.
 
     ys has shape (rows, N) and holds each received word's n-bit blocks as
-    integers (MSB first).  A backward cost-to-go pass of shape (rows, S) is
-    followed by a forward traceback that takes the smallest co-optimal
-    successor state, the tie rule of viterbi_decode, in chunks of rows whose
-    branch costs hold CHUNK_CELLS cells.  Returns the message block driving
-    each step, shape (rows, N), and each row's bit-error count.
+    integers (MSB first); a branch costs the popcount of its output XOR the
+    block.  A backward cost-to-go pass of shape (rows, S) is followed by a
+    forward traceback that takes the smallest co-optimal successor state,
+    the tie rule of viterbi_decode, in chunks of rows whose branch costs
+    hold CHUNK_CELLS cells.  Returns the message block driving each step,
+    shape (rows, N), and each row's bit-error count.
     """
     num_states = table.next_state.shape[0]
     if not 0 <= initial_state < num_states:
@@ -168,7 +166,7 @@ def trellis_decode(
         parts = [trellis_decode(table, ys[s : s + chunk], initial_state)
                  for s in range(0, rows, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    branch = table.dist.transpose(2, 0, 1)[ys]  # [row, step, state, input]
+    branch = np.bitwise_count(table.output ^ ys[..., None, None])  # [row, step, state, input]
     to_go = np.zeros((n + 1, rows, num_states), dtype=np.int64)
     for t in range(n - 1, -1, -1):
         to_go[t] = (branch[:, t] + to_go[t + 1][:, table.next_state]).min(axis=-1)
@@ -205,8 +203,8 @@ def walk_paths(
     _check_emissions(h, emissions)
     n = len(emissions)
     fan = h.fanout().fanout
-    if fan**n > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"about {fan}^{n} paths exceeds the enumeration guard")
+    if fan**n > SIZE_LIMIT:
+        raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
     trail = [initial_state]
 
     def step(i: int, t: int, acc: float) -> None:

@@ -20,7 +20,7 @@ from qviterbi.circuits import (
     step_circuit_00,
     successor_superposition,
 )
-from qviterbi.convcode import ConvCode
+from qviterbi.convcode import ConvCode, hamming
 from qviterbi.errors import SizeLimitError
 from qviterbi.hmm import Hmm
 
@@ -249,13 +249,14 @@ def test_step_blocks_feed_every_view_of_the_step(code_and_block, omega):
             expected[i * q : (i + 1) * q, i * q : (i + 1) * q] = blocks[i]
         assert np.array_equal(dense, expected)
     trellis = code.trellis()
+    diagram = code.state_diagram()
     for i in range(q):
         psi = successor_superposition(code, i, received, omega)
         assert np.array_equal(psi, blocks[i, :, 0])
+        edges = diagram[i * code.fanout : (i + 1) * code.fanout]
+        errors = np.array([hamming(t.output, received) for t in edges])
         built = np.zeros(q, dtype=complex)
-        built[trellis.next_state[i]] = np.exp(1j * omega * trellis.dist[i, :, y]) / math.sqrt(
-            code.fanout
-        )
+        built[trellis.next_state[i]] = np.exp(1j * omega * errors) / math.sqrt(code.fanout)
         # (1/sqrt 2)^k and 1/sqrt(2^k) differ by an ulp for k >= 2
         assert np.max(np.abs(psi - built)) <= (0.0 if code.k == 1 else 1e-15)
 

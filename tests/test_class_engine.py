@@ -443,6 +443,29 @@ def test_trellis_decode_matches_viterbi_and_brute_force(frame):
         assert tuple(path) == brute_force_decode(h, blocks, s0).path
 
 
+@pytest.mark.parametrize("k, n, m", [(1, 9, 2), (2, 13, 1), (1, 20, 3), (1, 24, 1), (1, 63, 2)])
+def test_trellis_decode_on_wide_outputs(k, n, m):
+    # to_hmm would list 2^n receive blocks per edge, so the path space is the oracle
+    rng = np.random.default_rng([k, n, m])
+    masks = rng.integers(0, 1 << (m + 1), k * n)
+    masks[0] |= 1 << m
+    code = ConvCode(k, n, m, tuple(tuple(masks[i * n : (i + 1) * n].tolist()) for i in range(k)))
+    n_steps, s0 = 10 // k, int(rng.integers(code.num_states))
+    words = ["".join(map(str, rng.integers(0, 2, n_steps * n)))]
+    for flips in (0, 3, n):
+        message = "".join(map(str, rng.integers(0, 2, n_steps * k)))
+        bits = np.array(list(encode_by_step(code, message, s0)), dtype=int)
+        bits[rng.choice(len(bits), flips, replace=False)] ^= 1
+        words.append("".join(map(str, bits)))
+    inputs, metrics = trellis_decode(code.trellis(), block_values(code, words), s0)
+    for steps, metric, word in zip(inputs.tolist(), metrics.tolist(), words):
+        ps = build_path_space(code, word, s0)
+        index = int("".join(format(u, f"0{k}b") for u in steps), 2)
+        # the smallest state path of least metric drives the smallest message index
+        assert metric == ps.errors.min() == ps.errors[index]
+        assert index == ps.viterbi_index
+
+
 @PROPERTY_SETTINGS
 @given(
     st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),

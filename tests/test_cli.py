@@ -79,6 +79,9 @@ class TestConfigResolution:
             {"mode": "iterated-qva", "n_steps": 2, "iterations": 1_000_000_000},
             # a grid that fits in memory, but whose iterations would take hours
             {"mode": "iterated-qva", "n_steps": 2, "iterations": 100_000},
+            # a billion shot draws per block, refused before they are allocated
+            {"mode": "iterated-qva", "trials": 1_000_000_000},
+            {"mode": "probabilistic-qva", "trials": 1_000_000_000},
         ]
         for i, doc in enumerate(bad_docs):
             path = config_file(tmp_path, doc, name=f"bad{i}.json")
@@ -91,6 +94,12 @@ class TestConfigResolution:
         assert main(["sweep", "--n-steps", "2", "--iterations", "100000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad config: ") and err.count("\n") == 1, err
+        # 65 outputs do not fit the int64 output blocks
+        wide = "1,65,1;" + ",".join(["3"] * 65)
+        for command in ("table", "sweep", "decode", "verify"):
+            assert main([command, "--code", wide]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("bad config: ") and err.count("\n") == 1, err
         assert main(["circuit", "--omega", "5"]) == 2
         assert main(["decode", "--seed", "-1", "--n-steps", "3"]) == 2
         assert main(["verify", "--seed", "-1"]) == 2
@@ -430,7 +439,7 @@ class TestVerify:
 
     def test_step_block_stack_over_guard_skips(self):
         # K = 10: the (512, 512, 512) stack would be 2 GiB; a full verify is too slow here
-        ok, detail = cli._check_block_unitarity(ConvCode.from_spec("1,2,9;1001,1777"), 5)
+        ok, detail = cli._check_block_unitarity(ConvCode.from_spec("1,2,9;1001,1777"), 5, 1e-10)
         assert ok is None and "512^3 step-block entries" in detail
 
     def test_checks_list_tolerances(self, capsys):

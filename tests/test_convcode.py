@@ -16,9 +16,12 @@ class TestSpecString:
         assert parsed.to_spec() == "1,2,2;5,7"
 
     def test_malformed_specs(self):
-        for bad in ("", "1,2,2", "1,2,2;5", "a,b,c;5,7", "1,2,2;5,7,3"):
+        # output blocks are int64: 63 outputs fit, 64 do not
+        wide = "1,64,1;" + ",".join(["3"] * 64)
+        for bad in ("", "1,2,2", "1,2,2;5", "a,b,c;5,7", "1,2,2;5,7,3", wide):
             with pytest.raises(ValueError):
                 ConvCode.from_spec(bad)
+        assert ConvCode.from_spec("1,63,1;" + ",".join(["3"] * 63)).n == 63
 
     def test_degree_must_match_memory(self):
         with pytest.raises(ValueError):

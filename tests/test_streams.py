@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qviterbi.errors import SIZE_LIMIT, SizeLimitError
 from qviterbi.streams import bits, draws, seed_table, uniforms
 
 # one, two and three 32-bit entropy words, so keys cross the 4-word pool
@@ -55,6 +56,12 @@ def test_draws_match_default_rng(prefix, blocks, suffix, size):
 def test_draws_reject_bad_tables_and_sizes(table, size):
     with pytest.raises(ValueError):
         draws(table, size)
+
+
+def test_draws_refuse_more_than_the_size_bound():
+    # refused before anything is allocated; the size is checked, not the table
+    with pytest.raises(SizeLimitError):
+        draws(np.zeros((1, 4), np.uint64), SIZE_LIMIT + 1)
 
 
 @pytest.mark.parametrize(
