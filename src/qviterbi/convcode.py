@@ -7,9 +7,10 @@ code the move 00 --input 1--> 10 emits 11.  Output bit j of a step is the
 GF(2) inner product of generator polynomial g[i][j] with the input history
 of message bit i (mask bit t multiplies the block from t steps ago).
 
-ConvCode.step is that definition bit by bit and builds the state diagram;
-per-block work (encode, path-space build, circuits) reads the cached Trellis
-tables derived from the diagram instead, and counts bit errors as popcounts
+ConvCode.step is that definition bit by bit, one edge at a time; the cached
+Trellis tables hold it for every edge at once, computed as array parities,
+and the state diagram is read off them.  Per-block work (encode, path-space
+build, circuits) reads the tables, and counts bit errors as popcounts
 of XORed output blocks; hamming serves only the Hmm side (to_hmm,
 error_count).  encode_rows and transmit_rows work on many words at once, as
 integer arrays with a leading row axis; ConvCode.encode and
@@ -167,8 +168,13 @@ class ConvCode:
         return nxt, "".join(out)
 
     def state_diagram(self) -> tuple[Transition, ...]:
-        """All num_states * 2^k labeled edges, ordered by (state, input)."""
-        return _diagram(self)
+        """All num_states * 2^k labeled edges, ordered by (state, input), read off the tables."""
+        table = self.trellis()
+        edges = zip(table.next_state.ravel().tolist(), table.output.ravel().tolist())
+        return tuple(
+            Transition(e // self.fanout, e % self.fanout, nxt, format(out, f"0{self.n}b"))
+            for e, (nxt, out) in enumerate(edges)
+        )
 
     def trellis(self) -> Trellis:
         """The state diagram as lookup tables, built once per code."""
@@ -242,23 +248,22 @@ class ConvCode:
 
 
 @cache
-def _diagram(code: ConvCode) -> tuple[Transition, ...]:
-    edges = []
-    for state in range(code.num_states):
-        for u in range(code.fanout):
-            nxt, out = code.step(state, u)
-            edges.append(Transition(state, u, nxt, out))
-    return tuple(edges)
-
-
-@cache
 def _trellis(code: ConvCode) -> Trellis:
-    diagram = code.state_diagram()
-    shape = (code.num_states, code.fanout)
-    table = Trellis(
-        next_state=np.array([t.to_state for t in diagram], dtype=np.int64).reshape(shape),
-        output=np.array([int(t.output, 2) for t in diagram], dtype=np.int64).reshape(shape),
-    )
+    """ConvCode.step for every (state, input) at once.
+
+    The register R = (u << k m) | state holds message bit i of the block
+    from t steps ago at bit k (m - t) + k - 1 - i, so output bit j is the
+    parity of R masked by generator column j's taps placed there.
+    """
+    k, m = code.k, code.m
+    state, u = np.ogrid[: code.num_states, : code.fanout]
+    register = (u << (k * m)) | state
+    output = np.zeros_like(register)
+    for j in range(code.n):
+        taps = sum(1 << (k * (m - t) + k - 1 - i)
+                   for i in range(k) for t in range(m + 1) if (code.generators[i][j] >> t) & 1)
+        output = (output << 1) | (np.bitwise_count(register & taps) & 1)
+    table = Trellis(next_state=(u << (k * (m - 1))) | (state >> k), output=output)
     for array in table:
         array.flags.writeable = False  # shared by every caller of the cache
     return table

@@ -5,13 +5,16 @@ state i to state j given that emission y was observed, and the emission
 table holds P(y | i, j).  Both are sparse maps keyed (i, j, y); missing
 keys read as probability zero, which matches the trellis semantics where
 most state pairs are unreachable.  Instances are immutable after
-construction and safe to share read-only across parallel workers.
+construction (derived tables are cached on first use) and safe to share
+read-only across parallel workers.
 """
 from __future__ import annotations
 
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -26,7 +29,7 @@ Key = tuple[int, int, str]
 class FanoutReport:
     """Per-state successor counts (max over emissions) and their maximum."""
 
-    per_state: dict[int, int]
+    per_state: Mapping[int, int]
     fanout: int
 
 
@@ -107,6 +110,8 @@ class Hmm:
             if p > 0.0:
                 succ[(i, y)].append((j, p))
         self._succ = {key: tuple(sorted(v)) for key, v in succ.items()}
+        # per-symbol successor and cost arrays, built on first use by viterbi
+        self._branch_arrays: dict = {}
 
     def _check_key(self, i: int, j: int, y: str, where: str = "table") -> None:
         if not (0 <= i < self.num_states and 0 <= j < self.num_states):
@@ -151,15 +156,15 @@ class Hmm:
 
     def fanout(self) -> FanoutReport:
         """Successor counts per state, maximized over emissions."""
-        counts: dict[tuple[int, str], int] = {
-            key: len(js) for key, js in self._succ.items()
-        }
-        per_state = {}
-        for i in range(self.num_states):
-            per_state[i] = max(
-                (counts.get((i, y), 0) for y in self.emissions), default=0
-            )
-        return FanoutReport(per_state=per_state, fanout=max(per_state.values()))
+        return self._fanout
+
+    @cached_property
+    def _fanout(self) -> FanoutReport:
+        per_state = dict.fromkeys(range(self.num_states), 0)
+        for (i, _y), js in self._succ.items():
+            per_state[i] = max(per_state[i], len(js))
+        # one report serves every caller, so its map is read-only
+        return FanoutReport(per_state=MappingProxyType(per_state), fanout=max(per_state.values()))
 
     def to_json_dict(self) -> dict:
         return {

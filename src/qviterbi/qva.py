@@ -15,8 +15,9 @@ and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
 with the mean weighted by class sizes.  The per-path operators below are the
 dense reference the class engine is tested against.
 
-HMM-backed spaces come from viterbi.walk_paths, the enumeration that also
-serves brute_force_decode and path_metric_multiset.
+HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
+also serves brute_force_decode and path_metric_multiset, in one pass that
+carries both the neg-log and the bit-error totals.
 
 A code path's error count is the Hamming distance from the received word
 to its codeword.  The codes are linear over GF(2), so codeword_table builds
@@ -45,7 +46,7 @@ from . import streams, viterbi
 from .convcode import ConvCode, _check_bits, split_blocks
 from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
 from .hmm import Hmm
-from .viterbi import _branch_cost, _neglog, walk_paths
+from .viterbi import enumerate_paths
 
 PHASE_MODES = ("errors", "neglog")
 
@@ -84,7 +85,7 @@ class PathSpace:
 
     Code-backed spaces index paths by the message bits read as an integer
     and reconstruct state sequences on demand; HMM-backed spaces store the
-    enumerated paths explicitly.  errors holds integer bit-error counts,
+    enumerated paths explicitly, one row of states each.  errors holds integer bit-error counts,
     weights holds negative log path probabilities (general HMM mode).
     """
 
@@ -96,7 +97,7 @@ class PathSpace:
         *,
         code: ConvCode | None = None,
         initial_state: int = 0,
-        explicit_paths: tuple[tuple[int, ...], ...] | None = None,
+        explicit_paths: np.ndarray | None = None,
         input_bits: int | None = None,
     ):
         self.n_steps = n_steps
@@ -162,7 +163,7 @@ class PathSpace:
         if not 0 <= index < self.L:
             raise IndexError("path index out of range")
         if self._paths is not None:
-            return self._paths[index]
+            return tuple(self._paths[index].tolist())
         return _code_path(self.code, self.initial_state, self.n_steps, index)
 
     def paths(self) -> list[tuple[int, ...]]:
@@ -300,29 +301,21 @@ def path_error_rows(
 def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> PathSpace:
     """Enumerate admissible paths of a general HMM with neg-log weights.
 
-    Paths and weights come from viterbi.walk_paths; code-derived HMMs get
-    their bit-error counts from a second walk in the same path order.
+    Paths and weights come from viterbi.enumerate_paths; code-derived HMMs
+    get their bit-error counts from the same enumeration.
     """
-    paths: list[tuple[int, ...]] = []
-    weights: list[float] = []
-
-    def keep(trail: list[int], weight: float) -> None:
-        paths.append(tuple(trail))
-        weights.append(weight)
-
-    walk_paths(h, emissions, initial_state, _neglog, keep)
-    if not paths:
-        raise ValueError("no admissible path; check the model and emissions")
-    errors: list[int] = []
     has_errors = h.branch_errors is not None
-    if has_errors:
-        walk_paths(h, emissions, initial_state, _branch_cost, lambda _trail, e: errors.append(e))
+    costs = ("neglog", "errors") if has_errors else ("neglog",)
+    paths = enumerate_paths(h, emissions, initial_state, costs)
+    count = len(paths.totals[0])
+    if not count:
+        raise ValueError("no admissible path; check the model and emissions")
     return PathSpace(
         n_steps=len(emissions),
-        errors=np.asarray(errors, dtype=np.int64) if has_errors else None,
-        weights=np.asarray(weights, dtype=float),
+        errors=paths.totals[1] if has_errors else None,
+        weights=paths.totals[0],
         initial_state=initial_state,
-        explicit_paths=tuple(paths),
+        explicit_paths=paths.rows(np.arange(count)),
         input_bits=h.input_bits if h.edge_inputs is not None else None,
     )
 

@@ -5,9 +5,10 @@ the quantum simulations.  trellis_decode runs the same dynamic program on a
 code's trellis table for many received words at once, with a leading block
 axis, CHUNK_CELLS branch costs at a time; decode campaigns use it, and
 the two decoders are its oracles.
-walk_paths is the one enumeration of admissible paths, read off the Hmm and
-never off the trellis tables: brute_force_decode, path_metric_multiset and
-qva.build_path_space_hmm are its visitors, the oracles of every fast path.
+enumerate_paths is the one enumeration of admissible paths, read off the
+Hmm and never off the trellis tables, one trellis level at a time on arrays;
+brute_force_decode, path_metric_multiset and qva.build_path_space_hmm, the
+oracles of every fast path, are array reductions over its path totals.
 
 Code-derived HMMs (those carrying branch_errors metadata) are decoded with
 exact integer bit-error metrics; general HMMs fall back to negative log
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,76 +184,121 @@ def trellis_decode(
     return inputs, to_go[0][:, initial_state]
 
 
-def walk_paths(
-    h: Hmm,
-    emissions: Sequence[str],
-    initial_state: int,
-    cost: Callable,
-    visit: Callable,
-    skip_infinite: bool = False,
-) -> None:
-    """Depth-first walk over every admissible path, in lexicographic order.
+def _branches(h: Hmm, y: str) -> dict[str, np.ndarray | None]:
+    """Symbol y's branches as (S, F_y) arrays, built on first use and kept on the Hmm.
 
-    At each leaf, visit(trail, total) gets the state sequence (start state
-    included; the list is reused, so copy it to keep it) and the sum of
-    cost(h, i, j, y) over the path's branches, added from its start (an int
-    when every cost is one).  With skip_infinite, a prefix whose cost is
-    already infinite is not extended, so paths of probability zero are
-    never visited.
+    "succ" holds successors in ascending order, padded with -1; "errors"
+    (code-derived HMMs only) and "neglog" hold what _branch_cost and _neglog give.
+    """
+    if y not in h._branch_arrays:
+        rows = [h.successors(i, y) for i in range(h.num_states)]
+        shape = (h.num_states, max(map(len, rows)))
+        succ, neglog = np.full(shape, -1, dtype=np.int32), np.zeros(shape)
+        errors = np.zeros(shape, dtype=np.int64) if h.branch_errors is not None else None
+        for i, row in enumerate(rows):
+            for slot, (j, _p) in enumerate(row):
+                succ[i, slot], neglog[i, slot] = j, _neglog(h, i, j, y)
+                if errors is not None:
+                    errors[i, slot] = _branch_cost(h, i, j, y)
+        h._branch_arrays[y] = {"succ": succ, "errors": errors, "neglog": neglog}
+    return h._branch_arrays[y]
+
+
+class Paths(NamedTuple):
+    """Every admissible path of an Hmm, stored one trellis level at a time.
+
+    states[t][p] is the state at time t of the p-th length-t prefix and
+    parents[t][p] the index of its length-(t - 1) prefix (0 at t = 0); each
+    level's prefixes are in lexicographic order.  totals[c][p] sums cost c
+    over the branches of path p, added from its start.
+    """
+
+    states: list[np.ndarray]
+    parents: list[np.ndarray]
+    totals: list[np.ndarray]
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """The state sequences of the paths index, start state included, one row each."""
+        out = np.empty((len(index), len(self.states)), dtype=np.int32)
+        for t in range(len(self.states) - 1, -1, -1):
+            out[:, t] = self.states[t][index]
+            index = self.parents[t][index]
+        return out
+
+
+def enumerate_paths(
+    h: Hmm, emissions: Sequence[str], initial_state: int, costs: Sequence[str],
+    finite_only: bool = False,
+) -> Paths:
+    """Every admissible path from initial_state, in lexicographic order.
+
+    Each trellis level extends all prefixes of the one before at once:
+    successors and the costs named in costs ("errors", "neglog") are read
+    off the Hmm for every prefix's state, padding is masked out, and the
+    kept (prefix, successor) pairs are taken in C order, which keeps the
+    paths lexicographic.  With finite_only, a prefix whose total is already
+    infinite is not extended, so paths of probability zero never appear.
     """
     _check_emissions(h, emissions)
+    if not 0 <= initial_state < h.num_states:
+        raise ValueError("initial state out of range")
     n = len(emissions)
     fan = h.fanout().fanout
     if fan**n > SIZE_LIMIT:
         raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
-    trail = [initial_state]
-
-    def step(i: int, t: int, acc: float) -> None:
-        if t == n:
-            visit(trail, acc)
-            return
-        y = emissions[t]
-        for j, _p in h.successors(i, y):
-            total = acc + cost(h, i, j, y)
-            if skip_infinite and total == math.inf:
-                continue
-            trail.append(j)
-            step(j, t + 1, total)
-            trail.pop()
-
-    step(initial_state, 0, 0)
+    # int32 indices hold the at most SIZE_LIMIT paths the guard lets through
+    state = np.array([initial_state], dtype=np.int32)
+    states, parents = [state], [np.zeros(1, dtype=np.int32)]
+    totals = [np.zeros(1, dtype=np.int64 if c == "errors" else float) for c in costs]
+    for y in emissions:
+        branches = _branches(h, y)
+        succ = branches["succ"][state]
+        totals = [acc[:, None] + branches[c][state] for acc, c in zip(totals, costs)]
+        keep = succ >= 0
+        if finite_only:
+            for acc in totals:
+                keep &= acc != math.inf
+        flat = np.flatnonzero(keep)
+        state = succ.ravel()[flat]
+        states.append(state)
+        parents.append((flat // succ.shape[1]).astype(np.int32))
+        totals = [acc.ravel()[flat] for acc in totals]
+    return Paths(states, parents, totals)
 
 
 def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
-    """Exhaustive oracle: walk every admissible path and keep the best.
+    """Exhaustive oracle: enumerate every admissible path and keep the best.
 
-    Paths arrive in lexicographic order, so the first optimum seen is the
-    lexicographically smallest; the walk does not extend prefixes of
-    probability zero.
+    The first optimum in path order is kept, so the reported path is the
+    lexicographically smallest; prefixes of probability zero are not
+    extended.  Float totals follow the rule of a path-by-path scan: a total
+    more than the slack below the best so far replaces it, one within the
+    slack ties.  Only totals within a few slacks of the minimum of those
+    before them can do either, so the scan visits those alone.
     """
-    best_metric = math.inf
-    best_path: tuple[int, ...] | None = None
-    ties = 0
-
-    def keep(trail: list[int], total: float) -> None:
-        nonlocal best_metric, best_path, ties
-        tol = _slack(h, min(total, best_metric))
-        if total < best_metric - tol:
-            best_metric, best_path, ties = total, tuple(trail), 1
-        elif abs(total - best_metric) <= tol:
-            ties += 1
-
+    integer = h.branch_errors is not None
     # integer bit-error costs are never infinite
-    walk_paths(h, emissions, initial_state, _branch_cost, keep, h.branch_errors is None)
-    if best_path is None:
+    cost = "errors" if integer else "neglog"
+    paths = enumerate_paths(h, emissions, initial_state, [cost], finite_only=not integer)
+    totals = paths.totals[0]
+    if not len(totals):
         raise NoPathError(f"no admissible path from state {initial_state}")
-    metric = int(best_metric) if h.branch_errors is not None else best_metric
-    return DecodeResult(
-        path=best_path,
-        message=_message(h, best_path),
-        metric=metric,
-        ties=ties,
-    )
+    if integer:
+        leaf = int(np.argmin(totals))
+        best, ties = int(totals[leaf]), int(np.count_nonzero(totals == totals[leaf]))
+    else:
+        before = np.minimum.accumulate(np.concatenate(([math.inf], totals[:-1])))
+        window = before + 3 * FLOAT_SLACK * np.maximum(1.0, np.abs(before))
+        best, leaf, ties = math.inf, -1, 0
+        for index in np.flatnonzero(totals <= window).tolist():
+            total = float(totals[index])
+            tol = _slack(h, min(total, best))
+            if total < best - tol:
+                best, leaf, ties = total, index, 1
+            elif abs(total - best) <= tol:
+                ties += 1
+    path = tuple(paths.rows([leaf])[0].tolist())
+    return DecodeResult(path=path, message=_message(h, path), metric=best, ties=ties)
 
 
 def path_metric_multiset(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> Counter:
@@ -263,6 +309,6 @@ def path_metric_multiset(h: Hmm, emissions: Sequence[str], initial_state: int = 
     """
     if h.branch_errors is None:
         raise ValueError("integer branch metrics required (code-derived HMM)")
-    out: Counter = Counter()
-    walk_paths(h, emissions, initial_state, _branch_cost, lambda _trail, e: out.update((e,)))
-    return out
+    totals = enumerate_paths(h, emissions, initial_state, ("errors",)).totals[0]
+    values, counts = np.unique(totals, return_counts=True)
+    return Counter(dict(zip(values.tolist(), counts.tolist())))

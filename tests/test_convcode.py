@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi.convcode import BscChannel, ConvCode, Transition, error_count, hamming
 
@@ -62,6 +64,28 @@ class TestStateDiagram:
             y = format(value, "02b")
             total = sum(error_count(t, y) for t in code.state_diagram())
             assert total == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trellis_tables_match_step(k, n, m, seed):
+    """Every (state, input) entry of the array-built tables is what step gives."""
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 1 << (m + 1), size=(k, n))
+    masks[int(rng.integers(k)), int(rng.integers(n))] |= 1 << m
+    code = ConvCode(k=k, n=n, m=m, generators=tuple(map(tuple, masks.tolist())))
+    steps = [[code.step(state, u) for u in range(code.fanout)] for state in range(code.num_states)]
+    table = code.trellis()
+    assert table.next_state.tolist() == [[nxt for nxt, _out in row] for row in steps]
+    assert table.output.tolist() == [[int(out, 2) for _nxt, out in row] for row in steps]
+    assert code.state_diagram() == tuple(
+        Transition(state, u, *edge) for state, row in enumerate(steps) for u, edge in enumerate(row)
+    )
 
 
 class TestEncode:

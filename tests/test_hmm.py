@@ -91,6 +91,7 @@ class TestFanout:
 
     def test_code_hmm(self, hmm01):
         assert hmm01.fanout().fanout == 2
+        assert hmm01.fanout() is hmm01.fanout()  # computed once per model
 
     def test_complete_four_state(self):
         assert uniform_hmm(4).fanout().fanout == 4

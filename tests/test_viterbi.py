@@ -1,6 +1,6 @@
 import math
+import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qviterbi import viterbi
-from qviterbi.convcode import hamming, split_blocks
-from qviterbi.errors import NoPathError, SizeLimitError
+from qviterbi.convcode import ConvCode, hamming, split_blocks
+from qviterbi.errors import SIZE_LIMIT, NoPathError, SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import build_path_space_hmm
 from qviterbi.viterbi import brute_force_decode, path_metric_multiset, viterbi_decode
@@ -194,21 +194,20 @@ def test_brute_force_does_not_extend_zero_probability_prefixes():
     emit = {key: p if rng.random() < 0.5 else 0.0 for key, p in dense.emit.items()}
     h = Hmm(3, dense.emissions, dense.trans, emit)
     emissions = [("u", "v")[int(x)] for x in rng.integers(0, 2, 8)]
-    # branch-cost calls of a walk that extends only finite prefixes, counted
-    # forward: finite[s] prefixes of finite cost end in state s
-    finite, expected = Counter({0: 1}), 0
-    for y in emissions:
+    # the enumeration keeps, level by level, exactly the prefixes of finite
+    # cost, counted forward: finite[s] of them end in state s
+    paths = viterbi.enumerate_paths(h, emissions, 0, ("neglog",), finite_only=True)
+    finite = Counter({0: 1})
+    for t, y in enumerate(emissions, start=1):
         nxt = Counter()
         for i, ways in finite.items():
             for j, _p in h.successors(i, y):
-                expected += ways
                 if h.joint_prob(i, j, y) > 0.0:
                     nxt[j] += ways
         finite = nxt
+        assert Counter(paths.states[t].tolist()) == finite
     assert finite, "the instance must have a path of positive probability"
-    with mock.patch.object(viterbi, "_branch_cost", wraps=viterbi._branch_cost) as cost:
-        b = brute_force_decode(h, emissions)
-    assert cost.call_count == expected
+    b = brute_force_decode(h, emissions)
     a = viterbi_decode(h, emissions)
     assert a.metric == pytest.approx(b.metric, abs=1e-9) and a.path == b.path
     assert b.ties == 1
@@ -256,3 +255,199 @@ class TestGuards:
             brute_force_decode(hmm01, ["00"] * 30)
         with pytest.raises(SizeLimitError):
             path_metric_multiset(hmm01, ["00"] * 30)
+
+
+# ---------------------------------------------------------------------------
+# The recursive walk that enumerate_paths replaced, kept as its reference,
+# with the visitors the three oracles ran on it.
+
+
+def walk_paths(h, emissions, initial_state, cost, visit, skip_infinite=False):
+    """Depth-first walk over every admissible path, in lexicographic order.
+
+    At each leaf, visit(trail, total) gets the state sequence (start state
+    included; the list is reused, so copy it to keep it) and the sum of
+    cost(h, i, j, y) over the path's branches, added from its start (an int
+    when every cost is one).  With skip_infinite, a prefix whose cost is
+    already infinite is not extended, so paths of probability zero are
+    never visited.
+    """
+    viterbi._check_emissions(h, emissions)
+    n = len(emissions)
+    fan = h.fanout().fanout
+    if fan**n > SIZE_LIMIT:
+        raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
+    trail = [initial_state]
+
+    def step(i, t, acc):
+        if t == n:
+            visit(trail, acc)
+            return
+        y = emissions[t]
+        for j, _p in h.successors(i, y):
+            total = acc + cost(h, i, j, y)
+            if skip_infinite and total == math.inf:
+                continue
+            trail.append(j)
+            step(j, t + 1, total)
+            trail.pop()
+
+    step(initial_state, 0, 0)
+
+
+def walk_collect(h, emissions, start, cost, skip_infinite=False):
+    trails, totals = [], []
+
+    def keep(trail, total):
+        trails.append(tuple(trail))
+        totals.append(total)
+
+    walk_paths(h, emissions, start, cost, keep, skip_infinite)
+    return trails, totals
+
+
+def walk_brute_force(h, emissions, initial_state=0):
+    best_metric = math.inf
+    best_path = None
+    ties = 0
+
+    def keep(trail, total):
+        nonlocal best_metric, best_path, ties
+        tol = viterbi._slack(h, min(total, best_metric))
+        if total < best_metric - tol:
+            best_metric, best_path, ties = total, tuple(trail), 1
+        elif abs(total - best_metric) <= tol:
+            ties += 1
+
+    walk_paths(h, emissions, initial_state, viterbi._branch_cost, keep, h.branch_errors is None)
+    if best_path is None:
+        raise NoPathError(f"no admissible path from state {initial_state}")
+    metric = int(best_metric) if h.branch_errors is not None else best_metric
+    return viterbi.DecodeResult(
+        path=best_path, message=viterbi._message(h, best_path), metric=metric, ties=ties
+    )
+
+
+def random_sparse_hmm(rng, num_states, emissions=("u", "v")):
+    """Random HMM with missing successors and some zero-probability emissions."""
+    trans, emit = {}, {}
+    for i in range(num_states):
+        for y in emissions:
+            for j in range(num_states):
+                if rng.random() < 0.7:
+                    trans[(i, j, y)] = float(rng.uniform(0.05, 1.0))
+                    emit[(i, j, y)] = float(rng.uniform(0.05, 1.0)) if rng.random() < 0.7 else 0.0
+    return Hmm(num_states, emissions, trans, emit)
+
+
+@st.composite
+def oracle_instances(draw):
+    """(hmm, emissions, start): sparse general HMMs and code HMMs with k = 1, 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        h = random_sparse_hmm(rng, draw(st.integers(1, 4)))
+        n = draw(st.integers(1, 5))
+    else:
+        k, n_out, m = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        masks = rng.integers(0, 1 << (m + 1), size=(k, n_out))
+        masks[int(rng.integers(k)), int(rng.integers(n_out))] |= 1 << m
+        code = ConvCode(k=k, n=n_out, m=m, generators=tuple(map(tuple, masks.tolist())))
+        h = code.to_hmm(float(rng.uniform(0.01, 0.3)))
+        n = draw(st.integers(1, 8 // k))
+    emissions = [h.emissions[int(x)] for x in rng.integers(0, len(h.emissions), n)]
+    return h, emissions, draw(st.integers(0, h.num_states - 1))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (NoPathError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_instances())
+def test_enumeration_matches_recursive_walk(instance):
+    h, emissions, start = instance
+    costs = [("neglog", viterbi._neglog)]
+    if h.branch_errors is not None:
+        costs.append(("errors", viterbi._branch_cost))
+    for finite_only in (False, True):
+        for name, cost in costs:
+            trails, totals = walk_collect(h, emissions, start, cost, finite_only)
+            paths = viterbi.enumerate_paths(h, emissions, start, (name,), finite_only)
+            every = paths.rows(np.arange(len(trails)))
+            assert [tuple(row) for row in every.tolist()] == trails
+            assert [tuple(paths.rows([p])[0].tolist()) for p in range(len(trails))] == trails
+            assert paths.totals[0].tolist() == totals  # bit-identical, inf included
+
+    got = outcome(brute_force_decode, h, emissions, start)
+    assert got == outcome(walk_brute_force, h, emissions, start)
+    if isinstance(got, viterbi.DecodeResult):
+        assert type(got.metric) is (int if h.branch_errors is not None else float)
+
+    trails, weights = walk_collect(h, emissions, start, viterbi._neglog)
+    ps = outcome(build_path_space_hmm, h, emissions, start)
+    if not trails:
+        assert ps == (ValueError, "no admissible path; check the model and emissions")
+        return
+    assert [ps.path(p) for p in range(ps.L)] == trails
+    assert ps.weights.tolist() == weights
+    if h.branch_errors is None:
+        assert ps.errors is None
+        return
+    _trails, errors = walk_collect(h, emissions, start, viterbi._branch_cost)
+    assert ps.errors.tolist() == errors
+    assert path_metric_multiset(h, emissions, start) == Counter(errors)
+
+
+@pytest.mark.parametrize(
+    "offsets, winner, ties",
+    [
+        # the path to 2 ties with the one to 1; the path to 3 is more than
+        # tol below the best so far and replaces both; the one to 4 ties
+        # with it.  The first path within tol of the overall minimum would
+        # be the one to 2.
+        ((0.0, 0.6, 1.2, 0.7), 3, 2),
+        # each total is within tol of the first, so all three tie with it
+        # and the best never moves, though the path to 3 is the smallest
+        ((0.0, 0.6, 0.9), 1, 3),
+        # the path to 3 lies 1.4 tol above the smallest total before it,
+        # yet within tol of the best, so it still ties
+        ((0.0, 0.9, -0.5), 1, 3),
+    ],
+)
+def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties):
+    """Totals a - offset * tol on the one-step paths 0 -> 1, 2, ..., in that order."""
+    base = 2.0
+    tol = viterbi.FLOAT_SLACK * base
+    targets = [base - offset * tol for offset in offsets]
+    trans = {(0, j, "a"): 0.25 for j in range(1, len(offsets) + 1)}
+    emit = {(0, j, "a"): 4.0 * math.exp(-v) for j, v in enumerate(targets, start=1)}
+    h = Hmm(5, ("a",), trans, emit)
+    totals = [viterbi._neglog(h, 0, j, "a") for j in range(1, len(offsets) + 1)]
+    assert totals == pytest.approx(targets, abs=0.05 * tol)
+    result = brute_force_decode(h, ["a"])
+    assert result == walk_brute_force(h, ["a"])
+    assert (result.path, result.metric, result.ties) == ((0, winner), totals[winner - 1], ties)
+
+
+def test_start_states_out_of_range_are_rejected(hmm01):
+    for start in (7, -1, 4):
+        for oracle in (brute_force_decode, path_metric_multiset, build_path_space_hmm):
+            with pytest.raises(ValueError, match="initial state out of range"):
+                oracle(hmm01, ["00", "11"], start)
+
+
+def test_brute_force_memory_at_a_million_paths(hmm01):
+    """int32 levels keep the 2^20-path enumeration's peak allocation low."""
+    blocks = blocks_of("0110" * 10)
+    tracemalloc.start()
+    try:
+        result = brute_force_decode(hmm01, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == viterbi_decode(hmm01, blocks)
+    assert peak < 64 * 2**20
