@@ -13,7 +13,10 @@ depends only on the exponent, and the diffusion on no path label.  So from
 the uniform start each error class keeps one common amplitude, and run_qva
 and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
 with the mean weighted by class sizes.  The per-path operators below are the
-dense reference the class engine is tested against.
+dense reference the class engine is tested against.  One kernel, _amplify,
+runs every mark+diffuse round; it picks its class-mean reduction once per
+call and can continue an earlier call's state, so a sweep at more
+iterations resumes the grid of one at fewer (sweep_omega's resume).
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -369,38 +372,46 @@ def diffuse(v: np.ndarray) -> np.ndarray:
     return (2.0 / L) * v.sum() - v
 
 
-def _amplify(g: np.ndarray, iterations: int, counts: np.ndarray | None = None) -> np.ndarray:
-    """Mark+diffuse rounds from uniform on marking rows g of shape (..., C).
+def _amplify(
+    g: np.ndarray, iterations: int, counts: np.ndarray | None = None,
+    state: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mark+diffuse rounds on marking rows g of shape (..., C), from uniform or from state.
 
     Entry c of a row stands for counts[..., c] paths that share one amplitude,
     so the mean is weighted by counts; counts=None makes every entry one path.
     One-dimensional counts serve every row of g.  Counts of shape (rows, C)
     give each row its own classes and path total, and g broadcasts against
     them; a zero-count entry is carried along but never enters the mean.
+    The reduction is chosen once, before the first round: a plain sum, a
+    per-row weighted sum, or one BLAS dot/gemv, against counts cast to
+    complex once.  A state returned by an earlier call with the same g and
+    counts is continued in place, so k1 rounds and then k2 - k1 more from
+    their state equal k2 rounds.
     """
     per_row = counts is not None and counts.ndim > 1
-    shape = counts.shape if per_row else g.shape
     if counts is None:
         L = g.shape[-1]
     else:
-        weights = counts.astype(float)  # complex @ int64 bypasses BLAS, ~15x slower
+        # complex @ int64 bypasses BLAS (~15x slower), and complex @ float casts every round
+        weights = counts.astype(complex)
         L = counts.sum(axis=-1, keepdims=True) if per_row else int(counts.sum())
+    if state is None:
+        state = np.empty(counts.shape if per_row else g.shape, dtype=complex)
+        state[...] = 1.0 / (np.sqrt(L) if per_row else math.sqrt(L))
+    if counts is None:
+        total = partial(state.sum, axis=-1, keepdims=True)
+    elif per_row:
+        total = lambda: (state * weights).sum(axis=-1, keepdims=True)
+    elif state.ndim == 1:
+        total = partial(state.dot, weights)
+    else:
+        total = lambda: (state @ weights)[..., None]
     scale = 2.0 / L
-    batched = len(shape) > 1
-    v = np.empty(shape, dtype=complex)
-    v[...] = 1.0 / (np.sqrt(L) if per_row else math.sqrt(L))
     for _ in range(iterations):
-        v *= g
-        if counts is None:
-            total = v.sum(axis=-1)
-        elif per_row:
-            total = (v * weights).sum(axis=-1)
-        else:
-            total = v @ weights
-        if batched:
-            total = total[..., None]
-        np.subtract(scale * total, v, out=v)
-    return v
+        state *= g
+        np.subtract(scale * total(), state, out=state)
+    return state
 
 
 def amplify_phases(g: np.ndarray, iterations: int) -> np.ndarray:
@@ -444,11 +455,17 @@ def single_iteration_prob(g: np.ndarray, target: int) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A swept curve and its refined peak; amplitudes holds the grid's class
+    amplitudes after `iterations` rounds on the class view `view`, for resume."""
+
     omega_star: float
     prob_star: float
     omegas: np.ndarray
     probs: np.ndarray
     top_indices: np.ndarray
+    iterations: int
+    amplitudes: np.ndarray
+    view: ClassView
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
@@ -476,6 +493,8 @@ def sweep_omega(
     iterations: int,
     grid: float = 0.005,
     phase_mode: str = "errors",
+    *,
+    resume: SweepResult | None = None,
 ) -> SweepResult:
     """Grid search over omega in (0, pi), then golden-section refinement.
 
@@ -486,12 +505,19 @@ def sweep_omega(
     over SIZE_LIMIT (point, class) amplitudes, or whose iterations
     would make over SWEEP_WORK_LIMIT amplitude updates, are refused.  The full
     grid curve is returned so callers can plot or diff it.
+
+    resume takes an earlier result on the same path space and phase mode
+    (another raises ValueError).  When it has the same grid and no more
+    iterations, the grid continues from a copy of its amplitudes, with
+    results equal to a fresh sweep's; otherwise the sweep starts afresh.
     """
     if not 0.0 < grid < math.pi:
         raise ValueError("grid step must lie in (0, pi)")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     view = ps.classes(phase_mode)
+    if resume is not None and resume.view is not view:
+        raise ValueError("resume must come from a sweep of the same path space and phase mode")
     x = view.values
     vit = view.inverse[ps.viterbi_index]
     peak_step = PEAK_STEP / iterations
@@ -506,7 +532,11 @@ def sweep_omega(
         )
     omegas = np.arange(step, math.pi, step)
 
-    amps = _amplify(np.exp(1j * omegas[:, None] * x[None, :]), iterations, view.counts)
+    state, done = None, 0
+    if resume and resume.iterations <= iterations and np.array_equal(resume.omegas, omegas):
+        state, done = resume.amplitudes.copy(), resume.iterations
+    g = np.exp(1j * omegas[:, None] * x[None, :])
+    amps = _amplify(g, iterations - done, view.counts, state)
     probs = np.abs(amps[:, vit]) ** 2
     top_indices = view.first[np.argmax(np.abs(amps) ** 2, axis=1)]
 
@@ -527,6 +557,9 @@ def sweep_omega(
         omegas=omegas,
         probs=probs,
         top_indices=top_indices,
+        iterations=iterations,
+        amplitudes=amps,
+        view=view,
     )
 
 

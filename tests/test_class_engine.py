@@ -481,6 +481,53 @@ def test_amplify_per_row_counts_match_one_row_runs(counts, omega, iterations):
         assert np.max(np.abs(row - _amplify(g, iterations, row_counts))) <= TOL
 
 
+def reference_amplify(g, iterations, counts=None):
+    """The kernel as it was before it chose its reduction once per call, kept verbatim."""
+    per_row = counts is not None and counts.ndim > 1
+    shape = counts.shape if per_row else g.shape
+    if counts is None:
+        L = g.shape[-1]
+    else:
+        weights = counts.astype(float)  # complex @ int64 bypasses BLAS, ~15x slower
+        L = counts.sum(axis=-1, keepdims=True) if per_row else int(counts.sum())
+    scale = 2.0 / L
+    batched = len(shape) > 1
+    v = np.empty(shape, dtype=complex)
+    v[...] = 1.0 / (np.sqrt(L) if per_row else math.sqrt(L))
+    for _ in range(iterations):
+        v *= g
+        if counts is None:
+            total = v.sum(axis=-1)
+        elif per_row:
+            total = (v * weights).sum(axis=-1)
+        else:
+            total = v @ weights
+        if batched:
+            total = total[..., None]
+        np.subtract(scale * total, v, out=v)
+    return v
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("counts_kind", ["none", "shared", "per-row"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.data())
+def test_amplify_matches_reference_kernel(counts_kind, batched, seed, iterations, data):
+    # bit for bit, from uniform and split into k1 rounds and then the rest
+    rng = np.random.default_rng(seed)
+    rows, classes = int(rng.integers(1, 701)), int(rng.integers(1, 41))
+    g = np.exp(1j * rng.uniform(0.0, math.pi, (rows, classes) if batched else classes))
+    counts = None
+    if counts_kind != "none":
+        counts = rng.integers(0, 6, (rows, classes) if counts_kind == "per-row" else classes)
+        counts[..., rng.integers(classes)] += 1  # every row keeps a path
+    expected = reference_amplify(g, iterations, counts)
+    assert np.array_equal(_amplify(g, iterations, counts), expected)
+    first = data.draw(st.integers(0, iterations))
+    state = _amplify(g, first, counts)
+    assert np.array_equal(_amplify(g, iterations - first, counts, state), expected)
+
+
 def per_block_campaign(cfg):
     """The decode campaign one block at a time through the one-word API.
 

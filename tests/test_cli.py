@@ -129,7 +129,25 @@ class TestConfigResolution:
         assert main(["table", "--config", path]) == 2
 
 
+# sha256 of `table` stdout for the default range (N = 3..10) and for n_range
+# [3, 12], computed when every (frame, source) row ran its own sweep
+GOLDEN_TABLE_SHA256 = {
+    "default": "6a11baf98d3048498edfef51b7489a773d3cabd2f9794afba45fd21c4b85e5a9",
+    "3-12": "a0a5bc722450b54b34521ddc69da25a8a0eb77a4226c968046e6763e067c8edb",
+}
+
+
 class TestTable:
+    @pytest.mark.parametrize("n_range", sorted(GOLDEN_TABLE_SHA256))
+    def test_output_matches_golden_digest(self, tmp_path, capsys, n_range):
+        argv = ["table"]
+        if n_range != "default":
+            doc = {"n_range": [int(n) for n in n_range.split("-")]}
+            argv += ["--config", config_file(tmp_path, doc)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN_TABLE_SHA256[n_range]
+
     def test_empty_range_emits_header_only(self, tmp_path, capsys):
         path = config_file(tmp_path, {"n_range": [5, 4]})
         assert main(["table", "--config", path]) == 0
@@ -436,6 +454,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] step-block-unitarity" in out and "[PASS] chain-vs-path" in out
         assert out.endswith("6/6 checks passed, 2 skipped\n")
+
+    def test_wide_output_code_samples_received_words(self, capsys):
+        # 2^16 received words at N = 2; all 2^8 blocks and N = 1 words are still checked
+        assert main(["verify", "--code", "1,8,1;3,3,3,3,3,3,3,3", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] step-block-unitarity (tol=1e-10): all receive blocks unitary\n" in out
+        assert "[PASS] chain-vs-path" in out and ", 256 of 2^16 words at N = 2\n" in out
+        assert out.endswith("6/6 checks passed, 2 skipped\n")
+
+    def test_step_blocks_sampled_beyond_256(self):
+        code = ConvCode.from_spec("1,9,1;" + ",".join(["3"] * 9))
+        assert cli._check_block_unitarity(code, 5, 1e-10) == (
+            True, "256 of 2^9 receive blocks unitary"
+        )
+
+    def test_checked_words_are_all_words_or_a_seeded_sample(self):
+        assert cli._checked_words(8, [5, 7]) == ([format(v, "08b") for v in range(256)], "")
+        words, note = cli._checked_words(9, [5, 7])
+        assert note == "256 of 2^9" and len(set(words)) == 256 and words == sorted(words)
+        assert all(len(w) == 9 and set(w) <= {"0", "1"} for w in words)
+        assert cli._checked_words(9, [5, 7]) == (words, note) != cli._checked_words(9, [6, 7])
 
     def test_step_block_stack_over_guard_skips(self):
         # K = 10: the (512, 512, 512) stack would be 2 GiB; a full verify is too slow here

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import qviterbi.qva as qva_module
 from qviterbi.errors import DecodeFailure, SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import (
@@ -341,6 +344,56 @@ class TestSweep:
         amps = _amplify(np.exp(1j * omegas[:, None] * view.values), iterations, view.counts)
         oracle = float(np.max(np.abs(amps[:, view.inverse[ps.viterbi_index]]) ** 2))
         assert abs(sweep_omega(ps, iterations).prob_star - oracle) <= 1e-3
+
+    @staticmethod
+    def assert_same_sweep(got, want):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a is b if field.name == "view" else np.array_equal(a, b), field.name
+
+    @pytest.mark.parametrize(
+        "first, then, grid, continued",
+        [
+            (7, 7, 0.005, True),  # equal counts
+            (18, 19, 0.005, True),  # N = 9: formula count, then the paper's
+            (3, 2, 0.005, False),  # a smaller count sweeps afresh
+            (50, 60, 0.005, False),  # past 54 iterations the grid step shrinks
+            (2, 5, 0.05, True),
+        ],
+    )
+    def test_resumed_sweep_equals_fresh_sweep(self, code, first, then, grid, continued):
+        ps = build_path_space(code, "0" * 8 + "01" + "0" * 6)
+        earlier = sweep_omega(ps, first, grid)
+        kept = earlier.amplitudes.copy()
+        with mock.patch.object(qva_module, "_amplify", wraps=qva_module._amplify) as kernel:
+            resumed = sweep_omega(ps, then, grid, resume=earlier)
+        # the grid pass is the first kernel call; the golden section follows
+        assert kernel.call_args_list[0].args[1] == (then - first if continued else then)
+        self.assert_same_sweep(resumed, sweep_omega(ps, then, grid))
+        assert np.array_equal(earlier.amplitudes, kept)
+        assert resumed.iterations == then and resumed.view is ps.classes()
+
+    def test_resumed_neglog_sweep_on_an_hmm_space(self):
+        rng = np.random.default_rng(3)
+        keys = [(i, j, y) for i in range(2) for j in range(2) for y in "ab"]
+        trans = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
+        emit = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
+        ps = build_path_space_hmm(Hmm(2, "ab", trans, emit), list("abbab"))
+        assert len(ps.classes("neglog").values) > 8
+        earlier = sweep_omega(ps, 3, phase_mode="neglog")
+        self.assert_same_sweep(
+            sweep_omega(ps, 6, phase_mode="neglog", resume=earlier),
+            sweep_omega(ps, 6, phase_mode="neglog"),
+        )
+
+    def test_resume_from_another_space_or_phase_mode_raises(self, code, hmm01):
+        word = "0" * 6
+        earlier = sweep_omega(build_path_space(code, word), 2)
+        with pytest.raises(ValueError, match="same path space"):
+            sweep_omega(build_path_space(code, word), 3, resume=earlier)
+        ps = build_path_space_hmm(hmm01, ["00"] * 3)
+        with pytest.raises(ValueError, match="phase mode"):
+            sweep_omega(ps, 3, phase_mode="neglog", resume=sweep_omega(ps, 2))
 
     def test_sweep_memory_is_per_class_not_per_path(self, code):
         # a 628 x L complex grid at N = 16 would take 0.66 GB per array
