@@ -133,11 +133,6 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     """
     if code.num_states**3 > SIZE_LIMIT:
         raise SizeLimitError(f"{code.num_states}^3 step-block entries exceeds the size guard")
-    return _step_blocks(code, received_block, omega, slice(None))
-
-
-def _step_blocks(code: ConvCode, received_block: str, omega: float, controls) -> np.ndarray:
-    """The step blocks of the control states states[controls], shape (controls, S, S)."""
     if len(received_block) != code.n:
         raise ValueError(f"received block must have {code.n} bits")
     _check_bits(received_block)
@@ -147,7 +142,7 @@ def _step_blocks(code: ConvCode, received_block: str, omega: float, controls) ->
     suffix_bits = code.k * (code.m - 1)
     low = (1 << suffix_bits) - 1
     states = np.arange(code.num_states)
-    i, j, c = np.ix_(states[controls], states, states)
+    i, j, c = np.ix_(states, states, states)
     copies = (j & low) == (c & low) ^ (i >> code.k)
     phases = np.exp(1j * omega * errors[i, j >> suffix_bits])
     return np.where(copies, phases * h_k[j >> suffix_bits, c >> suffix_bits], 0.0)
@@ -160,18 +155,6 @@ def step_block(code: ConvCode, received_block: str, omega: float) -> np.ndarray:
     out = np.zeros((q, q, q, q), dtype=complex)
     out[np.arange(q), :, np.arange(q), :] = blocks
     return out.reshape(q * q, q * q)
-
-
-def successor_superposition(code: ConvCode, state: int, received_block: str, omega: float) -> np.ndarray:
-    """Phase-weighted equal superposition over the successors of a state.
-
-    Entry j is exp(i * omega * d) / sqrt(2^k) when the edge state->j exists
-    and its output is d bit flips away from the received block, else 0: the
-    first column of the state's step block.
-    """
-    if not 0 <= state < code.num_states:
-        raise ValueError("state out of range")
-    return _step_blocks(code, received_block, omega, [state])[0, :, 0]
 
 
 def _controlled_1q(n_qubits: int, control: int, cval: int, target: int, gate: np.ndarray) -> np.ndarray:
@@ -242,47 +225,25 @@ def _chain_qubits(code: ConvCode, n_steps: int) -> int:
     return total_bits
 
 
-def _chain(code: ConvCode, received: str, omega: float, initial_state: int | None) -> np.ndarray:
-    """Step operators applied to |initial_state>|0...0>, or to the identity if None.
+def chain_state(code: ConvCode, received: str, omega: float, initial_state: int = 0) -> np.ndarray:
+    """State the chain of step operators produces from |initial_state>|0...0>.
 
+    Register t of the N+1 state registers holds the state after t steps.
     Step t touches only registers t-1 and t, so it is one matmul of the step
     blocks against a (left, Q, Q, rest) view of the state, broadcast over
-    the control register t-1.
+    the control register t-1; the full chain unitary is never formed.
     """
+    if not 0 <= initial_state < code.num_states:
+        raise ValueError("initial state out of range")
     blocks = split_blocks(received, code.n)
     n = len(blocks)
     q_bits = code.state_bits
-    dim = 1 << _chain_qubits(code, n)
-    if initial_state is None:
-        x = np.eye(dim, dtype=complex)
-    else:
-        x = np.zeros(dim, dtype=complex)
-        x[initial_state << (q_bits * n)] = 1.0
+    x = np.zeros(1 << _chain_qubits(code, n), dtype=complex)
+    x[initial_state << (q_bits * n)] = 1.0
     for t, y in enumerate(blocks, start=1):
         v = step_blocks(code, y, omega)
         x = (v @ x.reshape(1 << (q_bits * (t - 1)), len(v), len(v), -1)).reshape(x.shape)
     return x
-
-
-def chain_step_blocks(code: ConvCode, received: str, omega: float) -> np.ndarray:
-    """Staircase of step operators over N+1 state registers as one unitary.
-
-    Register t holds the state after t steps; step t couples registers t-1
-    and t.  Applied to |s0> |0...0> the result is supported exactly on the
-    admissible paths from s0, with amplitude exp(i omega e(path)) / sqrt(L).
-    """
-    if not received:
-        raise ValueError("received word is empty")
-    return _chain(code, received, omega, None)
-
-
-def chain_state(code: ConvCode, received: str, omega: float, initial_state: int = 0) -> np.ndarray:
-    """State the chain produces from start register |initial_state>|0...0>.
-
-    Applies the step operators to the vector directly instead of forming
-    the full chain unitary.
-    """
-    return _chain(code, received, omega, initial_state)
 
 
 def path_reference(

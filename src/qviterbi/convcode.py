@@ -1,4 +1,4 @@
-"""Binary convolutional codes: shift-register encoder, state diagram,
+"""Binary convolutional codes: shift-register encoder, trellis tables,
 binary symmetric channel, and the mapping onto an Hmm over receive blocks.
 
 State convention: the encoder state is the last m message blocks with the
@@ -9,10 +9,9 @@ of message bit i (mask bit t multiplies the block from t steps ago).
 
 ConvCode.step is that definition bit by bit, one edge at a time; the cached
 Trellis tables hold it for every edge at once, computed as array parities,
-and the state diagram is read off them.  Per-block work (encode, path-space
-build, circuits) reads the tables, and counts bit errors as popcounts
-of XORed output blocks; hamming serves only the Hmm side (to_hmm,
-error_count).  encode_rows and transmit_rows work on many words at once, as
+and are the one edge table every other layer reads: encode, the path-space
+build, the circuits and to_hmm all count bit errors as popcounts of XORed
+output blocks.  encode_rows and transmit_rows work on many words at once, as
 integer arrays with a leading row axis; ConvCode.encode and
 BscChannel.transmit are their one-row cases on bit strings.
 """
@@ -24,14 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SIZE_LIMIT, SizeLimitError
 from .hmm import Hmm
-
-
-def hamming(a: str, b: str) -> int:
-    """Hamming distance between equal-length bit strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
 
 
 def split_blocks(bits: str, size: int) -> list[str]:
@@ -56,16 +49,6 @@ def unpack_blocks(values: np.ndarray, width: int) -> np.ndarray:
     return bits.astype(np.uint8).reshape(*values.shape[:-1], -1)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One labeled edge of the state diagram: from --input/output--> to."""
-
-    from_state: int
-    input: int
-    to_state: int
-    output: str
-
-
 class Trellis(NamedTuple):
     """The state diagram as read-only lookup tables, indexed [state, input].
 
@@ -77,12 +60,6 @@ class Trellis(NamedTuple):
 
     next_state: np.ndarray
     output: np.ndarray
-
-
-def error_count(t: Transition, received_block: str) -> int:
-    """Bit errors the channel must have caused if edge t produced received_block."""
-    _check_bits(received_block)
-    return hamming(t.output, received_block)
 
 
 @dataclass(frozen=True)
@@ -167,15 +144,6 @@ class ConvCode:
         nxt = ((u & kmask) << (self.k * (self.m - 1))) | (state >> self.k)
         return nxt, "".join(out)
 
-    def state_diagram(self) -> tuple[Transition, ...]:
-        """All num_states * 2^k labeled edges, ordered by (state, input), read off the tables."""
-        table = self.trellis()
-        edges = zip(table.next_state.ravel().tolist(), table.output.ravel().tolist())
-        return tuple(
-            Transition(e // self.fanout, e % self.fanout, nxt, format(out, f"0{self.n}b"))
-            for e, (nxt, out) in enumerate(edges)
-        )
-
     def trellis(self) -> Trellis:
         """The state diagram as lookup tables, built once per code."""
         return _trellis(self)
@@ -218,31 +186,30 @@ class ConvCode:
         Transition rows put the uniform prior 2^-k on each legal edge so the
         branch weight depends on the received block only through its bit-error
         count, and the emission entry is epsilon^d (1-epsilon)^(n-d) with d the
-        Hamming distance between the edge output and the received block.
+        bit-error count of the edge output against the received block.  Tables
+        over SIZE_LIMIT entries (states x inputs x blocks) are refused.
         """
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie strictly inside (0, 0.5)")
-        emissions = tuple(format(v, f"0{self.n}b") for v in range(1 << self.n))
-        prior = 1.0 / self.fanout
-        trans: dict = {}
-        emit: dict = {}
-        branch_errors: dict = {}
-        edge_inputs: dict = {}
-        for t in self.state_diagram():
-            edge_inputs[(t.from_state, t.to_state)] = t.input
-            for y in emissions:
-                d = hamming(t.output, y)
-                key = (t.from_state, t.to_state, y)
-                trans[key] = prior
-                emit[key] = (epsilon**d) * ((1.0 - epsilon) ** (self.n - d))
-                branch_errors[key] = d
+        n = self.n
+        if (self.num_states * self.fanout) << n > SIZE_LIMIT:
+            raise SizeLimitError(
+                f"{self.num_states} x {self.fanout} x 2^{n} Hmm entries exceeds the size guard"
+            )
+        table = self.trellis()
+        successors = list(enumerate(table.next_state.tolist()))
+        emissions = tuple(format(v, f"0{n}b") for v in range(1 << n))
+        weights = [(epsilon**d) * ((1.0 - epsilon) ** (n - d)) for d in range(n + 1)]
+        # keys and errors in (state, input, block) order, the order Hmm sums rows in
+        keys = [(s, nxt, y) for s, row in successors for nxt in row for y in emissions]
+        errors = np.bitwise_count(table.output[..., None] ^ np.arange(1 << n)).ravel().tolist()
         return Hmm(
             num_states=self.num_states,
             emissions=emissions,
-            trans=trans,
-            emit=emit,
-            branch_errors=branch_errors,
-            edge_inputs=edge_inputs,
+            trans=dict.fromkeys(keys, 1.0 / self.fanout),
+            emit=dict(zip(keys, [weights[d] for d in errors])),
+            branch_errors=dict(zip(keys, errors)),
+            edge_inputs={(s, nxt): u for s, row in successors for u, nxt in enumerate(row)},
             input_bits=self.k,
         )
 
@@ -255,6 +222,10 @@ def _trellis(code: ConvCode) -> Trellis:
     from t steps ago at bit k (m - t) + k - 1 - i, so output bit j is the
     parity of R masked by generator column j's taps placed there.
     """
+    if code.num_states * code.fanout > SIZE_LIMIT:
+        raise SizeLimitError(
+            f"{code.num_states} x {code.fanout} trellis edges exceeds the size guard"
+        )
     k, m = code.k, code.m
     state, u = np.ogrid[: code.num_states, : code.fanout]
     register = (u << (k * m)) | state

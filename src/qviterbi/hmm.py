@@ -129,11 +129,11 @@ class Hmm:
         key = (i, j, y)
         return self.trans.get(key, 0.0) * self.emit.get(key, 0.0)
 
-    def _row_check(self, joint: bool) -> RowCheck:
-        """Scan sum_j P(j|i,y) over every (i, y) row, each term times P(y|i,j) if joint."""
+    def check_row_stochastic(self) -> RowCheck:
+        """Verify sum_j P(j|i,y) = 1 for every (i, y) row of the transition table."""
         sums: dict[tuple[int, str], float] = defaultdict(float)
-        for key, p in self.trans.items():
-            sums[(key[0], key[2])] += p * self.emit.get(key, 0.0) if joint else p
+        for (i, _j, y), p in self.trans.items():
+            sums[(i, y)] += p
         worst, worst_row = 0.0, None
         for i in range(self.num_states):
             for y in self.emissions:
@@ -141,18 +141,6 @@ class Hmm:
                 if residual > worst:
                     worst, worst_row = residual, (i, y)
         return RowCheck(passed=worst <= PROB_TOL, residual=worst, worst_row=worst_row)
-
-    def check_row_stochastic(self) -> RowCheck:
-        """Verify sum_j P(j|i,y) = 1 for every (i, y) row of the transition table."""
-        return self._row_check(joint=False)
-
-    def check_doubly_normalized(self) -> bool:
-        """True when sum_j P(j|i,y)P(y|i,j) = 1 for every (i, y).
-
-        This is the condition that lets path probabilities be loaded directly
-        into amplitudes without any amplification; it rarely holds.
-        """
-        return self._row_check(joint=True).passed
 
     def fanout(self) -> FanoutReport:
         """Successor counts per state, maximized over emissions."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qviterbi.circuits import (
     TwoLevelRotation,
     chain_state,
-    chain_step_blocks,
     controlled_block,
     equal_up_to_global_phase,
     gate_counts,
@@ -18,9 +17,9 @@ from qviterbi.circuits import (
     step_block,
     step_blocks,
     step_circuit_00,
-    successor_superposition,
 )
-from qviterbi.convcode import ConvCode, hamming
+from code_reference import hamming
+from qviterbi.convcode import ConvCode
 from qviterbi.errors import SizeLimitError
 from qviterbi.hmm import Hmm
 
@@ -156,13 +155,13 @@ class TestStepBlock:
             v = step_block(code, y, 0.9)
             for i in range(q):
                 column = v[i * q : (i + 1) * q, i * q]
-                psi = successor_superposition(code, i, y, 0.9)
+                psi = step_blocks(code, y, 0.9)[i, :, 0]
                 assert np.allclose(column, psi, atol=1e-12)
                 assert np.sum(np.abs(column) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_mapping_row_for_state_10(self, code):
         # |10>|00> maps to |10> (e^{i w}|01> + e^{i w}|11>)/sqrt(2)
-        psi = successor_superposition(code, 2, "00", 0.68)
+        psi = step_blocks(code, "00", 0.68)[2, :, 0]
         expected = np.zeros(4, dtype=complex)
         expected[1] = expected[3] = np.exp(1j * 0.68) / math.sqrt(2.0)
         assert np.allclose(psi, expected, atol=1e-12)
@@ -170,7 +169,7 @@ class TestStepBlock:
     def test_phase_multiset_per_block_is_label_invariant(self, code):
         # states 00 and 01 carry phases {0, 2w}; states 10 and 11 carry {w, w}
         for state, expected in [(0, [0, 2]), (1, [0, 2]), (2, [1, 1]), (3, [1, 1])]:
-            psi = successor_superposition(code, state, "00", 0.5)
+            psi = step_blocks(code, "00", 0.5)[state, :, 0]
             found = sorted(
                 round(a / 0.5) for a in np.angle(psi[np.abs(psi) > 1e-12]) % (2 * math.pi)
             )
@@ -188,7 +187,7 @@ class TestStepBlock:
     def test_first_column_agrees_with_canonical_preparation(self, code):
         # magnitudes via the rotation-product constructor, phases multiplied
         # in afterwards, must reproduce the structured block's first column
-        psi = successor_superposition(code, 1, "00", 0.77)
+        psi = step_blocks(code, "00", 0.77)[1, :, 0]
         magnitudes = np.abs(psi)
         u, _ = state_preparation(magnitudes)
         phased = np.exp(1j * np.angle(psi)) * u[:, 0]
@@ -202,12 +201,14 @@ class TestStepBlock:
             with pytest.raises(ValueError):
                 step_block(code, bad, 0.5)
             with pytest.raises(ValueError):
-                successor_superposition(code, 0, bad, 0.5)
+                step_blocks(code, bad, 0.5)
 
     def test_successor_state_validated(self, code):
+        # the one-step chain from a state is its successor superposition; a
+        # negative state must not wrap round to state S - 1
         for state in (-1, code.num_states):
-            with pytest.raises(ValueError):
-                successor_superposition(code, state, "00", 0.5)
+            with pytest.raises(ValueError, match="initial state out of range"):
+                chain_state(code, "00", 0.5, initial_state=state)
 
     def test_wide_code_blocks(self):
         # two message bits per step, single memory block: four-way fan-out
@@ -217,7 +218,7 @@ class TestStepBlock:
         q = wide.num_states
         for i in range(q):
             column = v[i * q : (i + 1) * q, i * q]
-            assert np.allclose(column, successor_superposition(wide, i, "101", 0.44), atol=1e-12)
+            assert np.allclose(column, step_blocks(wide, "101", 0.44)[i, :, 0], atol=1e-12)
 
 
 @st.composite
@@ -248,15 +249,13 @@ def test_step_blocks_feed_every_view_of_the_step(code_and_block, omega):
         for i in range(q):
             expected[i * q : (i + 1) * q, i * q : (i + 1) * q] = blocks[i]
         assert np.array_equal(dense, expected)
-    trellis = code.trellis()
-    diagram = code.state_diagram()
     for i in range(q):
-        psi = successor_superposition(code, i, received, omega)
-        assert np.array_equal(psi, blocks[i, :, 0])
-        edges = diagram[i * code.fanout : (i + 1) * code.fanout]
-        errors = np.array([hamming(t.output, received) for t in edges])
+        psi = blocks[i, :, 0]
+        # the column from the per-edge definition, never from the trellis tables
+        successors, outputs = zip(*(code.step(i, u) for u in range(code.fanout)))
+        errors = np.array([hamming(out, received) for out in outputs])
         built = np.zeros(q, dtype=complex)
-        built[trellis.next_state[i]] = np.exp(1j * omega * errors) / math.sqrt(code.fanout)
+        built[list(successors)] = np.exp(1j * omega * errors) / math.sqrt(code.fanout)
         # (1/sqrt 2)^k and 1/sqrt(2^k) differ by an ulp for k >= 2
         assert np.max(np.abs(psi - built)) <= (0.0 if code.k == 1 else 1e-15)
 
@@ -290,9 +289,11 @@ class TestStepCircuit:
 
 class TestChain:
     def test_single_step_chain_is_the_step_block(self, code):
-        assert np.allclose(
-            chain_step_blocks(code, "00", 0.68), step_block(code, "00", 0.68), atol=1e-15
-        )
+        block = step_block(code, "00", 0.68)
+        for s0 in range(code.num_states):
+            state = chain_state(code, "00", 0.68, initial_state=s0)
+            assert np.allclose(state, block[:, s0 * code.num_states], atol=1e-15)
+            assert np.max(np.abs(state - path_reference(code, "00", 0.68, s0))) <= 1e-12
 
     def test_two_step_chain_supported_on_admissible_paths(self, code):
         received = "0000"
@@ -309,21 +310,19 @@ class TestChain:
 
     def test_nonzero_initial_state(self, code):
         received, omega = "0110", 0.47
-        n = 2
-        unitary = chain_step_blocks(code, received, omega)
         for s0 in (1, 2, 3):
             state = chain_state(code, received, omega, initial_state=s0)
-            column = unitary[:, s0 << (code.state_bits * n)]
-            assert np.max(np.abs(state - column)) <= 1e-12
             reference = path_reference(code, received, omega, initial_state=s0)
             assert np.max(np.abs(state - reference)) <= 1e-12
 
     def test_chain_unitary(self, code):
-        assert is_unitary(chain_step_blocks(code, "0000", 0.9))
+        # the chain sends the start states |s0>|0...0> to orthonormal states, as a unitary does
+        states = np.array([chain_state(code, "0000", 0.9, s0) for s0 in range(code.num_states)])
+        assert np.allclose(states.conj() @ states.T, np.eye(code.num_states), atol=TOL)
+        for s0, state in enumerate(states):
+            assert np.max(np.abs(state - path_reference(code, "0000", 0.9, s0))) <= 1e-12
 
     def test_qubit_guard(self, code):
-        with pytest.raises(SizeLimitError):
-            chain_step_blocks(code, "00" * 6, 0.5)
         with pytest.raises(SizeLimitError):
             chain_state(code, "00" * 6, 0.5)
         with pytest.raises(SizeLimitError):

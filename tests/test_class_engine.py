@@ -28,8 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from code_reference import hamming
 from qviterbi import cli, streams, viterbi
-from qviterbi.convcode import BscChannel, ConvCode, hamming, split_blocks, transmit_rows
+from qviterbi.convcode import BscChannel, ConvCode, split_blocks, transmit_rows
 from qviterbi.qva import (
     PathSpace,
     QvaParams,

@@ -105,6 +105,16 @@ class TestConfigResolution:
         assert main(["verify", "--seed", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_code_without_a_trellis_exits_two(self, capsys):
+        # 2^40 states: the trellis tables are refused before any array is built
+        huge = "1,2,40;1,20000000000000"
+        for argv in (["table", "--n-steps", "3"], ["sweep", "--n-steps", "2"],
+                     ["decode", "--n-steps", "2"]):
+            assert main(argv + ["--code", huge]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "bad config: 1099511627776 x 2 trellis edges exceeds the size guard\n"
+
     @pytest.mark.parametrize(
         "argv, written",
         [
@@ -476,10 +486,30 @@ class TestVerify:
         assert all(len(w) == 9 and set(w) <= {"0", "1"} for w in words)
         assert cli._checked_words(9, [5, 7]) == (words, note) != cli._checked_words(9, [6, 7])
 
-    def test_step_block_stack_over_guard_skips(self):
+    def test_step_block_stack_over_guard_skips(self, capsys, monkeypatch):
         # K = 10: the (512, 512, 512) stack would be 2 GiB; a full verify is too slow here
-        ok, detail = cli._check_block_unitarity(ConvCode.from_spec("1,2,9;1001,1777"), 5, 1e-10)
-        assert ok is None and "512^3 step-block entries" in detail
+        checks = [c for c in cli.VERIFY_CHECKS if c[0] == "step-block-unitarity"]
+        monkeypatch.setattr(cli, "VERIFY_CHECKS", checks)
+        assert main(["verify", "--code", "1,2,9;1001,1777", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[SKIP] step-block-unitarity (tol=1e-10): 512^3 step-block entries")
+        assert out.endswith("0/0 checks passed, 1 skipped\n")
+
+    def test_code_without_a_trellis_skips_its_checks(self, capsys):
+        assert main(["verify", "--code", "1,2,40;1,20000000000000", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "[SKIP] decoder-oracle-equivalence (tol=exact): 1099511627776 x 2 x 2^2 Hmm" in out
+        assert "[SKIP] exponent-multiset-n4 (tol=exact): 1099511627776 x 2 trellis edges" in out
+        assert out.endswith("2/2 checks passed, 6 skipped\n")
+
+    def test_hmm_checks_of_a_wide_output_code_skip(self, capsys):
+        # 2^24 receive blocks: the Hmm would hold 2 x 2 x 2^24 entries
+        assert main(["verify", "--code", "1,24,1;" + ",".join(["3"] * 24), "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        for name in ("decoder-oracle-equivalence", "exponent-multiset-n4"):
+            assert f"[SKIP] {name} (tol=exact): 2 x 2 x 2^24 Hmm entries exceeds" in out
+        assert "[PASS] step-block-unitarity" in out and "[PASS] chain-vs-path" in out
+        assert out.endswith("4/4 checks passed, 4 skipped\n")
 
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])

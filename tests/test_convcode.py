@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qviterbi.convcode import BscChannel, ConvCode, Transition, error_count, hamming
+from code_reference import edges_by_step, reference_to_hmm
+from qviterbi.convcode import BscChannel, ConvCode
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -30,9 +31,20 @@ class TestSpecString:
             ConvCode(k=1, n=2, m=3, generators=((0b101, 0b111),))
 
 
+def code_edges(code):
+    """Every edge (state, input, next_state, output bits) read off the trellis tables."""
+    table = code.trellis()
+    rows = zip(table.next_state.tolist(), table.output.tolist())
+    return [
+        (state, u, nxt, format(out, f"0{code.n}b"))
+        for state, row in enumerate(rows)
+        for u, (nxt, out) in enumerate(zip(*row))
+    ]
+
+
 class TestStateDiagram:
     def test_matches_hand_derived_edges(self, code):
-        edges = {(t.from_state, t.input): (t.to_state, t.output) for t in code.state_diagram()}
+        edges = {(s, u): (nxt, out) for s, u, nxt, out in code_edges(code)}
         assert edges == {
             (0, 0): (0, "00"),
             (0, 1): (2, "11"),
@@ -45,12 +57,11 @@ class TestStateDiagram:
         }
 
     def test_edge_counts(self, code):
-        diagram = code.state_diagram()
-        assert len(diagram) == code.num_states * code.fanout
+        table = code.trellis()
+        assert table.next_state.shape == table.output.shape == (code.num_states, code.fanout)
         for s in range(code.num_states):
-            outgoing = [t for t in diagram if t.from_state == s]
-            assert len(outgoing) == code.fanout
-            assert len({t.input for t in outgoing}) == code.fanout
+            # the inputs leaving a state reach distinct successors
+            assert len(set(table.next_state[s].tolist())) == code.fanout
 
     def test_output_cosets(self, code):
         # outputs leaving a state differ by the input-1 output from the zero
@@ -58,11 +69,10 @@ class TestStateDiagram:
         # fixed receive block therefore total the same for every block
         shift = code.encode("1")[: code.n]
         for s in range(code.num_states):
-            outs = [t.output for t in code.state_diagram() if t.from_state == s]
+            outs = [out for state, _u, _nxt, out in code_edges(code) if state == s]
             assert xor_bits(outs[0], outs[1]) == shift
         for value in range(4):
-            y = format(value, "02b")
-            total = sum(error_count(t, y) for t in code.state_diagram())
+            total = int(np.bitwise_count(code.trellis().output ^ value).sum())
             assert total == 8
 
 
@@ -83,9 +93,6 @@ def test_trellis_tables_match_step(k, n, m, seed):
     table = code.trellis()
     assert table.next_state.tolist() == [[nxt for nxt, _out in row] for row in steps]
     assert table.output.tolist() == [[int(out, 2) for _nxt, out in row] for row in steps]
-    assert code.state_diagram() == tuple(
-        Transition(state, u, *edge) for state, row in enumerate(steps) for u, edge in enumerate(row)
-    )
 
 
 class TestEncode:
@@ -129,22 +136,12 @@ class TestEncode:
 
 
 class TestErrorCount:
-    def test_lattice_arrows(self, code):
-        t00 = Transition(0, 0, 0, "00")
-        t11 = Transition(0, 1, 2, "11")
-        t01 = Transition(2, 0, 1, "01")
-        assert error_count(t00, "00") == 0
-        assert error_count(t11, "00") == 2
-        assert error_count(t01, "00") == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            error_count(Transition(0, 0, 0, "00"), "0")
-
-    def test_hamming_validation(self):
-        assert hamming("0110", "0101") == 2
-        with pytest.raises(ValueError):
-            hamming("01", "011")
+    def test_lattice_arrows(self, code, hmm01):
+        # edges 00->00, 00->10 and 10->01 emit 00, 11 and 01: 0, 2 and 1 errors against 00
+        errors = np.bitwise_count(code.trellis().output ^ 0b00)
+        assert [errors[0, 0], errors[0, 1], errors[2, 0]] == [0, 2, 1]
+        keys = [(0, 0, "00"), (0, 2, "00"), (2, 1, "00")]
+        assert [hmm01.branch_errors[key] for key in keys] == [0, 2, 1]
 
 
 class TestChannel:
@@ -194,7 +191,9 @@ class TestToHmm:
             assert code.to_hmm(eps).check_row_stochastic().passed
 
     def test_not_doubly_normalized_at_typical_epsilon(self, code):
-        assert not code.to_hmm(0.1).check_doubly_normalized()
+        # sum_j P(j|i,y) P(y|i,j) over state 00's row on block 00 is 0.5*0.81 + 0.5*0.01
+        h = code.to_hmm(0.1)
+        assert sum(h.joint_prob(0, j, "00") for j in range(code.num_states)) == pytest.approx(0.41)
 
     def test_epsilon_domain(self, code):
         for bad in (0.0, 0.5, -0.1, 0.9):
@@ -202,6 +201,27 @@ class TestToHmm:
                 code.to_hmm(bad)
 
     def test_edge_metadata(self, code, hmm01):
-        for t in code.state_diagram():
-            assert hmm01.edge_inputs[(t.from_state, t.to_state)] == t.input
+        for state, u, nxt, _out in edges_by_step(code):
+            assert hmm01.edge_inputs[(state, nxt)] == u
         assert hmm01.input_bits == 1
+
+
+@st.composite
+def small_codes(draw):
+    k, n, m = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    masks = draw(st.lists(st.integers(0, (1 << (m + 1)) - 1), min_size=k * n, max_size=k * n))
+    masks[draw(st.integers(0, k * n - 1))] |= 1 << m  # some generator has degree exactly m
+    return ConvCode(k=k, n=n, m=m, generators=tuple(
+        tuple(masks[i * n : (i + 1) * n]) for i in range(k)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.floats(1e-6, 0.5, exclude_max=True))
+def test_to_hmm_matches_step_reference(code, epsilon):
+    """The table-built model equals the edge-by-edge one, entry for entry and in order."""
+    got, want = code.to_hmm(epsilon), reference_to_hmm(code, epsilon)
+    assert got.emissions == want.emissions and got.input_bits == want.input_bits
+    for name in ("trans", "emit", "branch_errors", "edge_inputs"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
+    assert got.check_row_stochastic() == want.check_row_stochastic()

@@ -68,19 +68,6 @@ class TestRowStochastic:
             assert code.to_hmm(eps).check_row_stochastic().passed
 
 
-class TestDoublyNormalized:
-    def test_unit_emissions_pass(self):
-        assert uniform_hmm().check_doubly_normalized()
-
-    def test_code_hmm_fails(self, hmm01):
-        # from state 00 on receive block 00 the joint row sums to
-        # 0.5*0.81 + 0.5*0.01 = 0.41, far from 1
-        assert not hmm01.check_doubly_normalized()
-
-    def test_uniform_two_state_passes(self):
-        assert uniform_hmm(2).check_doubly_normalized()
-
-
 class TestFanout:
     def test_identity_chain(self):
         trans = {(i, (i + 1) % 4, "a"): 1.0 for i in range(4)}

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from code_reference import edges_by_step, hamming
 from qviterbi import viterbi
-from qviterbi.convcode import ConvCode, hamming, split_blocks
+from qviterbi.convcode import ConvCode, split_blocks
 from qviterbi.errors import SIZE_LIMIT, NoPathError, SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import build_path_space_hmm
@@ -117,15 +118,14 @@ class TestOracleEquivalence:
             assert a.ties == b.ties
 
     def test_path_edges_exist_and_metric_consistent(self, code, hmm01, make_instance):
-        edges = {(t.from_state, t.to_state): t for t in code.state_diagram()}
+        outputs = {(state, nxt): out for state, _u, nxt, out in edges_by_step(code)}
         for c in range(50):
             _msg, received, n = make_instance([22, c], n_high=8)
             blocks = blocks_of(received)
             result = viterbi_decode(hmm01, blocks)
             total = 0
             for t in range(n):
-                edge = edges[(result.path[t], result.path[t + 1])]
-                total += hamming(edge.output, blocks[t])
+                total += hamming(outputs[(result.path[t], result.path[t + 1])], blocks[t])
             assert total == result.metric
 
 
