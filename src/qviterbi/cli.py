@@ -284,10 +284,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 # decode
 
 
-def _bit_strings(bits: np.ndarray) -> list[str]:
-    """The rows of a (rows, width) array of 0/1 values as strings of '0' and '1'."""
-    chars = np.ascontiguousarray(bits + ord("0"), dtype=np.uint8)
-    return chars.view(f"S{bits.shape[1]}").ravel().astype(str).tolist()
+def _bit_strings(bits: np.ndarray, block: int = 0) -> list[str]:
+    """The rows of a (rows, width) array of 0/1 values as strings of '0' and '1',
+    with a space between blocks of `block` bits when block > 0: one ASCII
+    decode of a character array with a newline ending each row."""
+    rows, width = bits.shape
+    block = block or width
+    chars = np.full((rows, width // block, block + 1), ord(" "), dtype=np.uint8)
+    chars[:, :, :block] = (bits + ord("0")).reshape(rows, width // block, block)
+    chars[:, -1, block] = ord("\n")
+    return chars.tobytes().decode("ascii").splitlines()
 
 
 def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
@@ -299,12 +305,14 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     streams.uniforms compute those draws for the rows of one seed table per
     stream as arrays, so results are identical however blocks are grouped.
     Messages, encoding and channel run over the whole campaign as arrays,
-    and so does decoding: classical is one
+    and so do the record strings and decoding: classical is one
     trellis_decode call, iterated-qva one qva.adaptive_decode_rows call,
     which amplifies every pending block at once per schedule entry, and
-    probabilistic-qva one qva.sample_modes pass with the error weights of
-    trials.error_weights shared by every block.  Those functions bound
-    their own working sets (viterbi.CHUNK_CELLS).
+    probabilistic-qva one qva.sample_modes pass per row group of
+    qva.path_error_groups, with the error weights of trials.error_weights
+    shared by every block.  Each block's path errors are computed once.
+    Those functions bound their own working sets (viterbi.CHUNK_CELLS,
+    errors.SIZE_LIMIT).
     """
     code = ConvCode.from_spec(cfg.code)
     eps_dec = _decode_epsilon(cfg.epsilon)
@@ -334,11 +342,12 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             "block": block,
             "seed": [cfg.seed, block],
             "flips": n_flips,
-            "received": " ".join(split_blocks(word, code.n)),
+            "received": word,
             "truth": truth,
         }
         for block, n_flips, word, truth in zip(
-            range(cfg.campaigns), flips.tolist(), _bit_strings(received), _bit_strings(messages)
+            range(cfg.campaigns), flips.tolist(), _bit_strings(received, code.n),
+            _bit_strings(messages),
         )
     ]
 
@@ -347,17 +356,21 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         for row, decoded in zip(results, _bit_strings(unpack_blocks(inputs, code.k))):
             row["decoded"] = decoded
     elif cfg.mode == "iterated-qva":
-        attempts = qva.adaptive_decode_rows(code, ys, schedule, tables)
-        lasts = [a[-1] for a in attempts]
-        modes = unpack_blocks(np.array([[last.mode_index] for last in lasts]), message_bits)
-        for row, last, decoded in zip(results, lasts, _bit_strings(modes)):
-            row["decoded"] = decoded if last.accepted else None
-            row["accepted_class"] = last.class_index if last.accepted else None
+        found = qva.adaptive_decode_rows(code, ys, schedule, tables)
+        accepted = found[:, 3] == 1  # (entries, blocks): at most one entry accepts a block
+        classes = np.where(accepted.any(axis=0), accepted.argmax(axis=0), -1)
+        modes = unpack_blocks(found[classes, 0, np.arange(cfg.campaigns)][:, None], message_bits)
+        for row, cls, decoded in zip(results, classes.tolist(), _bit_strings(modes)):
+            row["decoded"], row["accepted_class"] = (decoded, cls) if cls >= 0 else (None, None)
     else:
         weights = trials.error_weights(eps_dec, cfg.n_steps * code.n)
         weights = np.broadcast_to(weights, (cfg.campaigns, len(weights)))
         prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
-        modes, mode_counts, _ = qva.sample_modes(code, ys, weights, stream_table(2), prob_r)
+        seeds = stream_table(2)
+        modes, mode_counts, _ = np.concatenate([
+            qva.sample_modes(errors, weights[rows], seeds[rows], prob_r)
+            for rows, errors in qva.path_error_groups(code, ys)
+        ], axis=1)
         decoded = _bit_strings(unpack_blocks(modes[:, None], message_bits))
         for row, bits, mode, count in zip(results, decoded, modes.tolist(), mode_counts.tolist()):
             row["decoded"], row["mode_index"], row["mode_count"] = bits, mode, count
@@ -461,11 +474,12 @@ def _check_oracle_equivalence(code, seed, _tol) -> tuple[bool, str]:
 def _check_multiset(code, _seed, _tol) -> tuple[bool, str]:
     reference = load_reference()
     received = "0" * (4 * code.n)
-    got = dict(qva.build_path_space(code, received).exponent_multiset())
+    qva.codeword_table(code, 4)  # the path space's size guards, then to_hmm's, before any work
     if reference["code"] == code.to_spec():
         expected = {int(k): v for k, v in reference["exponent_multiset_n4"].items()}
     else:
         expected = dict(path_metric_multiset(code.to_hmm(0.1), split_blocks(received, code.n)))
+    got = dict(qva.build_path_space(code, received).exponent_multiset())
     return got == expected, f"multiset {sorted(got.items())}"
 
 

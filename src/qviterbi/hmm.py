@@ -42,6 +42,20 @@ class RowCheck:
     worst_row: tuple[int, str] | None
 
 
+def _entries_valid(table: Mapping[Key, float], num_states: int, emissions: frozenset) -> bool:
+    """Whether every entry of table passes Hmm's checks, decided in bulk; False also
+    where a check cannot be made, so the key-by-key scan names the first bad entry."""
+    try:
+        states = {i for i, _, _ in table} | {j for _, j, _ in table}
+        return (
+            all(0 <= s < num_states for s in states)
+            and {y for _, _, y in table} <= emissions
+            and all(0.0 <= p <= 1.0 for p in table.values())
+        )
+    except (TypeError, ValueError):
+        return False
+
+
 class Hmm:
     """Finite HMM over integer states and a finite emission alphabet.
 
@@ -82,7 +96,9 @@ class Hmm:
         self.trans = dict(trans)
         self.emit = dict(emit)
         for name, table in (("trans", self.trans), ("emit", self.emit)):
-            for (i, j, y), p in table.items():
+            if _entries_valid(table, self.num_states, self._emission_set):
+                continue
+            for (i, j, y), p in table.items():  # the first bad entry names the error
                 self._check_key(i, j, y, where=name)
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"{name}[{(i, j, y)}] = {p} outside [0, 1]")
@@ -105,11 +121,6 @@ class Hmm:
         self.edge_inputs = dict(edge_inputs) if edge_inputs is not None else None
         self.input_bits = input_bits
 
-        succ: dict[tuple[int, str], list[tuple[int, float]]] = defaultdict(list)
-        for (i, j, y), p in self.trans.items():
-            if p > 0.0:
-                succ[(i, y)].append((j, p))
-        self._succ = {key: tuple(sorted(v)) for key, v in succ.items()}
         # per-symbol successor and cost arrays, built on first use by viterbi
         self._branch_arrays: dict = {}
 
@@ -122,6 +133,14 @@ class Hmm:
     def successors(self, i: int, y: str) -> tuple[tuple[int, float], ...]:
         """Transitions (j, P(j|i,y)) with positive probability, ordered by j."""
         return self._succ.get((i, y), ())
+
+    @cached_property
+    def _succ(self) -> dict[tuple[int, str], tuple[tuple[int, float], ...]]:
+        succ: dict[tuple[int, str], list[tuple[int, float]]] = defaultdict(list)
+        for (i, j, y), p in self.trans.items():
+            if p > 0.0:
+                succ[(i, y)].append((j, p))
+        return {key: tuple(sorted(v)) for key, v in succ.items()}
 
     def joint_prob(self, i: int, j: int, y: str) -> float:
         """Joint branch weight P(j|i,y) * P(y|i,j); absent entries read as 0."""

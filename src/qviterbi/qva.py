@@ -27,12 +27,14 @@ to its codeword.  The codes are linear over GF(2), so codeword_table builds
 the packed codewords of all F^N messages by XOR doubling over the message
 bits, and path_error_rows takes the counts of many received words at once
 as popcounts of their XOR against that table, one (rows, L) matrix.
-Decode campaigns add this leading block axis: adaptive_decode_rows
-amplifies every pending row at once on the class axis e = 0..N*n with
-per-row class counts, and sample_modes, the one measurement pass of both
-QVA decode modes, draws the shot uniforms of many rows at once
-(streams.uniforms) and samples every row of a chunk of viterbi.CHUNK_CELLS
-path cells from one CDF matrix (sample_rows).  build_path_space,
+Decode campaigns add this leading block axis: path_error_groups keeps each
+received word's path errors, computed once, in row groups of at most
+SIZE_LIMIT cells; adaptive_decode_rows amplifies every pending row at once
+on the class axis e = 0..N*n with per-row class counts, and sample_modes,
+the one measurement pass of both QVA decode modes, reads those errors,
+draws the shot uniforms of many rows at once (streams.uniforms) and
+samples every row of a chunk of viterbi.CHUNK_CELLS path cells from one
+CDF matrix with one flat lookup (sample_rows).  build_path_space,
 adaptive_decode and measure are their one-row cases.
 """
 from __future__ import annotations
@@ -564,26 +566,39 @@ def sweep_omega(
 
 
 def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Histograms of draws from each row of unnormalised probabilities p (rows, L).
+    """Histograms of draws from each row of unnormalised float64 probabilities p (rows, L).
 
     Row r draws one path per uniform of u[r], u of shape (rows, size) with
-    entries in [0, 1), exactly as Generator.choice(L, size, p=p[r] / p[r].sum())
-    does from a generator whose random(size) is u[r], minus its validation:
-    one CDF matrix serves every row, and each row's uniforms are looked up
-    in its own CDF.  Returns the (rows, L) draw counts; the first maximum of
-    a row, its argmax, is the mode_of tie rule.
+    entries on the 2^-53 grid of [0, 1) that Generator.random returns,
+    exactly as Generator.choice(L, size, p=p[r] / p[r].sum()) does from a
+    generator whose random(size) is u[r], minus its validation.  p is
+    normalised into its CDF in place.  A draw is the number of CDF entries
+    <= u; on that grid cdf <= u exactly when ceil(cdf * 2^53) <= u * 2^53,
+    so the CDF and the uniforms become integer ticks, and rows offset by
+    2^54 apart share one flat lookup, 511 rows at a time, and one bincount.
+    Returns the (rows, L) draw counts; the first maximum of a row, its
+    argmax, is the mode_of tie rule.
     """
     if u.shape[1] < 1:
         raise ValueError("need at least one draw")
     total = p.sum(axis=-1, keepdims=True)
     if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise ValueError("probabilities must have a positive finite sum")
-    cdf = np.cumsum(p / total, axis=-1)
-    cdf /= cdf[:, -1:]
-    counts = np.empty(p.shape, dtype=np.int64)
-    for row, cdf_row, u_row in zip(counts, cdf, u):
-        row[:] = np.bincount(cdf_row.searchsorted(u_row, side="right"), minlength=len(cdf_row))
-    return counts
+    cdf = np.cumsum(np.divide(p, total, out=p), axis=-1, out=p)
+    # (cdf / last) * 2^53 as one division by last * 2^-53: power-of-two scaling
+    # is exact, so the ticks below are the same
+    cdf /= cdf[:, -1:] * 2.0**-53
+    per_lookup = 511  # offsets r * 2^54 with r < 511 keep every tick below 2^63
+    offsets = (np.arange(len(p)) % per_lookup << 54)[:, None]
+    ticks = np.ceil(cdf, out=cdf.view(np.int64), casting="unsafe")  # p's buffer again
+    ticks += offsets
+    # row-sorted uniforms make the keys ascending, so each binary search
+    # starts where the one before it ended
+    draws = (np.sort(u, axis=1) * 2.0**53).astype(np.int64)
+    draws += offsets
+    found = [ticks[rows].ravel().searchsorted(draws[rows].ravel(), side="right")
+             + rows.start * p.shape[1] for rows in _row_slices(len(p), per_lookup, 1)]
+    return np.bincount(np.concatenate(found), minlength=p.size).reshape(p.shape)
 
 
 def measure(v: np.ndarray, seed, shots: int) -> Counter:
@@ -591,52 +606,62 @@ def measure(v: np.ndarray, seed, shots: int) -> Counter:
 
     The one-row case of sample_rows, with the uniforms of np.random.default_rng(seed).
     """
-    p = np.abs(np.asarray(v)) ** 2
+    p = np.asarray(np.abs(v), dtype=float) ** 2
     counts = sample_rows(p[None], np.random.default_rng(seed).random(shots)[None])[0]
     drawn = np.flatnonzero(counts)
     return Counter(dict(zip(drawn.tolist(), counts[drawn].tolist())))
 
 
-def _error_chunks(code: ConvCode, ys: np.ndarray, initial_state: int, table: np.ndarray):
-    """(row slice, path_error_rows) pairs over ys, at most CHUNK_CELLS path cells a pair."""
-    step = max(1, viterbi.CHUNK_CELLS // table.shape[1])
-    for start in range(0, len(ys), step):
-        part = slice(start, start + step)
-        yield part, path_error_rows(code, ys[part], initial_state, table)
+def _row_slices(rows: int, cells: int, width: int) -> list[slice]:
+    """Consecutive slices over rows of `width` cells, at most `cells` cells (and one row) each."""
+    step = max(1, cells // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def path_error_groups(code: ConvCode, ys: np.ndarray, initial_state: int = 0):
+    """(row slice, path_error_rows) pairs over ys, at most SIZE_LIMIT path cells a pair.
+
+    Each group's errors are computed CHUNK_CELLS path cells at a time and
+    kept in the narrowest unsigned dtype that holds N*n: uint8 below 256,
+    otherwise uint16 (N*n <= 24 * 63 under the size guard).
+    """
+    table = codeword_table(code, ys.shape[1])
+    dtype = np.uint8 if ys.shape[1] * code.n < 256 else np.uint16
+    for group in _row_slices(len(ys), SIZE_LIMIT, table.shape[1]):
+        group_ys = ys[group]
+        errors = np.empty((len(group_ys), table.shape[1]), dtype=dtype)
+        for part in _row_slices(len(group_ys), viterbi.CHUNK_CELLS, table.shape[1]):
+            errors[part] = path_error_rows(code, group_ys[part], initial_state, table)
+        yield group, errors
 
 
 def sample_modes(
-    code: ConvCode, ys: np.ndarray, value_probs: np.ndarray, seeds: np.ndarray, size: int,
-    initial_state: int = 0, table: np.ndarray | None = None,
+    errors: np.ndarray, value_probs: np.ndarray, seeds: np.ndarray, size: int
 ) -> np.ndarray:
-    """Mode of `size` draws for every received word of ys, shape (rows, N) as in path_error_rows.
+    """Mode of `size` draws for every row of path errors (rows, F^N), as path_error_groups gives.
 
     Row r draws path i with probability proportional to value_probs[r, e_i],
-    e_i the path's error count (value_probs may be a broadcast view of one
+    e_i = errors[r, i] (value_probs may be a broadcast view of one
     (N*n + 1)-vector), from the stream of row r of the seed table `seeds`
     (streams.uniforms).  The uniforms are drawn for groups of rows of at
-    most SHOT_CELLS draws.  Returns the (3, rows) int64 array of each row's
-    mode (its first maximum, the mode_of tie rule), the mode's count and
-    its error count.  Callers measuring one frame length many times pass
-    its codeword_table in.
+    most SHOT_CELLS draws, and sampled CHUNK_CELLS path cells at a time.
+    Returns the (3, rows) int64 array of each row's mode (its first
+    maximum, the mode_of tie rule), the mode's count and its error count.
     """
     if size < 1:
         raise ValueError("need at least one draw")
-    if table is None:
-        table = codeword_table(code, ys.shape[1])
-    out = np.empty((3, len(ys)), dtype=np.int64)
-    group = max(1, SHOT_CELLS // size)
-    for start in range(0, len(ys), group):
-        rows = slice(start, start + group)
+    out = np.empty((3, len(errors)), dtype=np.int64)
+    for rows in _row_slices(len(errors), SHOT_CELLS, size):
         u = streams.uniforms(seeds[rows], size)
-        for part, errors in _error_chunks(code, ys[rows], initial_state, table):
-            # value_probs[r, errors[r, i]] as one flat gather (take_along_axis is ~4x slower)
-            keys = errors + value_probs.shape[1] * np.arange(len(errors))[:, None]
-            p = value_probs[rows][part].ravel()[keys]
-            hist = sample_rows(p, u[part])
+        for part in _row_slices(len(u), viterbi.CHUNK_CELLS, errors.shape[1]):
+            chunk = errors[rows][part]
+            # value_probs[r, errors[r, i]] as one flat gather (take_along_axis is ~4x
+            # slower); the keys are freed before sample_rows allocates its counts
+            offsets = value_probs.shape[1] * np.arange(len(chunk))[:, None]
+            hist = sample_rows(value_probs[rows][part].ravel()[chunk + offsets], u[part])
             modes = hist.argmax(axis=1)
-            out[:, rows][:, part] = (modes, hist.max(axis=1),
-                                     np.take_along_axis(errors, modes[:, None], 1)[:, 0])
+            at = (np.arange(len(modes)), modes)
+            out[:, rows][:, part] = (modes, hist[at], chunk[at])
     return out
 
 
@@ -710,7 +735,9 @@ def adaptive_decode(
     ys = _received_blocks(code, received)
     # class c measures with default_rng([*seed, c]): c takes the block column
     tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
-    attempts = adaptive_decode_rows(code, ys, schedule, tables, initial_state)[0]
+    found = adaptive_decode_rows(code, ys, schedule, tables, initial_state)[:, :, 0].tolist()
+    attempts = tuple(ClassAttempt(cls, entry.max_errors, *row[:3], bool(row[3]))
+                     for cls, (entry, row) in enumerate(zip(schedule, found)) if row[0] >= 0)
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
@@ -730,43 +757,41 @@ def adaptive_decode_rows(
     schedule: Sequence[ScheduleEntry],
     tables: Sequence[np.ndarray],
     initial_state: int = 0,
-) -> list[tuple[ClassAttempt, ...]]:
+) -> np.ndarray:
     """adaptive_decode on every received word of ys, shape (rows, N) as in path_error_rows.
 
-    Each row's class counts live on the value axis e = 0..N*n for the whole
-    run, so one schedule entry is one amplification for every row still
-    pending, and one sample_modes pass, against the codeword table built
-    once per call, measures them.  Row r measures class c with row r of the
-    seed table tables[c].  Returns each row's attempts; the last one is
-    accepted unless the schedule was exhausted.
+    Each row's path errors and class counts (on the value axis e = 0..N*n)
+    are computed once, in the row groups of path_error_groups; a schedule
+    entry is then one amplification and one sample_modes pass for the
+    group's pending rows.  Row r measures class c with row r of the seed
+    table tables[c].  Returns the (entries, 4, rows) int64 array of each
+    entry's mode, mode count, error count (the re-encoding distance) and
+    acceptance (1 within max_errors) per row, -1 where an earlier entry
+    had accepted the row.
     """
     for entry in schedule:
         QvaParams(omega=entry.omega, iterations=entry.iterations)  # validates the entry
-    rows, n_steps = ys.shape
-    table = codeword_table(code, n_steps)
-    n_values = n_steps * code.n + 1
-    counts = np.concatenate([
-        np.bincount((errors + n_values * np.arange(len(errors))[:, None]).ravel(),
-                    minlength=len(errors) * n_values).reshape(-1, n_values)
-        for _, errors in _error_chunks(code, ys, initial_state, table)
-    ])
+    n_values = ys.shape[1] * code.n + 1
     values = np.arange(n_values)
-    attempts: list[list[ClassAttempt]] = [[] for _ in range(rows)]
-    pending = np.arange(rows)
-    for cls, entry in enumerate(schedule):
-        if not len(pending):
-            break
-        g = np.exp(1j * entry.omega * values)
-        probs = np.abs(_amplify(g, entry.iterations, counts[pending])) ** 2
-        found = sample_modes(
-            code, ys[pending], probs, tables[cls][pending], entry.trials, initial_state, table
-        )
-        accepted = found[2] <= entry.max_errors  # a mode's distance is its error count
-        for r, mode, count, distance, ok in zip(pending.tolist(), *found.tolist(),
-                                                accepted.tolist()):
-            attempts[r].append(ClassAttempt(cls, entry.max_errors, mode, count, distance, ok))
-        pending = pending[~accepted]
-    return [tuple(a) for a in attempts]
+    found = np.full((len(schedule), 4, len(ys)), -1, dtype=np.int64)
+    for group, errors in path_error_groups(code, ys, initial_state):
+        counts = np.concatenate([
+            np.bincount((chunk + n_values * np.arange(len(chunk))[:, None]).ravel(),
+                        minlength=len(chunk) * n_values).reshape(-1, n_values)
+            for chunk in (errors[part] for part in
+                          _row_slices(len(errors), viterbi.CHUNK_CELLS, errors.shape[1]))
+        ])
+        pending = np.arange(len(errors))  # errors and counts keep the pending rows only
+        for cls, entry in enumerate(schedule):
+            if not len(pending):
+                break
+            g = np.exp(1j * entry.omega * values)
+            probs = np.abs(_amplify(g, entry.iterations, counts)) ** 2
+            measured = sample_modes(errors, probs, tables[cls][group][pending], entry.trials)
+            accepted = measured[2] <= entry.max_errors
+            found[cls][:, group.start + pending] = np.vstack([measured, accepted])
+            pending, errors, counts = pending[~accepted], errors[~accepted], counts[~accepted]
+    return found
 
 
 def formula_iterations(code: ConvCode, n_steps: int) -> int:

@@ -18,6 +18,7 @@ brute_force_decode, per-row class counts in the kernel against
 one-dimensional runs, and whole campaigns against the per-block loop they
 replaced, which is kept below as the reference.
 """
+import contextlib
 import dataclasses
 import math
 from collections import Counter
@@ -29,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from code_reference import hamming
-from qviterbi import cli, streams, viterbi
+from qviterbi import cli, qva, streams, viterbi
 from qviterbi.convcode import BscChannel, ConvCode, split_blocks, transmit_rows
 from qviterbi.qva import (
     PathSpace,
@@ -259,6 +260,30 @@ def test_sample_rows_renormalise_the_cdf():
     assert sample_rows(p, np.array([[end]])).tolist() == [[0] * 9 + [1]]
 
 
+masses = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(1e-12, 1e3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.lists(st.lists(masses, min_size=40, max_size=40), min_size=1, max_size=6),
+    st.integers(512, 1100),
+    st.integers(0, 2**32),
+    st.integers(1, 300),
+)
+@example(2, [[1.0] * 40], 512, 0, 2)  # a tied pair in every row
+def test_sample_rows_match_generator_choice_row_by_row(length, templates, rows, seed, size):
+    # 512 rows or more: the flat lookup runs 511 rows at a time
+    p = np.array([row[:length] for row in templates])
+    p[p.sum(axis=1) == 0.0, 0] = 1.0  # every row needs a positive total
+    p = p[np.random.default_rng(seed).integers(len(p), size=rows)]
+    u = np.array([np.random.default_rng([seed, r]).random(size) for r in range(rows)])
+    counts = sample_rows(p.copy(), u)
+    for r, row in enumerate(p):
+        draws = np.random.default_rng([seed, r]).choice(length, size, p=row / row.sum())
+        assert np.array_equal(counts[r], np.bincount(draws, minlength=length)), r
+
+
 @pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
 def test_sample_rejects_vectors_without_a_finite_positive_total(v):
     with pytest.raises(ValueError):
@@ -424,6 +449,26 @@ def test_path_error_rows_across_words(spec, n_steps, s0, sampled):
         last = code.fanout**n_steps - 1
         indices = [0, last, *rng.integers(0, last, 400).tolist()]
     assert_errors_match_reencoding(code, s0, words, indices)
+
+
+@pytest.mark.parametrize(
+    "spec, n_steps, dtype",
+    [
+        ("1,2,2;5,7", 8, np.uint8),
+        ("1,40,1;" + ",".join(["3"] * 40), 7, np.uint16),  # N n = 280 > 255
+    ],
+)
+def test_path_error_groups_hold_every_count(spec, n_steps, dtype):
+    code = ConvCode.from_spec(spec)
+    rng = np.random.default_rng(n_steps)
+    ys = rng.integers(0, 1 << code.n, (9, n_steps))
+    ys[0] = (1 << code.n) - 1  # the all-ones word: counts up to N n
+    with row_groups_of(2, code.fanout**n_steps):
+        groups = list(qva.path_error_groups(code, ys, 1))
+    assert [g.start for g, _ in groups] == [0, 2, 4, 6, 8]
+    assert all(errors.dtype == dtype for _, errors in groups)
+    got = np.concatenate([errors for _, errors in groups])
+    assert np.array_equal(got, path_error_rows(code, ys, 1))
 
 
 @PROPERTY_SETTINGS
@@ -598,6 +643,23 @@ def campaign_config(spec, mode, n_steps, campaigns, seed, epsilon=0.05, max_erro
     )
 
 
+def row_groups_of(rows, paths):
+    """Bound qva.path_error_groups at `rows` rows of `paths` paths a group (None: as is).
+
+    The bound is SIZE_LIMIT path cells, so SIZE_LIMIT is patched only while
+    the groups are formed: the schedule's sweeps read it too.
+    """
+    if rows is None:
+        return contextlib.nullcontext()
+    groups = qva.path_error_groups
+
+    def bounded(*args):
+        with mock.patch.object(qva, "SIZE_LIMIT", rows * paths):
+            yield from groups(*args)
+
+    return mock.patch.object(qva, "path_error_groups", bounded)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     codes(),
@@ -607,15 +669,42 @@ def campaign_config(spec, mode, n_steps, campaigns, seed, epsilon=0.05, max_erro
     st.integers(0, 2**16),
     st.sampled_from([0.0, 0.05, 0.2]),
     st.sampled_from([1, 8, 1 << 14]),
+    st.sampled_from([None, 1, 3]),
 )
+@example(ConvCode.from_spec("1,2,2;5,7"), "iterated-qva", 4, 20, 3, 0.2, 1 << 14, 3)
 def test_campaign_rows_match_per_block_loop(
-    code, mode, n_steps, campaigns, seed, epsilon, chunk_paths
+    code, mode, n_steps, campaigns, seed, epsilon, chunk_paths, group_rows
 ):
     n_steps = min(n_steps, MAX_STEPS_K1 // code.k)
     cfg = campaign_config(code.to_spec(), mode, n_steps, campaigns, seed, epsilon,
                           max_errors=min(2, n_steps * code.n))
-    with mock.patch.object(viterbi, "CHUNK_CELLS", chunk_paths):
-        assert cli.run_decode_campaign(cfg) == per_block_campaign(cfg)
+    with mock.patch.object(viterbi, "CHUNK_CELLS", chunk_paths), \
+            row_groups_of(group_rows, code.fanout**n_steps):
+        rows = cli.run_decode_campaign(cfg)
+    assert rows == per_block_campaign(cfg)
+
+
+@pytest.mark.parametrize("chunk_cells", [8, 1 << 14])
+@pytest.mark.parametrize("group_rows", [None, 7])
+def test_adaptive_decode_rows_count_each_block_once(chunk_cells, group_rows):
+    code, n_steps, blocks = ConvCode.from_spec("1,2,2;5,7"), 6, 40
+    ys = np.random.default_rng(5).integers(0, 1 << code.n, (blocks, n_steps))
+    schedule = default_schedule(code, n_steps, 0.1)
+    tables = [streams.seed_table([5], np.arange(blocks), [2, c]) for c in range(len(schedule))]
+    expected = qva.adaptive_decode_rows(code, ys, schedule, tables)
+    rows = []
+
+    def counted(code, ys, *args):
+        rows.append(len(ys))
+        return path_error_rows(code, ys, *args)
+
+    with mock.patch.object(qva, "path_error_rows", counted), \
+            mock.patch.object(viterbi, "CHUNK_CELLS", chunk_cells), \
+            row_groups_of(group_rows, code.fanout**n_steps):
+        found = qva.adaptive_decode_rows(code, ys, schedule, tables)
+    assert sum(rows) == blocks
+    assert np.array_equal(found, expected)
+    assert (found[-1, 0] >= 0).any()  # blocks went through every entry of the schedule
 
 
 @pytest.mark.parametrize("mode", cli.DECODE_MODES)

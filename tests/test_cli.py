@@ -14,6 +14,7 @@ from qviterbi.cli import (
     run_decode_campaign,
 )
 from qviterbi.convcode import ConvCode
+from qviterbi.errors import SizeLimitError
 
 
 def parse(argv):
@@ -510,6 +511,14 @@ class TestVerify:
             assert f"[SKIP] {name} (tol=exact): 2 x 2 x 2^24 Hmm entries exceeds" in out
         assert "[PASS] step-block-unitarity" in out and "[PASS] chain-vs-path" in out
         assert out.endswith("4/4 checks passed, 4 skipped\n")
+
+    def test_multiset_check_skips_before_building_the_path_space(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(qva_module, "build_path_space", lambda *args: built.append(args))
+        code = ConvCode.from_spec("1,24,1;" + ",".join(["3"] * 24))
+        with pytest.raises(SizeLimitError, match=r"2 x 2 x 2\^24 Hmm entries"):
+            cli._check_multiset(code, 5, 0.0)
+        assert built == []
 
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])

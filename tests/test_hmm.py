@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,27 @@ class TestConstruction:
             Hmm(1, ("a",), {(0, 1, "a"): 1.0}, {})
         with pytest.raises(ValueError):
             Hmm(1, ("a",), {(0, 0, "b"): 1.0}, {})
+
+    @pytest.mark.parametrize(
+        "trans, emit, message",
+        [
+            ({(0, 0, "a"): 1.0, (0, 2, "a"): 1.0, (0, 0, "b"): 1.0}, {},
+             "trans key (0, 2, 'a') has out-of-range state"),
+            ({(0, 0, "c"): 1.0, (0, 2, "a"): 1.0}, {}, "trans key (0, 0, 'c') has unknown emission"),
+            ({(0, 0, "a"): float("nan"), (5, 0, "a"): 1.0}, {}, "trans[(0, 0, 'a')] = nan outside"),
+            ({(5, 0, "a"): 1.0, (0, 0): 1.0}, {}, "trans key (5, 0, 'a') has out-of-range state"),
+            ({(0, 1, "a"): 1.0}, {(0, 1, "a"): 1.0, (1, 0, "c"): 0.5},
+             "emit key (1, 0, 'c') has unknown emission"),
+        ],
+    )
+    def test_first_bad_entry_names_the_error(self, trans, emit, message):
+        # the bulk check finds that an entry is bad; the key-by-key scan names the first
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hmm(2, ("a", "b"), trans, emit)
+
+    def test_keys_that_compare_in_range_pass(self):
+        h = Hmm(2, ("a",), {(np.int64(0), 1.0, "a"): 1.0}, {(True, 0, "a"): 0.5})
+        assert h.successors(0, "a") == ((1.0, 1.0),)
 
 
 class TestJson:
