@@ -177,15 +177,6 @@ def _controlled_1q(n_qubits: int, control: int, cval: int, target: int, gate: np
     return m
 
 
-def _controlled_phase(n_qubits: int, control: int, cval: int, phase: complex) -> np.ndarray:
-    dim = 1 << n_qubits
-    cpos = n_qubits - 1 - control
-    diag = np.array(
-        [phase if (b >> cpos) & 1 == cval else 1.0 for b in range(dim)], dtype=complex
-    )
-    return np.diag(diag)
-
-
 def _rz(phi: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
 
@@ -206,7 +197,7 @@ def step_circuit_00(omega: float) -> np.ndarray:
         _controlled_1q(4, 1, 1, 2, _X),
         _controlled_1q(4, 0, 0, 2, _rz(2.0 * omega)),
         _controlled_1q(4, 1, 1, 2, _X),
-        _controlled_phase(4, 0, 1, np.exp(1j * omega)),
+        _controlled_1q(4, 0, 1, 3, np.exp(1j * omega) * np.eye(2)),
         _controlled_1q(4, 0, 1, 3, _X),
     ]
     u = np.eye(16, dtype=complex)

@@ -22,7 +22,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
 from importlib import resources
 
 import numpy as np
@@ -80,22 +80,10 @@ class ConfigError(Exception):
     """Configuration that cannot be run; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    code: str
-    n_steps: int
-    epsilon: float
-    mode: str
-    omega: float | None
-    iterations: int | None
-    trials: int | None
-    seed: int
-    grid: float
-    out: str | None
-    campaigns: int
-    n_range: tuple[int, int]
-    max_errors: int
+# A resolved run: the command, then every FIELDS entry in order
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig", ["command", *FIELDS], namespace={"__module__": __name__}, frozen=True
+)
 
 
 def load_reference() -> dict:

@@ -42,20 +42,6 @@ class RowCheck:
     worst_row: tuple[int, str] | None
 
 
-def _entries_valid(table: Mapping[Key, float], num_states: int, emissions: frozenset) -> bool:
-    """Whether every entry of table passes Hmm's checks, decided in bulk; False also
-    where a check cannot be made, so the key-by-key scan names the first bad entry."""
-    try:
-        states = {i for i, _, _ in table} | {j for _, j, _ in table}
-        return (
-            all(0 <= s < num_states for s in states)
-            and {y for _, _, y in table} <= emissions
-            and all(0.0 <= p <= 1.0 for p in table.values())
-        )
-    except (TypeError, ValueError):
-        return False
-
-
 class Hmm:
     """Finite HMM over integer states and a finite emission alphabet.
 
@@ -95,12 +81,11 @@ class Hmm:
 
         self.trans = dict(trans)
         self.emit = dict(emit)
+        n, emissions = self.num_states, self._emission_set
         for name, table in (("trans", self.trans), ("emit", self.emit)):
-            if _entries_valid(table, self.num_states, self._emission_set):
-                continue
-            for (i, j, y), p in table.items():  # the first bad entry names the error
-                self._check_key(i, j, y, where=name)
-                if not 0.0 <= p <= 1.0:
+            for (i, j, y), p in table.items():
+                if not (0 <= i < n and 0 <= j < n and y in emissions and 0.0 <= p <= 1.0):
+                    self._check_key(i, j, y, where=name)  # the first bad entry names the error
                     raise ValueError(f"{name}[{(i, j, y)}] = {p} outside [0, 1]")
 
         if initial is None:

@@ -34,7 +34,8 @@ on the class axis e = 0..N*n with per-row class counts, and sample_modes,
 the one measurement pass of both QVA decode modes, reads those errors,
 draws the shot uniforms of many rows at once (streams.uniforms) and
 samples every row of a chunk of viterbi.CHUNK_CELLS path cells from one
-CDF matrix with one flat lookup (sample_rows).  build_path_space,
+CDF matrix, each row searched in its own CDF as Generator.choice searches
+(sample_rows).  build_path_space,
 adaptive_decode and measure are their one-row cases.
 """
 from __future__ import annotations
@@ -569,15 +570,11 @@ def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Histograms of draws from each row of unnormalised float64 probabilities p (rows, L).
 
     Row r draws one path per uniform of u[r], u of shape (rows, size) with
-    entries on the 2^-53 grid of [0, 1) that Generator.random returns,
-    exactly as Generator.choice(L, size, p=p[r] / p[r].sum()) does from a
-    generator whose random(size) is u[r], minus its validation.  p is
-    normalised into its CDF in place.  A draw is the number of CDF entries
-    <= u; on that grid cdf <= u exactly when ceil(cdf * 2^53) <= u * 2^53,
-    so the CDF and the uniforms become integer ticks, and rows offset by
-    2^54 apart share one flat lookup, 511 rows at a time, and one bincount.
-    Returns the (rows, L) draw counts; the first maximum of a row, its
-    argmax, is the mode_of tie rule.
+    entries in [0, 1), exactly as Generator.choice(L, size, p=p[r] / p[r].sum())
+    does from a generator whose random(size) is u[r], minus its validation:
+    p is normalised into its CDF in place, and each row's uniforms are looked
+    up in its own CDF row.  Returns the (rows, L) draw counts; the first
+    maximum of a row, its argmax, is the mode_of tie rule.
     """
     if u.shape[1] < 1:
         raise ValueError("need at least one draw")
@@ -585,20 +582,11 @@ def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise ValueError("probabilities must have a positive finite sum")
     cdf = np.cumsum(np.divide(p, total, out=p), axis=-1, out=p)
-    # (cdf / last) * 2^53 as one division by last * 2^-53: power-of-two scaling
-    # is exact, so the ticks below are the same
-    cdf /= cdf[:, -1:] * 2.0**-53
-    per_lookup = 511  # offsets r * 2^54 with r < 511 keep every tick below 2^63
-    offsets = (np.arange(len(p)) % per_lookup << 54)[:, None]
-    ticks = np.ceil(cdf, out=cdf.view(np.int64), casting="unsafe")  # p's buffer again
-    ticks += offsets
-    # row-sorted uniforms make the keys ascending, so each binary search
-    # starts where the one before it ended
-    draws = (np.sort(u, axis=1) * 2.0**53).astype(np.int64)
-    draws += offsets
-    found = [ticks[rows].ravel().searchsorted(draws[rows].ravel(), side="right")
-             + rows.start * p.shape[1] for rows in _row_slices(len(p), per_lookup, 1)]
-    return np.bincount(np.concatenate(found), minlength=p.size).reshape(p.shape)
+    cdf /= cdf[:, -1:]
+    counts = np.empty(p.shape, dtype=np.int64)
+    for row, cdf_row, u_row in zip(counts, cdf, u):
+        row[:] = np.bincount(cdf_row.searchsorted(u_row, side="right"), minlength=len(cdf_row))
+    return counts
 
 
 def measure(v: np.ndarray, seed, shots: int) -> Counter:

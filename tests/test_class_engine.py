@@ -284,6 +284,31 @@ def test_sample_rows_match_generator_choice_row_by_row(length, templates, rows, 
         assert np.array_equal(counts[r], np.bincount(draws, minlength=length)), r
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.lists(st.lists(masses, min_size=12, max_size=12), min_size=1, max_size=6),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.integers(0, 11), min_size=1, max_size=40),
+)
+@example(3, [[1.0] * 12], [0, 0.1, 1, 1 - 2.0**-53])  # CDF 1/3, 2/3, 1: counts [1, 1, 2]
+def test_sample_rows_match_searchsorted_on_any_uniforms(length, templates, picks):
+    # floats off Generator.random's 2^-53 grid too; an integer pick is one of
+    # the row's CDF entries below 1, a uniform that side="right" puts above it
+    p = np.array([row[:length] for row in templates])
+    p[p.sum(axis=1) == 0.0, 0] = 1.0  # every row needs a positive total
+    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.empty((len(p), len(picks)))
+    for u_row, row in zip(u, cdf):
+        below = row[row < 1.0]
+        u_row[:] = [x if isinstance(x, float) else below[x % len(below)] if len(below) else 0.0
+                    for x in picks]
+    counts = sample_rows(p, u)
+    for r, (row, u_row) in enumerate(zip(cdf, u)):
+        expected = np.bincount(row.searchsorted(u_row, side="right"), minlength=length)
+        assert np.array_equal(counts[r], expected), r
+
+
 @pytest.mark.parametrize("v", [np.zeros(4), np.array([1.0, np.nan]), np.array([np.inf, 1.0])])
 def test_sample_rejects_vectors_without_a_finite_positive_total(v):
     with pytest.raises(ValueError):

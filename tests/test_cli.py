@@ -292,6 +292,13 @@ CORNER_DECODE_SHA256 = {
         "iterated-qva": "2c33945ab4dbbceb644b84ca31c05d483891269aed6f3f9863c40cbc67e3f8ab",
         "probabilistic-qva": "3904c7a32acd46694e3e42d8b42f34133dcceb029387c036f5bfe1309eddd2b4",
     },
+    # all 600 blocks in one sampling chunk (at most 1024 rows of 16 paths),
+    # computed by the integer-tick sampler that looked them up 511 at a time
+    ("1,2,2;5,7", 4, 600, 19): {
+        "classical": "5d79967081a520bf638246465cbfd2f1eacd5e2056dda75faedc9f92c4ce032c",
+        "iterated-qva": "b5ffa29024d19b24e13b08b3d0cd4f13ae26c4e54a3fd7edddfe630bea02241a",
+        "probabilistic-qva": "e5d6a66fcc854ba822f9325e4b919d6d51837423aebb20f7041a08e4d44584e6",
+    },
 }
 
 

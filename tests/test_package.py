@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -50,3 +51,35 @@ def test_benchmark_layers_resolve_with_the_arguments_their_counters_read(monkeyp
         with contextlib.suppress(AttributeError, TypeError):  # only a failure's counter takes None
             counter(args, None, lambda key, value: None)
         assert args.read <= set(inspect.signature(target).parameters), layer
+
+
+def _names_read(node) -> set[str]:
+    """Names, attributes, imported names and identifier strings under node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.add(sub.value)  # __all__ entries and qvbench/tracing.py targets
+    return names
+
+
+def test_every_top_level_definition_is_referenced():
+    # a helper left behind when its last caller is deleted fails here
+    root = Path(__file__).resolve().parents[1]
+    bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body
+              for part in ("src", "tests", "qvbench") for path in (root / part).rglob("*.py")}
+    reads = {(path, at): _names_read(node)
+             for path, body in bodies.items() for at, node in enumerate(body)}
+    orphans = [
+        f"{path.name}:{node.name}"
+        for path in sorted((root / "src" / "qviterbi").glob("*.py"))
+        for at, node in enumerate(bodies[path])
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for key, names in reads.items() if key != (path, at))
+    ]
+    assert orphans == []
