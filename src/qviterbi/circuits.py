@@ -276,7 +276,7 @@ def gate_counts(source: ConvCode | Hmm, n_steps: int) -> GateCount:
     if isinstance(source, ConvCode):
         q, fan = source.num_states, source.fanout
     else:
-        q, fan = source.num_states, source.fanout().fanout
+        q, fan = source.num_states, source.fanout()
     if fan < 1:
         raise ValueError("fanout must be at least 1")
     log_f = fan.bit_length() - 1 if fan & (fan - 1) == 0 else math.ceil(math.log2(fan))

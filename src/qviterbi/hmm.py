@@ -14,23 +14,12 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping
-
-import numpy as np
 
 # Stochasticity identities are exact on paper; double precision forces a tolerance.
 PROB_TOL = 1e-12
 
 Key = tuple[int, int, str]
-
-
-@dataclass(frozen=True)
-class FanoutReport:
-    """Per-state successor counts (max over emissions) and their maximum."""
-
-    per_state: Mapping[int, int]
-    fanout: int
 
 
 @dataclass(frozen=True)
@@ -51,7 +40,6 @@ class Hmm:
     emissions : the emission alphabet (strings).
     trans : map (i, j, y) -> P(j | i, y).
     emit : map (i, j, y) -> P(y | i, j).
-    initial : distribution over states; defaults to a point mass on state 0.
     branch_errors, edge_inputs, input_bits : optional metadata attached by
         code-derived constructors.  branch_errors holds the integer bit-error
         count of each branch, edge_inputs maps (i, j) to the message block
@@ -65,7 +53,6 @@ class Hmm:
         emissions: Iterable[str],
         trans: Mapping[Key, float],
         emit: Mapping[Key, float],
-        initial: Iterable[float] | None = None,
         *,
         branch_errors: Mapping[Key, int] | None = None,
         edge_inputs: Mapping[tuple[int, int], int] | None = None,
@@ -87,20 +74,6 @@ class Hmm:
                 if not (0 <= i < n and 0 <= j < n and y in emissions and 0.0 <= p <= 1.0):
                     self._check_key(i, j, y, where=name)  # the first bad entry names the error
                     raise ValueError(f"{name}[{(i, j, y)}] = {p} outside [0, 1]")
-
-        if initial is None:
-            vec = np.zeros(self.num_states)
-            vec[0] = 1.0
-        else:
-            vec = np.asarray(list(initial), dtype=float)
-            if vec.shape != (self.num_states,):
-                raise ValueError("initial distribution has wrong length")
-            if np.any(vec < 0.0) or np.any(vec > 1.0):
-                raise ValueError("initial probabilities outside [0, 1]")
-            if abs(vec.sum() - 1.0) > PROB_TOL:
-                raise ValueError("initial distribution does not sum to 1")
-        self.initial = vec
-        self.initial.setflags(write=False)
 
         self.branch_errors = dict(branch_errors) if branch_errors is not None else None
         self.edge_inputs = dict(edge_inputs) if edge_inputs is not None else None
@@ -146,17 +119,13 @@ class Hmm:
                     worst, worst_row = residual, (i, y)
         return RowCheck(passed=worst <= PROB_TOL, residual=worst, worst_row=worst_row)
 
-    def fanout(self) -> FanoutReport:
-        """Successor counts per state, maximized over emissions."""
+    def fanout(self) -> int:
+        """The most successors of any state under one emission, computed once."""
         return self._fanout
 
     @cached_property
-    def _fanout(self) -> FanoutReport:
-        per_state = dict.fromkeys(range(self.num_states), 0)
-        for (i, _y), js in self._succ.items():
-            per_state[i] = max(per_state[i], len(js))
-        # one report serves every caller, so its map is read-only
-        return FanoutReport(per_state=MappingProxyType(per_state), fanout=max(per_state.values()))
+    def _fanout(self) -> int:
+        return max(map(len, self._succ.values()), default=0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,18 +133,26 @@ class Hmm:
             "emissions": list(self.emissions),
             "trans": [[i, j, y, p] for (i, j, y), p in sorted(self.trans.items())],
             "emit": [[i, j, y, p] for (i, j, y), p in sorted(self.emit.items())],
-            "initial": self.initial.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Hmm":
-        return cls(
+        """The model of a to_json_dict document, refusing keys it does not read.
+
+        A legacy "initial" is accepted only as the point mass on state 0.
+        """
+        unknown = set(doc) - {"num_states", "emissions", "trans", "emit", "initial"}
+        if unknown:
+            raise ValueError(f"unknown HMM document keys {sorted(unknown)}")
+        h = cls(
             num_states=doc["num_states"],
             emissions=doc["emissions"],
             trans={(i, j, y): p for i, j, y, p in doc["trans"]},
             emit={(i, j, y): p for i, j, y, p in doc["emit"]},
-            initial=doc.get("initial"),
         )
+        if "initial" in doc and doc["initial"] != [1.0] + [0.0] * (h.num_states - 1):
+            raise ValueError("initial must be the point mass on state 0, where decoders start")
+        return h
 
     def __repr__(self) -> str:
         return (

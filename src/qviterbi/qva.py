@@ -20,7 +20,8 @@ iterations resumes the grid of one at fewer (sweep_omega's resume).
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
-carries both the neg-log and the bit-error totals.
+carries both the neg-log and the bit-error totals; viterbi_index picks their
+optimum by viterbi.first_optimum, the rule of brute_force_decode.
 
 A code path's error count is the Hamming distance from the received word
 to its codeword.  The codes are linear over GF(2), so codeword_table builds
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -90,9 +91,10 @@ class PathSpace:
     """Ordered admissible paths with their per-path phase exponents.
 
     Code-backed spaces index paths by the message bits read as an integer
-    and reconstruct state sequences on demand; HMM-backed spaces store the
-    enumerated paths explicitly, one row of states each.  errors holds integer bit-error counts,
-    weights holds negative log path probabilities (general HMM mode).
+    and reconstruct state sequences on demand; HMM-backed spaces keep the
+    enumeration's level table (viterbi.Paths) and read paths off it.  errors
+    holds integer bit-error counts, weights holds negative log path
+    probabilities (general HMM mode).
     """
 
     def __init__(
@@ -103,7 +105,7 @@ class PathSpace:
         *,
         code: ConvCode | None = None,
         initial_state: int = 0,
-        explicit_paths: np.ndarray | None = None,
+        paths: viterbi.Paths | None = None,
         input_bits: int | None = None,
     ):
         self.n_steps = n_steps
@@ -111,7 +113,7 @@ class PathSpace:
         self.weights = weights
         self.code = code
         self.initial_state = initial_state
-        self._paths = explicit_paths
+        self._paths = paths
         self._input_bits = input_bits
         ref = errors if errors is not None else weights
         self.L = int(len(ref))
@@ -158,25 +160,18 @@ class PathSpace:
             self._classes[phase_mode] = view
         return view
 
-    @property
+    @cached_property
     def viterbi_index(self) -> int:
-        """Index of the most probable path (ties go to the smallest index)."""
-        ref = self.errors if self.errors is not None else self.weights
-        return int(np.argmin(ref))
+        """Index of the most probable path, picked once by viterbi.first_optimum."""
+        return viterbi.first_optimum(self.errors if self.errors is not None else self.weights)[0]
 
     def path(self, index: int) -> tuple[int, ...]:
         """State sequence of path `index`, including the start state."""
         if not 0 <= index < self.L:
             raise IndexError("path index out of range")
         if self._paths is not None:
-            return tuple(self._paths[index].tolist())
+            return tuple(self._paths.rows([index])[0].tolist())
         return _code_path(self.code, self.initial_state, self.n_steps, index)
-
-    def paths(self) -> list[tuple[int, ...]]:
-        """Materialized path list; guarded because it is O(L * N) memory."""
-        if self.L > (1 << 16):
-            raise SizeLimitError("path list too large to materialize; use path(i)")
-        return [self.path(i) for i in range(self.L)]
 
     def message(self, index: int) -> str | None:
         """Message bits driving path `index` (code-backed spaces only)."""
@@ -307,21 +302,20 @@ def path_error_rows(
 def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> PathSpace:
     """Enumerate admissible paths of a general HMM with neg-log weights.
 
-    Paths and weights come from viterbi.enumerate_paths; code-derived HMMs
-    get their bit-error counts from the same enumeration.
+    The space keeps the level table of viterbi.enumerate_paths, the source
+    of its weights and, for code-derived HMMs, of its bit-error counts.
     """
     has_errors = h.branch_errors is not None
     costs = ("neglog", "errors") if has_errors else ("neglog",)
     paths = enumerate_paths(h, emissions, initial_state, costs)
-    count = len(paths.totals[0])
-    if not count:
+    if not len(paths.totals[0]):
         raise ValueError("no admissible path; check the model and emissions")
     return PathSpace(
         n_steps=len(emissions),
         errors=paths.totals[1] if has_errors else None,
         weights=paths.totals[0],
         initial_state=initial_state,
-        explicit_paths=paths.rows(np.arange(count)),
+        paths=paths,
         input_bits=h.input_bits if h.edge_inputs is not None else None,
     )
 

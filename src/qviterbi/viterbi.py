@@ -8,7 +8,8 @@ the two decoders are its oracles.
 enumerate_paths is the one enumeration of admissible paths, read off the
 Hmm and never off the trellis tables, one trellis level at a time on arrays;
 brute_force_decode, path_metric_multiset and qva.build_path_space_hmm, the
-oracles of every fast path, are array reductions over its path totals.
+oracles of every fast path, are array reductions over its path totals, and
+first_optimum is the one rule that picks an optimum among them.
 
 Code-derived HMMs (those carrying branch_errors metadata) are decoded with
 exact integer bit-error metrics; general HMMs fall back to negative log
@@ -64,8 +65,8 @@ def _branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
     return _neglog(h, i, j, y)
 
 
-def _slack(h: Hmm, value: float) -> float:
-    if h.branch_errors is not None:
+def _slack(h: Hmm | None, value: float) -> float:
+    if h is not None and h.branch_errors is not None:
         return 0.0
     return FLOAT_SLACK * max(1.0, abs(value))
 
@@ -243,7 +244,7 @@ def enumerate_paths(
     if not 0 <= initial_state < h.num_states:
         raise ValueError("initial state out of range")
     n = len(emissions)
-    fan = h.fanout().fanout
+    fan = h.fanout()
     if fan**n > SIZE_LIMIT:
         raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
     # int32 indices hold the at most SIZE_LIMIT paths the guard lets through
@@ -266,37 +267,46 @@ def enumerate_paths(
     return Paths(states, parents, totals)
 
 
+def first_optimum(totals: np.ndarray) -> tuple[int, int | float, int]:
+    """The first optimal path total in path order: (index, total, ties).
+
+    Integer totals compare exactly: the index is their argmin and ties
+    counts the totals equal to it.  Float totals follow the rule of a
+    path-by-path scan: a total more than the slack below the best so far
+    replaces it, one within the slack ties.  Only finite totals less than
+    three slacks of the largest |total| above the minimum before them can
+    do either, so only those are scanned.  No finite total gives (0, inf, 0).
+    """
+    if totals.dtype.kind == "i":
+        index = int(np.argmin(totals))
+        return index, int(totals[index]), int(np.count_nonzero(totals == totals[index]))
+    before = np.minimum.accumulate(np.concatenate(([math.inf], totals[:-1])))
+    reach = 3 * _slack(None, np.abs(totals[np.isfinite(totals)]).max(initial=0.0))
+    best, index, ties = math.inf, 0, 0
+    for i in np.flatnonzero(totals < before + reach).tolist():
+        total = float(totals[i])
+        tol = _slack(None, min(total, best))
+        if total < best - tol:
+            best, index, ties = total, i, 1
+        elif abs(total - best) <= tol:
+            ties += 1
+    return index, best, ties
+
+
 def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
     """Exhaustive oracle: enumerate every admissible path and keep the best.
 
-    The first optimum in path order is kept, so the reported path is the
-    lexicographically smallest; prefixes of probability zero are not
-    extended.  Float totals follow the rule of a path-by-path scan: a total
-    more than the slack below the best so far replaces it, one within the
-    slack ties.  Only totals within a few slacks of the minimum of those
-    before them can do either, so the scan visits those alone.
+    Prefixes of probability zero are not extended.  first_optimum, the rule
+    qva.PathSpace.viterbi_index follows too, keeps the first optimal path in
+    path order, which is the lexicographically smallest.
     """
     integer = h.branch_errors is not None
     # integer bit-error costs are never infinite
     cost = "errors" if integer else "neglog"
     paths = enumerate_paths(h, emissions, initial_state, [cost], finite_only=not integer)
-    totals = paths.totals[0]
-    if not len(totals):
+    if not len(paths.totals[0]):
         raise NoPathError(f"no admissible path from state {initial_state}")
-    if integer:
-        leaf = int(np.argmin(totals))
-        best, ties = int(totals[leaf]), int(np.count_nonzero(totals == totals[leaf]))
-    else:
-        before = np.minimum.accumulate(np.concatenate(([math.inf], totals[:-1])))
-        window = before + 3 * FLOAT_SLACK * np.maximum(1.0, np.abs(before))
-        best, leaf, ties = math.inf, -1, 0
-        for index in np.flatnonzero(totals <= window).tolist():
-            total = float(totals[index])
-            tol = _slack(h, min(total, best))
-            if total < best - tol:
-                best, leaf, ties = total, index, 1
-            elif abs(total - best) <= tol:
-                ties += 1
+    leaf, best, ties = first_optimum(paths.totals[0])
     path = tuple(paths.rows([leaf])[0].tolist())
     return DecodeResult(path=path, message=_message(h, path), metric=best, ties=ties)
 

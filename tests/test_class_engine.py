@@ -273,7 +273,6 @@ masses = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(1e-12, 1e3)
 )
 @example(2, [[1.0] * 40], 512, 0, 2)  # a tied pair in every row
 def test_sample_rows_match_generator_choice_row_by_row(length, templates, rows, seed, size):
-    # 512 rows or more: the flat lookup runs 511 rows at a time
     p = np.array([row[:length] for row in templates])
     p[p.sum(axis=1) == 0.0, 0] = 1.0  # every row needs a positive total
     p = p[np.random.default_rng(seed).integers(len(p), size=rows)]

@@ -47,7 +47,7 @@ class TestJointProb:
         keys = [(i, j, y) for i in range(3) for j in range(3) for y in emissions]
         trans = {k: float(rng.uniform(0, 1)) for k in keys}
         emit = {k: float(rng.uniform(0, 1)) for k in keys}
-        h = Hmm(3, emissions, trans, emit, initial=[1.0, 0.0, 0.0])
+        h = Hmm(3, emissions, trans, emit)
         for k in keys:
             assert h.joint_prob(*k) == trans[k] * emit[k]
 
@@ -74,31 +74,20 @@ class TestFanout:
     def test_identity_chain(self):
         trans = {(i, (i + 1) % 4, "a"): 1.0 for i in range(4)}
         emit = {k: 1.0 for k in trans}
-        report = Hmm(4, ("a",), trans, emit).fanout()
-        assert report.fanout == 1
-        assert all(v == 1 for v in report.per_state.values())
+        assert Hmm(4, ("a",), trans, emit).fanout() == 1
 
     def test_code_hmm(self, hmm01):
-        assert hmm01.fanout().fanout == 2
-        assert hmm01.fanout() is hmm01.fanout()  # computed once per model
+        assert hmm01.fanout() == 2
 
     def test_complete_four_state(self):
-        assert uniform_hmm(4).fanout().fanout == 4
+        assert uniform_hmm(4).fanout() == 4
 
     def test_fanout_is_two_to_the_k(self):
         wide = ConvCode(k=2, n=3, m=1, generators=((1, 2, 3), (3, 1, 2)))
-        assert wide.to_hmm(0.1).fanout().fanout == 4 == wide.fanout
+        assert wide.to_hmm(0.1).fanout() == 4 == wide.fanout
 
 
 class TestConstruction:
-    def test_default_initial_is_point_mass(self, hmm01):
-        assert hmm01.initial[0] == 1.0 and hmm01.initial[1:].sum() == 0.0
-
-    def test_initial_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            uniform = uniform_hmm()
-            Hmm(2, ("a",), uniform.trans, uniform.emit, initial=[0.5, 0.4])
-
     def test_probability_range_enforced(self):
         with pytest.raises(ValueError):
             Hmm(1, ("a",), {(0, 0, "a"): 1.5}, {})
@@ -139,7 +128,6 @@ class TestJson:
         assert clone.trans == hmm01.trans
         assert clone.emit == hmm01.emit
         assert clone.emissions == hmm01.emissions
-        assert np.array_equal(clone.initial, hmm01.initial)
 
     def test_file_roundtrip(self, hmm01, tmp_path):
         path = tmp_path / "model.json"
@@ -150,6 +138,25 @@ class TestJson:
 
     def test_document_shape(self, hmm01):
         doc = hmm01.to_json_dict()
-        assert set(doc) == {"num_states", "emissions", "trans", "emit", "initial"}
+        assert set(doc) == {"num_states", "emissions", "trans", "emit"}
         i, j, y, p = doc["trans"][0]
         assert isinstance(i, int) and isinstance(y, str) and isinstance(p, float)
+
+    def test_unknown_keys_are_refused(self, hmm01):
+        doc = hmm01.to_json_dict() | {"extra": 1}
+        with pytest.raises(ValueError, match=re.escape("unknown HMM document keys ['extra']")):
+            Hmm.from_json_dict(doc)
+
+    def test_legacy_initial_point_mass_on_state_zero_is_accepted(self, hmm01):
+        # what earlier versions wrote for every model
+        doc = hmm01.to_json_dict() | {"initial": [1.0, 0.0, 0.0, 0.0]}
+        assert Hmm.from_json_dict(doc).trans == hmm01.trans
+
+    @pytest.mark.parametrize(
+        "initial", [[0.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [], 1.0]
+    )
+    def test_any_other_legacy_initial_is_refused(self, hmm01, initial):
+        # decoders start at their initial_state argument, never at this distribution
+        doc = hmm01.to_json_dict() | {"initial": initial}
+        with pytest.raises(ValueError, match="point mass on state 0"):
+            Hmm.from_json_dict(doc)

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -69,17 +70,28 @@ def _names_read(node) -> set[str]:
 
 
 def test_every_top_level_definition_is_referenced():
-    # a helper left behind when its last caller is deleted fails here
+    # a helper, method or property left behind when its last caller is deleted fails here
     root = Path(__file__).resolve().parents[1]
     bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body
               for part in ("src", "tests", "qvbench") for path in (root / part).rglob("*.py")}
-    reads = {(path, at): _names_read(node)
-             for path, body in bodies.items() for at, node in enumerate(body)}
-    orphans = [
-        f"{path.name}:{node.name}"
-        for path in sorted((root / "src" / "qviterbi").glob("*.py"))
-        for at, node in enumerate(bodies[path])
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in names for key, names in reads.items() if key != (path, at))
-    ]
+    readers = defaultdict(set)  # name -> the top-level statements that read it
+    for path, body in bodies.items():
+        for at, node in enumerate(body):
+            for name in _names_read(node):
+                readers[name].add((path, at))
+    orphans = []
+    for path in sorted((root / "src" / "qviterbi").glob("*.py")):
+        for at, node in enumerate(bodies[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not readers[node.name] - {(path, at)}:
+                orphans.append(f"{path.name}:{node.name}")
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for member in members:
+                # a method is read by another statement or by another member of its class
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                        and not readers[member.name] - {(path, at)}
+                        and not any(member.name in _names_read(other)
+                                    for other in members if other is not member)):
+                    orphans.append(f"{path.name}:{node.name}.{member.name}")
     assert orphans == []

@@ -61,18 +61,9 @@ class TestPathSpace:
         assert list(ps.errors[:4]) == [0, 2, 3, 3]
         assert int(ps.errors[9]) == 7
 
-    def test_paths_materialization(self, code):
-        ps = build_path_space(code, "0000")
-        assert ps.paths() == [ps.path(i) for i in range(4)]
-
     def test_size_guard(self, code):
         with pytest.raises(SizeLimitError):
             build_path_space(code, "00" * 25)
-
-    def test_paths_materialization_guard(self, code):
-        ps = build_path_space(code, "00" * 17)
-        with pytest.raises(SizeLimitError):
-            ps.paths()
 
     def test_hmm_space_guard(self, hmm01):
         with pytest.raises(SizeLimitError):
@@ -231,6 +222,13 @@ class TestRunQva:
             run_qva(ps, QvaParams(0.5, 1, "neglog"))
         with pytest.raises(ValueError, match="zero-probability"):
             sweep_omega(ps, 1, phase_mode="neglog")
+
+    def test_viterbi_index_of_an_all_zero_probability_space_is_zero(self):
+        # every path has weight inf, so the optimum rule finds no best path
+        trans = {(i, j, "a"): 0.5 for i in range(2) for j in range(2)}
+        ps = build_path_space_hmm(Hmm(2, ["a"], trans, {}), ["a", "a"])
+        assert ps.L == 4 and np.all(ps.weights == math.inf)
+        assert ps.viterbi_index == 0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

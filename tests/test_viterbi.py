@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from code_reference import edges_by_step, hamming
@@ -163,6 +163,9 @@ class TestGeneralHmm:
     n=st.integers(1, 5),
     start=st.integers(0, 3),
 )
+# brute_force_decode keeps a path 1 ulp above the smallest total, which it reaches first
+@example(seed=198, num_states=3, n=5, start=0)
+@example(seed=2643, num_states=4, n=5, start=2)
 def test_zero_probability_branches_match_oracles(seed, num_states, n, start):
     """About half the emission entries are 0, so many branches cost infinity."""
     rng = np.random.default_rng(seed)
@@ -182,9 +185,8 @@ def test_zero_probability_branches_match_oracles(seed, num_states, n, start):
     a = viterbi_decode(h, emissions, start)
     assert a.metric == pytest.approx(b.metric, abs=1e-9)
     assert a.path == b.path
-    first_best = int(np.argmin(ps.weights))
-    assert b.path == ps.path(first_best)
-    assert b.metric == ps.weights[first_best]
+    assert b.path == ps.path(ps.viterbi_index)
+    assert b.metric == ps.weights[ps.viterbi_index]
 
 
 def test_brute_force_does_not_extend_zero_probability_prefixes():
@@ -274,7 +276,7 @@ def walk_paths(h, emissions, initial_state, cost, visit, skip_infinite=False):
     """
     viterbi._check_emissions(h, emissions)
     n = len(emissions)
-    fan = h.fanout().fanout
+    fan = h.fanout()
     if fan**n > SIZE_LIMIT:
         raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
     trail = [initial_state]
@@ -431,6 +433,8 @@ def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties)
     result = brute_force_decode(h, ["a"])
     assert result == walk_brute_force(h, ["a"])
     assert (result.path, result.metric, result.ties) == ((0, winner), totals[winner - 1], ties)
+    ps = build_path_space_hmm(h, ["a"])
+    assert ps.path(ps.viterbi_index) == (0, winner)
 
 
 def test_start_states_out_of_range_are_rejected(hmm01):
