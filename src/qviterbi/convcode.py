@@ -186,8 +186,8 @@ class ConvCode:
         Transition rows put the uniform prior 2^-k on each legal edge so the
         branch weight depends on the received block only through its bit-error
         count, and the emission entry is epsilon^d (1-epsilon)^(n-d) with d the
-        bit-error count of the edge output against the received block.  Tables
-        over SIZE_LIMIT entries (states x inputs x blocks) are refused.
+        bit-error count of the edge output against the received block.  The
+        tables are read off the trellis and refused over SIZE_LIMIT cells.
         """
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie strictly inside (0, 0.5)")
@@ -197,19 +197,16 @@ class ConvCode:
                 f"{self.num_states} x {self.fanout} x 2^{n} Hmm entries exceeds the size guard"
             )
         table = self.trellis()
-        successors = list(enumerate(table.next_state.tolist()))
-        emissions = tuple(format(v, f"0{n}b") for v in range(1 << n))
-        weights = [(epsilon**d) * ((1.0 - epsilon) ** (n - d)) for d in range(n + 1)]
-        # keys and errors in (state, input, block) order, the order Hmm sums rows in
-        keys = [(s, nxt, y) for s, row in successors for nxt in row for y in emissions]
-        errors = np.bitwise_count(table.output[..., None] ^ np.arange(1 << n)).ravel().tolist()
-        return Hmm(
-            num_states=self.num_states,
-            emissions=emissions,
-            trans=dict.fromkeys(keys, 1.0 / self.fanout),
-            emit=dict(zip(keys, [weights[d] for d in errors])),
-            branch_errors=dict(zip(keys, errors)),
-            edge_inputs={(s, nxt): u for s, row in successors for u, nxt in enumerate(row)},
+        weights = np.array([(epsilon**d) * ((1.0 - epsilon) ** (n - d)) for d in range(n + 1)])
+        # [block, state, input]: each edge's bit errors against each received block
+        errors = np.bitwise_count(table.output ^ np.arange(1 << n)[:, None, None])
+        return Hmm.from_tables(
+            (format(v, f"0{n}b") for v in range(1 << n)),
+            np.broadcast_to(table.next_state.astype(np.int32), errors.shape),
+            {"trans": np.broadcast_to(1.0 / self.fanout, errors.shape),
+             "emit": weights[errors], "errors": errors},
+            edge_inputs={(s, nxt): u for s, row in enumerate(table.next_state.tolist())
+                         for u, nxt in enumerate(row)},
             input_bits=self.k,
         )
 

@@ -305,7 +305,7 @@ def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 
     The space keeps the level table of viterbi.enumerate_paths, the source
     of its weights and, for code-derived HMMs, of its bit-error counts.
     """
-    has_errors = h.branch_errors is not None
+    has_errors = "errors" in h.tables
     costs = ("neglog", "errors") if has_errors else ("neglog",)
     paths = enumerate_paths(h, emissions, initial_state, costs)
     if not len(paths.totals[0]):

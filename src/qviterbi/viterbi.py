@@ -1,18 +1,18 @@
 """Classical most-likely-path decoding.
 
 viterbi_decode is the dynamic-programming decoder used as ground truth for
-the quantum simulations.  trellis_decode runs the same dynamic program on a
-code's trellis table for many received words at once, with a leading block
-axis, CHUNK_CELLS branch costs at a time; decode campaigns use it, and
-the two decoders are its oracles.
+the quantum simulations, on each step's rows of the Hmm's branch tables.
+trellis_decode runs the same dynamic program on a code's trellis table for
+many received words at once, with a leading block axis, CHUNK_CELLS branch
+costs at a time; decode campaigns use it, and the two decoders are its oracles.
 enumerate_paths is the one enumeration of admissible paths, read off the
-Hmm and never off the trellis tables, one trellis level at a time on arrays;
+Hmm's tables and never off the trellis tables, one level at a time on arrays;
 brute_force_decode, path_metric_multiset and qva.build_path_space_hmm, the
 oracles of every fast path, are array reductions over its path totals, and
 first_optimum is the one rule that picks an optimum among them.
 
-Code-derived HMMs (those carrying branch_errors metadata) are decoded with
-exact integer bit-error metrics; general HMMs fall back to negative log
+Code-derived HMMs (those with an "errors" table) are decoded with exact
+integer bit-error metrics; general HMMs fall back to negative log
 probability with a small comparison slack.
 """
 from __future__ import annotations
@@ -54,7 +54,7 @@ class DecodeResult:
 
 
 def _neglog(h: Hmm, i: int, j: int, y: str) -> float:
-    """-log P(j|i,y)P(y|i,j) of a branch; infinite when it has probability zero."""
+    """-log P(j|i,y)P(y|i,j) of a branch, read off the views; inf at probability zero."""
     p = h.trans[(i, j, y)] * h.emit.get((i, j, y), 0.0)
     return math.inf if p == 0.0 else -math.log(p)
 
@@ -66,17 +66,19 @@ def _branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
 
 
 def _slack(h: Hmm | None, value: float) -> float:
-    if h is not None and h.branch_errors is not None:
+    if h is not None and "errors" in h.tables:
         return 0.0
     return FLOAT_SLACK * max(1.0, abs(value))
 
 
-def _check_emissions(h: Hmm, emissions: Sequence[str]) -> None:
+def _check_emissions(h: Hmm, emissions: Sequence[str]) -> list[int]:
+    """The table row of each emission, once all are in the model alphabet."""
     if len(emissions) < 1:
         raise ValueError("need at least one receive block")
     for y in emissions:
-        if y not in h._emission_set:
+        if y not in h.symbols:
             raise ValueError(f"emission {y!r} not in the model alphabet")
+    return [h.symbols[y] for y in emissions]
 
 
 def _message(h: Hmm, path: Sequence[int]) -> str | None:
@@ -96,11 +98,12 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     so that among co-optimal paths the lexicographically smallest state
     sequence is returned deterministically.
     """
-    _check_emissions(h, emissions)
+    rows = _check_emissions(h, emissions)
     if not 0 <= initial_state < h.num_states:
         raise ValueError("initial state out of range")
     n = len(emissions)
     q = h.num_states
+    costs = h.tables.get("errors", h.tables["neglog"])
 
     # cost-to-go[t][i]: best total branch cost from state i at time t to the end
     to_go = [[math.inf] * q for _ in range(n + 1)]
@@ -108,12 +111,8 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     to_go[n] = [0.0] * q
     ways[n] = [1] * q
     for t in range(n - 1, -1, -1):
-        y = emissions[t]
-        for i in range(q):
-            candidates = [
-                (_branch_cost(h, i, j, y) + to_go[t + 1][j], j)
-                for j, _p in h.successors(i, y)
-            ]
+        for i, (succ, cost) in enumerate(zip(h.succ[rows[t]].tolist(), costs[rows[t]].tolist())):
+            candidates = [(c + to_go[t + 1][j], j) for j, c in zip(succ, cost) if j >= 0]
             if not candidates:
                 continue
             best = min(c for c, _ in candidates)
@@ -130,14 +129,13 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     path = [initial_state]
     i = initial_state
     for t in range(n):
-        y = emissions[t]
         tol = _slack(h, to_go[t][i])
-        for j, _p in h.successors(i, y):
-            if _branch_cost(h, i, j, y) + to_go[t + 1][j] <= to_go[t][i] + tol:
+        for j, c in zip(h.succ[rows[t], i].tolist(), costs[rows[t], i].tolist()):
+            if j >= 0 and c + to_go[t + 1][j] <= to_go[t][i] + tol:
                 path.append(j)
                 i = j
                 break
-    metric = int(total) if h.branch_errors is not None else total
+    metric = int(total) if "errors" in h.tables else total
     return DecodeResult(
         path=tuple(path),
         message=_message(h, path),
@@ -185,26 +183,6 @@ def trellis_decode(
     return inputs, to_go[0][:, initial_state]
 
 
-def _branches(h: Hmm, y: str) -> dict[str, np.ndarray | None]:
-    """Symbol y's branches as (S, F_y) arrays, built on first use and kept on the Hmm.
-
-    "succ" holds successors in ascending order, padded with -1; "errors"
-    (code-derived HMMs only) and "neglog" hold what _branch_cost and _neglog give.
-    """
-    if y not in h._branch_arrays:
-        rows = [h.successors(i, y) for i in range(h.num_states)]
-        shape = (h.num_states, max(map(len, rows)))
-        succ, neglog = np.full(shape, -1, dtype=np.int32), np.zeros(shape)
-        errors = np.zeros(shape, dtype=np.int64) if h.branch_errors is not None else None
-        for i, row in enumerate(rows):
-            for slot, (j, _p) in enumerate(row):
-                succ[i, slot], neglog[i, slot] = j, _neglog(h, i, j, y)
-                if errors is not None:
-                    errors[i, slot] = _branch_cost(h, i, j, y)
-        h._branch_arrays[y] = {"succ": succ, "errors": errors, "neglog": neglog}
-    return h._branch_arrays[y]
-
-
 class Paths(NamedTuple):
     """Every admissible path of an Hmm, stored one trellis level at a time.
 
@@ -240,7 +218,7 @@ def enumerate_paths(
     paths lexicographic.  With finite_only, a prefix whose total is already
     infinite is not extended, so paths of probability zero never appear.
     """
-    _check_emissions(h, emissions)
+    rows = _check_emissions(h, emissions)
     if not 0 <= initial_state < h.num_states:
         raise ValueError("initial state out of range")
     n = len(emissions)
@@ -251,10 +229,9 @@ def enumerate_paths(
     state = np.array([initial_state], dtype=np.int32)
     states, parents = [state], [np.zeros(1, dtype=np.int32)]
     totals = [np.zeros(1, dtype=np.int64 if c == "errors" else float) for c in costs]
-    for y in emissions:
-        branches = _branches(h, y)
-        succ = branches["succ"][state]
-        totals = [acc[:, None] + branches[c][state] for acc, c in zip(totals, costs)]
+    for a in rows:
+        succ = h.succ[a, state]
+        totals = [acc[:, None] + h.tables[c][a, state] for acc, c in zip(totals, costs)]
         keep = succ >= 0
         if finite_only:
             for acc in totals:
@@ -300,7 +277,7 @@ def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0)
     qva.PathSpace.viterbi_index follows too, keeps the first optimal path in
     path order, which is the lexicographically smallest.
     """
-    integer = h.branch_errors is not None
+    integer = "errors" in h.tables
     # integer bit-error costs are never infinite
     cost = "errors" if integer else "neglog"
     paths = enumerate_paths(h, emissions, initial_state, [cost], finite_only=not integer)
@@ -317,7 +294,7 @@ def path_metric_multiset(h: Hmm, emissions: Sequence[str], initial_state: int = 
     These are exactly the exponents appearing on the phase-marking diagonal,
     so this enumeration serves as the oracle for the path-space builder.
     """
-    if h.branch_errors is None:
+    if "errors" not in h.tables:
         raise ValueError("integer branch metrics required (code-derived HMM)")
     totals = enumerate_paths(h, emissions, initial_state, ("errors",)).totals[0]
     values, counts = np.unique(totals, return_counts=True)

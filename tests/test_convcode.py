@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from code_reference import edges_by_step, reference_to_hmm
 from qviterbi.convcode import BscChannel, ConvCode
+from qviterbi.viterbi import brute_force_decode, viterbi_decode
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -225,3 +228,32 @@ def test_to_hmm_matches_step_reference(code, epsilon):
     for name in ("trans", "emit", "branch_errors", "edge_inputs"):
         assert list(getattr(got, name).items()) == list(getattr(want, name).items()), name
     assert got.check_row_stochastic() == want.check_row_stochastic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.floats(1e-6, 0.5, exclude_max=True))
+def test_to_hmm_tables_match_step_reference(code, epsilon):
+    """The trellis-filled tables equal those the dict path fills from the edge-by-edge maps."""
+    got, want = code.to_hmm(epsilon), reference_to_hmm(code, epsilon)
+    assert got.succ.shape == want.succ.shape == (1 << code.n, code.num_states, code.fanout)
+    assert np.array_equal(got.succ, want.succ)
+    assert got.tables.keys() == want.tables.keys() == {"trans", "emit", "errors", "neglog"}
+    for name in ("trans", "emit", "errors"):
+        assert np.array_equal(got.tables[name], want.tables[name]), name
+    assert got.tables["neglog"].tobytes() == want.tables["neglog"].tobytes()
+
+
+def test_wide_code_model_memory():
+    """The 16-output code's model is 2^16 symbols of tables, with no map keyed (i, j, y)."""
+    code = ConvCode.from_spec("1,16,2;" + ",".join(["5,7"] * 8))
+    blocks = [format(0x1234, "016b"), format(0xBEEF, "016b")]
+    tracemalloc.start()
+    try:
+        h = code.to_hmm(0.1)
+        assert h.fanout() == 2
+        result = brute_force_decode(h, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == viterbi_decode(h, blocks)
+    assert peak < 64 * 2**20

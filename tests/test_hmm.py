@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qviterbi.convcode import ConvCode
 from qviterbi.hmm import Hmm, dump_hmm, load_hmm
+from qviterbi.viterbi import brute_force_decode, viterbi_decode
 
 
 def uniform_hmm(num_states=2, emissions=("a",), emit_value=1.0):
@@ -110,6 +112,8 @@ class TestConstruction:
             ({(5, 0, "a"): 1.0, (0, 0): 1.0}, {}, "trans key (5, 0, 'a') has out-of-range state"),
             ({(0, 1, "a"): 1.0}, {(0, 1, "a"): 1.0, (1, 0, "c"): 0.5},
              "emit key (1, 0, 'c') has unknown emission"),
+            ({(0, 1.5, "a"): 1.0, (1, 0, "a"): 1.0}, {},
+             "trans key (0, 1.5, 'a') has non-integer state"),
         ],
     )
     def test_first_bad_entry_names_the_error(self, trans, emit, message):
@@ -120,6 +124,30 @@ class TestConstruction:
     def test_keys_that_compare_in_range_pass(self):
         h = Hmm(2, ("a",), {(np.int64(0), 1.0, "a"): 1.0}, {(True, 0, "a"): 0.5})
         assert h.successors(0, "a") == ((1.0, 1.0),)
+
+    @pytest.mark.parametrize("dict_built", [False, True])
+    def test_tables_are_read_only(self, hmm01, dict_built):
+        h = Hmm.from_json_dict(hmm01.to_json_dict()) if dict_built else hmm01
+        for array in (h.succ, *h.tables.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 0
+
+
+class TestNormalisation:
+    def test_zero_transitions_and_emissions_off_the_branches_are_dropped(self):
+        trans = {(0, 1, "a"): 0.5, (0, 2, "a"): 0.5, (1, 0, "a"): 1.0, (2, 0, "a"): 1.0,
+                 (0, 0, "b"): 1.0, (1, 2, "b"): 1.0, (2, 1, "b"): 1.0}
+        emit = {(i, j, y): 0.2 + 0.1 * (i + 2 * j) for i, j, y in trans}
+        base = Hmm(3, ("a", "b"), trans, emit)
+        # a zero-transition entry with an emission, and an emission-only entry
+        padded = Hmm(3, ("a", "b"), trans | {(1, 1, "a"): 0.0},
+                     emit | {(1, 1, "a"): 0.5, (2, 2, "b"): 0.7})
+        assert padded.trans == base.trans == trans
+        assert padded.emit == base.emit == emit
+        assert padded.to_json_dict() == base.to_json_dict()
+        for word in itertools.product("ab", repeat=4):
+            for decode in (viterbi_decode, brute_force_decode):
+                assert decode(padded, word) == decode(base, word)
 
 
 class TestJson:
@@ -151,6 +179,20 @@ class TestJson:
         # what earlier versions wrote for every model
         doc = hmm01.to_json_dict() | {"initial": [1.0, 0.0, 0.0, 0.0]}
         assert Hmm.from_json_dict(doc).trans == hmm01.trans
+
+    @pytest.mark.parametrize("p", ["x", None, True, [0.5]])
+    def test_a_probability_that_is_not_a_number_is_refused(self, hmm01, p):
+        doc = hmm01.to_json_dict()
+        doc["emit"][0][3] = p
+        message = f"emit entry (0, 0, '00'): {p!r} is not a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hmm.from_json_dict(doc)
+
+    def test_a_repeated_entry_is_refused(self, hmm01):
+        doc = hmm01.to_json_dict()
+        doc["trans"].append([0, 0, "00", 0.25])
+        with pytest.raises(ValueError, match=re.escape("trans entry (0, 0, '00') is repeated")):
+            Hmm.from_json_dict(doc)
 
     @pytest.mark.parametrize(
         "initial", [[0.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [], 1.0]
