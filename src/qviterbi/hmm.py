@@ -180,7 +180,7 @@ class Hmm:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Hmm":
-        """The model of a to_json_dict document, refusing unknown keys, repeats and non-numbers.
+        """The model of a to_json_dict document; unknown keys and bad entries raise ValueError.
 
         A legacy "initial" is accepted only as the point mass on state 0.
         """
@@ -189,7 +189,12 @@ class Hmm:
             raise ValueError(f"unknown HMM document keys {sorted(unknown)}")
         maps = {"trans": {}, "emit": {}}
         for name, table in maps.items():
-            for i, j, y, p in doc[name]:
+            if not isinstance(doc[name], list):
+                raise ValueError(f"{name} is {doc[name]!r}, not a list of entries")
+            for entry in doc[name]:
+                i, j, y, p = entry if isinstance(entry, list) and len(entry) == 4 else [None] * 4
+                if not (type(i) is type(j) is int and type(y) is str):
+                    raise ValueError(f"{name} entry {entry!r} is not [state, state, symbol, p]")
                 if type(p) not in (int, float):
                     raise ValueError(f"{name} entry ({i}, {j}, {y!r}): {p!r} is not a number")
                 if (i, j, y) in table:

@@ -21,7 +21,7 @@ iterations resumes the grid of one at fewer (sweep_omega's resume).
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
 carries both the neg-log and the bit-error totals; viterbi_index picks their
-optimum by viterbi.first_optimum, the rule of brute_force_decode.
+optimum by viterbi.first_optimum, the co-optimality rule of every decoder.
 
 A code path's error count is the Hamming distance from the received word
 to its codeword.  The codes are linear over GF(2), so codeword_table builds

@@ -8,12 +8,12 @@ costs at a time; decode campaigns use it, and the two decoders are its oracles.
 enumerate_paths is the one enumeration of admissible paths, read off the
 Hmm's tables and never off the trellis tables, one level at a time on arrays;
 brute_force_decode, path_metric_multiset and qva.build_path_space_hmm, the
-oracles of every fast path, are array reductions over its path totals, and
-first_optimum is the one rule that picks an optimum among them.
+oracles of every fast path, are array reductions over its path totals.
 
 Code-derived HMMs (those with an "errors" table) are decoded with exact
-integer bit-error metrics; general HMMs fall back to negative log
-probability with a small comparison slack.
+integer bit-error metrics, general HMMs with negative log probability.
+Every decoder keeps the first path, in lexicographic order, whose total
+lies within the slack of the optimum (first_optimum on path totals).
 """
 from __future__ import annotations
 
@@ -42,9 +42,11 @@ class DecodeResult:
     """A decoded path, the message driving it, its metric, and the tie count.
 
     path includes the start state, so it has one more entry than the number
-    of receive blocks.  metric is the total bit-error count for code-derived
-    HMMs and the negative log probability otherwise.  ties counts co-optimal
-    paths; the reported path is the lexicographically smallest of them.
+    of receive blocks.  metric is the path's total bit-error count for
+    code-derived HMMs and its negative log probability otherwise.  The path is
+    the first co-optimal one, and ties counts co-optimal paths; viterbi_decode
+    counts them state by state, so where float totals lie about one slack
+    apart its count can differ from brute_force_decode's.
     """
 
     path: tuple[int, ...]
@@ -65,10 +67,8 @@ def _branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
     return _neglog(h, i, j, y)
 
 
-def _slack(h: Hmm | None, value: float) -> float:
-    if h is not None and "errors" in h.tables:
-        return 0.0
-    return FLOAT_SLACK * max(1.0, abs(value))
+def _slack(exact: bool, value: float) -> float:
+    return 0 if exact else FLOAT_SLACK * max(1.0, abs(value))
 
 
 def _check_emissions(h: Hmm, emissions: Sequence[str]) -> list[int]:
@@ -94,9 +94,9 @@ def _message(h: Hmm, path: Sequence[int]) -> str | None:
 def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
     """Most probable state path given the receive blocks.
 
-    Runs a backward cost-to-go pass followed by a greedy forward traceback,
-    so that among co-optimal paths the lexicographically smallest state
-    sequence is returned deterministically.
+    Runs a backward cost-to-go pass followed by a greedy forward traceback
+    that keeps the first successor from which some path stays within the
+    optimum's budget, so the first co-optimal path is returned.
     """
     rows = _check_emissions(h, emissions)
     if not 0 <= initial_state < h.num_states:
@@ -104,6 +104,7 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     n = len(emissions)
     q = h.num_states
     costs = h.tables.get("errors", h.tables["neglog"])
+    exact = "errors" in h.tables
 
     # cost-to-go[t][i]: best total branch cost from state i at time t to the end
     to_go = [[math.inf] * q for _ in range(n + 1)]
@@ -118,7 +119,7 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
             best = min(c for c, _ in candidates)
             if best == math.inf:
                 continue
-            tol = _slack(h, best)
+            tol = _slack(exact, best)
             to_go[t][i] = best
             ways[t][i] = sum(ways[t + 1][j] for c, j in candidates if c <= best + tol)
 
@@ -126,20 +127,19 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     if total == math.inf:
         raise NoPathError(f"no admissible path from state {initial_state}")
 
-    path = [initial_state]
-    i = initial_state
+    budget = total + _slack(exact, total)
+    path, prefix = [initial_state], 0
     for t in range(n):
-        tol = _slack(h, to_go[t][i])
+        i = path[-1]
         for j, c in zip(h.succ[rows[t], i].tolist(), costs[rows[t], i].tolist()):
-            if j >= 0 and c + to_go[t + 1][j] <= to_go[t][i] + tol:
+            if j >= 0 and prefix + c + to_go[t + 1][j] <= budget:
                 path.append(j)
-                i = j
+                prefix += c
                 break
-    metric = int(total) if "errors" in h.tables else total
     return DecodeResult(
         path=tuple(path),
         message=_message(h, path),
-        metric=metric,
+        metric=prefix,
         ties=ways[0][initial_state],
     )
 
@@ -245,37 +245,24 @@ def enumerate_paths(
 
 
 def first_optimum(totals: np.ndarray) -> tuple[int, int | float, int]:
-    """The first optimal path total in path order: (index, total, ties).
+    """The first co-optimal path total in path order: (index, total, ties).
 
-    Integer totals compare exactly: the index is their argmin and ties
-    counts the totals equal to it.  Float totals follow the rule of a
-    path-by-path scan: a total more than the slack below the best so far
-    replaces it, one within the slack ties.  Only finite totals less than
-    three slacks of the largest |total| above the minimum before them can
-    do either, so only those are scanned.  No finite total gives (0, inf, 0).
+    A total is co-optimal when it lies within the slack of the minimum, which
+    for integer totals means equal to it; ties counts the co-optimal totals.
+    With no finite total, every total ties at inf.
     """
-    if totals.dtype.kind == "i":
-        index = int(np.argmin(totals))
-        return index, int(totals[index]), int(np.count_nonzero(totals == totals[index]))
-    before = np.minimum.accumulate(np.concatenate(([math.inf], totals[:-1])))
-    reach = 3 * _slack(None, np.abs(totals[np.isfinite(totals)]).max(initial=0.0))
-    best, index, ties = math.inf, 0, 0
-    for i in np.flatnonzero(totals < before + reach).tolist():
-        total = float(totals[i])
-        tol = _slack(None, min(total, best))
-        if total < best - tol:
-            best, index, ties = total, i, 1
-        elif abs(total - best) <= tol:
-            ties += 1
-    return index, best, ties
+    best = totals.min()
+    within = totals <= best + _slack(totals.dtype.kind == "i", best)
+    index = int(within.argmax())
+    return index, totals[index].item(), int(np.count_nonzero(within))
 
 
 def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
     """Exhaustive oracle: enumerate every admissible path and keep the best.
 
-    Prefixes of probability zero are not extended.  first_optimum, the rule
-    qva.PathSpace.viterbi_index follows too, keeps the first optimal path in
-    path order, which is the lexicographically smallest.
+    Prefixes of probability zero are not extended.  first_optimum, which
+    qva.PathSpace.viterbi_index shares, keeps the first co-optimal path in
+    path order, which is lexicographic.
     """
     integer = "errors" in h.tables
     # integer bit-error costs are never infinite

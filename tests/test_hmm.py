@@ -195,6 +195,28 @@ class TestJson:
             Hmm.from_json_dict(doc)
 
     @pytest.mark.parametrize(
+        "entry",
+        [
+            ["0", 1, "00", 0.5],  # a string state
+            [0, 1, ["00"], 0.5],  # a list emission
+            [0, 1, "00"],
+            [0, 1, "00", 0.5, 0.5],
+            0.5,
+        ],
+    )
+    def test_a_malformed_entry_is_refused(self, hmm01, entry):
+        doc = hmm01.to_json_dict()
+        doc["emit"].append(entry)
+        message = f"emit entry {entry!r} is not [state, state, symbol, p]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hmm.from_json_dict(doc)
+
+    def test_a_table_that_is_not_a_list_is_refused(self, hmm01):
+        doc = hmm01.to_json_dict() | {"trans": 5}
+        with pytest.raises(ValueError, match=re.escape("trans is 5, not a list of entries")):
+            Hmm.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
         "initial", [[0.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [], 1.0]
     )
     def test_any_other_legacy_initial_is_refused(self, hmm01, initial):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -309,24 +310,18 @@ def walk_collect(h, emissions, start, cost, skip_infinite=False):
 
 
 def walk_brute_force(h, emissions, initial_state=0):
-    best_metric = math.inf
-    best_path = None
-    ties = 0
-
-    def keep(trail, total):
-        nonlocal best_metric, best_path, ties
-        tol = viterbi._slack(h, min(total, best_metric))
-        if total < best_metric - tol:
-            best_metric, best_path, ties = total, tuple(trail), 1
-        elif abs(total - best_metric) <= tol:
-            ties += 1
-
-    walk_paths(h, emissions, initial_state, viterbi._branch_cost, keep, h.branch_errors is None)
-    if best_path is None:
+    """The first walked path whose total lies within the slack of the smallest."""
+    trails, totals = walk_collect(
+        h, emissions, initial_state, viterbi._branch_cost, h.branch_errors is None
+    )
+    if not trails:
         raise NoPathError(f"no admissible path from state {initial_state}")
-    metric = int(best_metric) if h.branch_errors is not None else best_metric
+    best = min(totals)
+    tol = viterbi._slack(h.branch_errors is not None, best)
+    within = [p for p, total in enumerate(totals) if total <= best + tol]
+    path = trails[within[0]]
     return viterbi.DecodeResult(
-        path=best_path, message=viterbi._message(h, best_path), metric=metric, ties=ties
+        path=path, message=viterbi._message(h, path), metric=totals[within[0]], ties=len(within)
     )
 
 
@@ -407,20 +402,20 @@ def test_enumeration_matches_recursive_walk(instance):
 @pytest.mark.parametrize(
     "offsets, winner, ties",
     [
-        # the path to 2 ties with the one to 1; the path to 3 is more than
-        # tol below the best so far and replaces both; the one to 4 ties
-        # with it.  The first path within tol of the overall minimum would
-        # be the one to 2.
-        ((0.0, 0.6, 1.2, 0.7), 3, 2),
-        # each total is within tol of the first, so all three tie with it
-        # and the best never moves, though the path to 3 is the smallest
+        # the smallest total is the path to 3's; the paths to 2 and 4 lie
+        # within tol of it and the one to 1 does not, so the path to 2 is
+        # the first co-optimal one
+        ((0.0, 0.6, 1.2, 0.7), 2, 3),
+        # every total is within tol of the smallest, the path to 3's
         ((0.0, 0.6, 0.9), 1, 3),
-        # the path to 3 lies 1.4 tol above the smallest total before it,
-        # yet within tol of the best, so it still ties
-        ((0.0, 0.9, -0.5), 1, 3),
+        # the path to 3 lies 1.4 tol above the smallest total, the path to
+        # 2's, so only the paths to 1 and 2 are co-optimal
+        ((0.0, 0.9, -0.5), 1, 2),
     ],
 )
-def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties):
+def test_float_near_ties_keep_the_first_path_within_the_slack_of_the_optimum(
+    offsets, winner, ties
+):
     """Totals a - offset * tol on the one-step paths 0 -> 1, 2, ..., in that order."""
     base = 2.0
     tol = viterbi.FLOAT_SLACK * base
@@ -431,10 +426,41 @@ def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties)
     totals = [viterbi._neglog(h, 0, j, "a") for j in range(1, len(offsets) + 1)]
     assert totals == pytest.approx(targets, abs=0.05 * tol)
     result = brute_force_decode(h, ["a"])
-    assert result == walk_brute_force(h, ["a"])
+    assert result == walk_brute_force(h, ["a"]) == viterbi_decode(h, ["a"])
     assert (result.path, result.metric, result.ties) == ((0, winner), totals[winner - 1], ties)
     ps = build_path_space_hmm(h, ["a"])
     assert ps.path(ps.viterbi_index) == (0, winner)
+
+
+def near_tie_hmm(rng):
+    """2-4 states, equal transitions, emissions of a few weights each nudged by a few slacks."""
+    num_states = int(rng.integers(2, 5))
+    bases, nudges = (0.5, 0.3, 0.2), (0.0, 3e-12, -3e-12, 6e-12, -6e-12, 1e-11)
+    keys = [(i, j, y) for i in range(num_states) for y in ("u", "v") for j in range(num_states)]
+    trans = {key: 1.0 / num_states for key in keys}
+    emit = {key: rng.choice(bases) * (1.0 + rng.choice(nudges)) for key in keys}
+    return Hmm(num_states, ("u", "v"), trans, emit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_three_oracles_name_one_path_on_float_near_ties(seed):
+    """viterbi_decode, brute_force_decode and viterbi_index agree on path and metric."""
+    for case in range(100):
+        rng = np.random.default_rng([seed, case])
+        h = near_tie_hmm(rng)
+        emissions = [("u", "v")[int(x)] for x in rng.integers(0, 2, int(rng.integers(1, 7)))]
+        a, b = viterbi_decode(h, emissions), brute_force_decode(h, emissions)
+        ps = build_path_space_hmm(h, emissions)
+        assert a.path == b.path == ps.path(ps.viterbi_index), (seed, case)
+        assert a.metric == b.metric == ps.weights[ps.viterbi_index], (seed, case)
+
+
+def test_first_optimum_of_a_million_descending_totals():
+    """Every total is a new running minimum, the worst case of a sequential scan."""
+    totals = np.linspace(30, 1, 2**20)
+    start = time.perf_counter()
+    assert viterbi.first_optimum(totals) == (2**20 - 1, 1.0, 1)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_start_states_out_of_range_are_rejected(hmm01):
