@@ -412,11 +412,15 @@ def test_enumeration_matches_recursive_walk(instance):
         # 2's, so only the paths to 1 and 2 are co-optimal
         ((0.0, 0.9, -0.5), 1, 2),
     ],
+    # the case names stay those of earlier versions of this test, whose rule
+    # kept a running best, so each case's result can be followed across them
+    ids=["offsets0-3-2", "offsets1-1-3", "offsets2-1-3"],
 )
-def test_float_near_ties_keep_the_first_path_within_the_slack_of_the_optimum(
-    offsets, winner, ties
-):
-    """Totals a - offset * tol on the one-step paths 0 -> 1, 2, ..., in that order."""
+def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties):
+    """Totals a - offset * tol on the one-step paths 0 -> 1, 2, ..., in that order.
+
+    Taken in that sequence, the first path within the slack of the optimum wins.
+    """
     base = 2.0
     tol = viterbi.FLOAT_SLACK * base
     targets = [base - offset * tol for offset in offsets]
