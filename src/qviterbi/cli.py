@@ -32,6 +32,7 @@ from .convcode import (
     BscChannel,
     CODE_5_7,
     ConvCode,
+    bsc_weights,
     pack_blocks,
     split_blocks,
     transmit_rows,
@@ -46,14 +47,6 @@ DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
 # most this many, and over this many drawn from the seed beyond: chain-vs-path
 # on all 2^16 words of a rate-1/8 code at N = 2 took 11 s
 CHECK_WORDS = 256
-
-COMMAND_MODES = {
-    "table": ("table-reproduction",),
-    "sweep": ("omega-sweep",),
-    "decode": DECODE_MODES,
-    "verify": ("circuit-verify",),
-    "circuit": ("circuit-verify",),
-}
 
 # Config field -> (default, JSON types it accepts, flag help or None for a
 # config-only field).  null is accepted where the default is None; n_range,
@@ -115,12 +108,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if types and type(value) not in types and not (value is None and default is None):
             raise ConfigError(f"{key} must be {types[-1].__name__}, got {json.dumps(value)}")
 
-    mode = merged["mode"] or COMMAND_MODES[args.command][0]
-    if mode not in COMMAND_MODES[args.command]:
-        raise ConfigError(
-            f"mode {mode!r} not valid for {args.command!r}; "
-            f"expected one of {COMMAND_MODES[args.command]}"
-        )
+    mode = merged["mode"]
+    if args.command == "decode":
+        mode = mode or DECODE_MODES[0]
+        if mode not in DECODE_MODES:
+            raise ConfigError(
+                f"mode {mode!r} not valid for 'decode'; expected one of {DECODE_MODES}"
+            )
+    elif mode is not None:
+        raise ConfigError(f"mode is for decode only, not {args.command!r}")
     try:
         code = ConvCode.from_spec(merged["code"])
     except ValueError as exc:
@@ -297,7 +293,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     trellis_decode call, iterated-qva one qva.adaptive_decode_rows call,
     which amplifies every pending block at once per schedule entry, and
     probabilistic-qva one qva.sample_modes pass per row group of
-    qva.path_error_groups, with the error weights of trials.error_weights
+    qva.path_error_groups, with the path weights of convcode.bsc_weights
     shared by every block.  Each block's path errors are computed once.
     Those functions bound their own working sets (viterbi.CHUNK_CELLS,
     errors.SIZE_LIMIT).
@@ -351,7 +347,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         for row, cls, decoded in zip(results, classes.tolist(), _bit_strings(modes)):
             row["decoded"], row["accepted_class"] = (decoded, cls) if cls >= 0 else (None, None)
     else:
-        weights = trials.error_weights(eps_dec, cfg.n_steps * code.n)
+        weights = bsc_weights(eps_dec, cfg.n_steps * code.n)
         weights = np.broadcast_to(weights, (cfg.campaigns, len(weights)))
         prob_r = cfg.trials or trials.required_trials(cfg.n_steps)
         seeds = stream_table(2)

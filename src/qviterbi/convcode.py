@@ -92,8 +92,6 @@ class ConvCode:
                 degrees.append(mask.bit_length() - 1)
         if max(degrees) != self.m:
             raise ValueError("no generator polynomial has degree exactly m")
-        if any(d > self.m for d in degrees):
-            raise ValueError("generator polynomial degree exceeds memory depth")
 
     @classmethod
     def from_spec(cls, spec: str) -> "ConvCode":
@@ -185,7 +183,7 @@ class ConvCode:
 
         Transition rows put the uniform prior 2^-k on each legal edge so the
         branch weight depends on the received block only through its bit-error
-        count, and the emission entry is epsilon^d (1-epsilon)^(n-d) with d the
+        count, and the emission entry is bsc_weights(epsilon, n)[d] with d the
         bit-error count of the edge output against the received block.  The
         tables are read off the trellis and refused over SIZE_LIMIT cells.
         """
@@ -197,7 +195,7 @@ class ConvCode:
                 f"{self.num_states} x {self.fanout} x 2^{n} Hmm entries exceeds the size guard"
             )
         table = self.trellis()
-        weights = np.array([(epsilon**d) * ((1.0 - epsilon) ** (n - d)) for d in range(n + 1)])
+        weights = bsc_weights(epsilon, n)
         # [block, state, input]: each edge's bit errors against each received block
         errors = np.bitwise_count(table.output ^ np.arange(1 << n)[:, None, None])
         return Hmm.from_tables(
@@ -240,6 +238,17 @@ def _trellis(code: ConvCode) -> Trellis:
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")
+
+
+def bsc_weights(epsilon: float, bits: int) -> np.ndarray:
+    """epsilon^e (1-epsilon)^(bits-e) for e = 0..bits: the BSC law of every path weight.
+
+    Entry e is the probability of receiving a given word at Hamming distance
+    e from a sent word of `bits` bits.  to_hmm reads it with bits = n and
+    the QVA decoders with bits = N n.
+    """
+    _check_epsilon(epsilon)
+    return np.array([(epsilon**e) * ((1.0 - epsilon) ** (bits - e)) for e in range(bits + 1)])
 
 
 class BscChannel:

@@ -180,13 +180,20 @@ class Hmm:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Hmm":
-        """The model of a to_json_dict document; unknown keys and bad entries raise ValueError.
+        """The model of a to_json_dict document; bad keys, fields and entries raise ValueError.
 
         A legacy "initial" is accepted only as the point mass on state 0.
         """
-        unknown = set(doc) - {"num_states", "emissions", "trans", "emit", "initial"}
-        if unknown:
+        required = {"num_states", "emissions", "trans", "emit"}
+        if unknown := set(doc) - required - {"initial"}:
             raise ValueError(f"unknown HMM document keys {sorted(unknown)}")
+        if missing := required - set(doc):
+            raise ValueError(f"missing HMM document keys {sorted(missing)}")
+        if type(doc["num_states"]) is not int:
+            raise ValueError(f"num_states is {doc['num_states']!r}, not an integer")
+        emissions = doc["emissions"]
+        if not (isinstance(emissions, list) and all(type(y) is str for y in emissions)):
+            raise ValueError(f"emissions is {emissions!r}, not a list of symbols")
         maps = {"trans": {}, "emit": {}}
         for name, table in maps.items():
             if not isinstance(doc[name], list):
@@ -200,7 +207,7 @@ class Hmm:
                 if (i, j, y) in table:
                     raise ValueError(f"{name} entry ({i}, {j}, {y!r}) is repeated")
                 table[i, j, y] = p
-        h = cls(doc["num_states"], doc["emissions"], **maps)
+        h = cls(doc["num_states"], emissions, **maps)
         if "initial" in doc and doc["initial"] != [1.0] + [0.0] * (h.num_states - 1):
             raise ValueError("initial must be the point mass on state 0, where decoders start")
         return h

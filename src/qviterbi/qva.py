@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import streams, viterbi
-from .convcode import ConvCode, _check_bits, split_blocks
+from .convcode import ConvCode, _check_bits, bsc_weights, split_blocks
 from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
 from .hmm import Hmm
 from .viterbi import enumerate_paths
@@ -65,8 +65,9 @@ SHOT_CELLS = 8 * viterbi.CHUNK_CELLS
 # The peak of prob_top(omega) is about 0.3 / iterations wide at half maximum,
 # so sweep_omega's grid step is at most PEAK_STEP / iterations.  Up to 51
 # iterations (N <= 12 for a rate-1/k code) the 0.005 sweep grid stays finer,
-# and up to 26 (N <= 10) the 0.01 schedule grid does.
+# and up to 26 (N <= 10) default_schedule's 0.01 grid, SCHEDULE_GRID, does.
 PEAK_STEP = 0.27
+SCHEDULE_GRID = 0.01
 
 # sweep_omega refuses grids of more (point, class, iteration) amplitude
 # updates: `sweep --n-steps 20` makes about 2.5e8 (1.7 s on a 2-vCPU host),
@@ -689,19 +690,10 @@ class AdaptiveDecodeResult:
     attempts: tuple[ClassAttempt, ...]
 
 
-def _seed_list(seed) -> list:
-    if seed is None:
-        return [0]
-    if isinstance(seed, (list, tuple)):
-        return list(seed)
-    return [seed]
-
-
 def adaptive_decode(
     code: ConvCode,
     received: str,
     schedule: Sequence[ScheduleEntry],
-    initial_state: int = 0,
     seed=0,
 ) -> AdaptiveDecodeResult:
     """Adaptive decoding over a schedule of error classes.
@@ -716,8 +708,9 @@ def adaptive_decode(
         raise ValueError("schedule must not be empty")
     ys = _received_blocks(code, received)
     # class c measures with default_rng([*seed, c]): c takes the block column
-    tables = [streams.seed_table(_seed_list(seed), [cls]) for cls in range(len(schedule))]
-    found = adaptive_decode_rows(code, ys, schedule, tables, initial_state)[:, :, 0].tolist()
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    tables = [streams.seed_table(seeds, [cls]) for cls in range(len(schedule))]
+    found = adaptive_decode_rows(code, ys, schedule, tables)[:, :, 0].tolist()
     attempts = tuple(ClassAttempt(cls, entry.max_errors, *row[:3], bool(row[3]))
                      for cls, (entry, row) in enumerate(zip(schedule, found)) if row[0] >= 0)
     last = attempts[-1]
@@ -726,7 +719,7 @@ def adaptive_decode(
     n_steps = ys.shape[1]
     return AdaptiveDecodeResult(
         message=format(last.mode_index, f"0{code.k * n_steps}b"),
-        path=_code_path(code, initial_state, n_steps, last.mode_index),
+        path=_code_path(code, 0, n_steps, last.mode_index),
         metric=last.distance,
         accepted_class=last.class_index,
         attempts=attempts,
@@ -738,7 +731,6 @@ def adaptive_decode_rows(
     ys: np.ndarray,
     schedule: Sequence[ScheduleEntry],
     tables: Sequence[np.ndarray],
-    initial_state: int = 0,
 ) -> np.ndarray:
     """adaptive_decode on every received word of ys, shape (rows, N) as in path_error_rows.
 
@@ -756,7 +748,7 @@ def adaptive_decode_rows(
     n_values = ys.shape[1] * code.n + 1
     values = np.arange(n_values)
     found = np.full((len(schedule), 4, len(ys)), -1, dtype=np.int64)
-    for group, errors in path_error_groups(code, ys, initial_state):
+    for group, errors in path_error_groups(code, ys):
         counts = np.concatenate([
             np.bincount((chunk + n_values * np.arange(len(chunk))[:, None]).ravel(),
                         minlength=len(chunk) * n_values).reshape(-1, n_values)
@@ -805,27 +797,25 @@ def default_schedule(
     max_errors: int = 2,
     trials: int = 7,
     iterations: int | None = None,
-    grid: float = 0.01,
-    initial_state: int = 0,
 ) -> list[ScheduleEntry]:
     """Schedule over error classes 0..max_errors ordered by class probability.
 
-    The phase unit of each class is precomputed by sweeping on a
-    representative received word with that many channel errors.
+    In a frame of B = N n bits, class e has probability
+    comb(B, e) * bsc_weights(epsilon, B)[e].  Its phase unit is precomputed
+    by sweeping, on the SCHEDULE_GRID grid, the paths from state 0 of a
+    representative received word with e channel errors: every iterated
+    decode starts at state 0.
     """
     if iterations is None:
         iterations = formula_iterations(code, n_steps)
     total_bits = n_steps * code.n
-    classes = list(range(max_errors + 1))
-    classes.sort(
-        key=lambda e: -(
-            math.comb(total_bits, e) * epsilon**e * (1.0 - epsilon) ** (total_bits - e)
-        )
-    )
+    if max_errors > total_bits:
+        raise ValueError("more errors than codeword bits")
+    weights = bsc_weights(epsilon, total_bits)
     schedule = []
-    for e in classes:
+    for e in sorted(range(max_errors + 1), key=lambda e: -math.comb(total_bits, e) * weights[e]):
         rep = representative_received(code, n_steps, e)
-        sw = sweep_omega(build_path_space(code, rep, initial_state), iterations, grid)
+        sw = sweep_omega(build_path_space(code, rep), iterations, SCHEDULE_GRID)
         schedule.append(
             ScheduleEntry(
                 omega=sw.omega_star,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convcode import _check_epsilon
+from .convcode import _check_epsilon, bsc_weights
 from .qva import PathSpace, measure, mode_of, path_iterations
 
 DEFAULT_TARGET_FAILURE = math.exp(-2.0)
@@ -27,29 +27,17 @@ _CEIL_GUARD = 1e-9
 def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
     """Statevector with amplitude proportional to sqrt(path probability).
 
-    For code-backed spaces the path probability is epsilon^e (1-epsilon)^(B-e)
-    up to the constant uniform message prior, with e the path's bit-error
-    count and B the received length in bits, gathered from error_weights.
-    The argmax amplitude is the classical most-likely path.
+    For code-backed spaces the path probability, up to the uniform message
+    prior, is bsc_weights(epsilon, B)[e] with e the path's bit-error count
+    and B the received length in bits.  The argmax amplitude is the
+    classical most-likely path.
     """
     if ps.code is not None and ps.errors is not None:
-        return _normalised_sqrt(error_weights(epsilon, ps.n_steps * ps.code.n)[ps.errors])
+        return _normalised_sqrt(bsc_weights(epsilon, ps.n_steps * ps.code.n)[ps.errors])
     _check_epsilon(epsilon)
     if ps.weights is None:
         raise ValueError("path space carries neither a code nor log weights")
     return _normalised_sqrt(np.exp(-ps.weights))
-
-
-def error_weights(epsilon: float, total_bits: int) -> np.ndarray:
-    """Path probability epsilon^e (1-epsilon)^(B-e), up to the message prior, for e = 0..B.
-
-    B = total_bits.  Measuring an amplitude-loaded state draws a path of
-    e errors with probability proportional to entry e, so this vector,
-    broadcast over rows, is what decode campaigns pass qva.sample_modes.
-    """
-    _check_epsilon(epsilon)
-    e = np.arange(total_bits + 1, dtype=float)
-    return epsilon**e * (1.0 - epsilon) ** (total_bits - e)
 
 
 def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:
@@ -118,10 +106,9 @@ def plan_trials(
     b: float,
     b_prime: float,
     target_failure: float = DEFAULT_TARGET_FAILURE,
-    symmetric: bool = False,
 ) -> TrialPlan:
     """Trial count from the general rate formula for given top-two odds."""
-    rate = mode_failure_rate(b, b_prime, symmetric=symmetric)
+    rate = mode_failure_rate(b, b_prime)
     if rate == 0.0:
         raise ValueError("b == b': no trial count separates the outcomes")
     r = _trials_for(rate, target_failure)

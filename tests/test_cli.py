@@ -55,6 +55,18 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config(parse(["table", "--config", path]))
 
+    @pytest.mark.parametrize(
+        "command, mode",
+        [("table", "table-reproduction"), ("sweep", "omega-sweep"),
+         ("verify", "circuit-verify"), ("circuit", "circuit-verify")],
+    )
+    def test_mode_outside_decode_exits_two(self, tmp_path, capsys, command, mode):
+        # mode is a decode field: the other commands refuse any value, their old labels too
+        path = config_file(tmp_path, {"mode": mode})
+        assert main([command, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"bad config: mode is for decode only, not {command!r}\n"
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

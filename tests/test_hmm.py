@@ -121,6 +121,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(message)):
             Hmm(2, ("a", "b"), trans, emit)
 
+    def test_no_states_rejected(self):
+        with pytest.raises(ValueError, match="num_states must be positive"):
+            Hmm(0, ("a",), {}, {})
+
+    def test_duplicate_emission_symbols_rejected(self):
+        with pytest.raises(ValueError, match="duplicate emission symbols"):
+            Hmm(1, ("a", "b", "a"), {(0, 0, "a"): 1.0}, {})
+
     def test_keys_that_compare_in_range_pass(self):
         h = Hmm(2, ("a",), {(np.int64(0), 1.0, "a"): 1.0}, {(True, 0, "a"): 0.5})
         assert h.successors(0, "a") == ((1.0, 1.0),)
@@ -214,6 +222,25 @@ class TestJson:
     def test_a_table_that_is_not_a_list_is_refused(self, hmm01):
         doc = hmm01.to_json_dict() | {"trans": 5}
         with pytest.raises(ValueError, match=re.escape("trans is 5, not a list of entries")):
+            Hmm.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"num_states": "2"}, "num_states is '2', not an integer"),
+            ({"num_states": 2.5}, "num_states is 2.5, not an integer"),
+            ({"emissions": 5}, "emissions is 5, not a list of symbols"),
+            ({"emissions": [1]}, "emissions is [1], not a list of symbols"),
+            ({"trans": None}, "missing HMM document keys ['trans']"),
+            ({"emit": None}, "missing HMM document keys ['emit']"),
+        ],
+        ids=["string-states", "fractional-states", "number-emissions", "number-symbol",
+             "no-trans", "no-emit"],
+    )
+    def test_a_malformed_field_is_refused(self, hmm01, change, message):
+        doc = hmm01.to_json_dict() | change
+        doc = {key: value for key, value in doc.items() if value is not None}  # None drops
+        with pytest.raises(ValueError, match=re.escape(message)):
             Hmm.from_json_dict(doc)
 
     @pytest.mark.parametrize(
