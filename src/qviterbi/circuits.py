@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .convcode import ConvCode, _check_bits, split_blocks
-from .errors import SIZE_LIMIT, SizeLimitError
+from .errors import SIZE_LIMIT, SizeLimitError, check_state
 from .hmm import Hmm
 from .qva import build_path_space
 
@@ -224,8 +224,7 @@ def chain_state(code: ConvCode, received: str, omega: float, initial_state: int 
     blocks against a (left, Q, Q, rest) view of the state, broadcast over
     the control register t-1; the full chain unitary is never formed.
     """
-    if not 0 <= initial_state < code.num_states:
-        raise ValueError("initial state out of range")
+    initial_state = check_state(initial_state, code.num_states)
     blocks = split_blocks(received, code.n)
     n = len(blocks)
     q_bits = code.state_bits
@@ -273,15 +272,12 @@ def gate_counts(source: ConvCode | Hmm, n_steps: int) -> GateCount:
     two-level rotations plus F (log2 F)^2 subspace-changing operations, so
     the total is N |Q| F (1 + (log2 F)^2).
     """
-    if isinstance(source, ConvCode):
-        q, fan = source.num_states, source.fanout
-    else:
-        q, fan = source.num_states, source.fanout()
+    fan = source.fanout if isinstance(source, ConvCode) else source.fanout()
     if fan < 1:
         raise ValueError("fanout must be at least 1")
-    log_f = fan.bit_length() - 1 if fan & (fan - 1) == 0 else math.ceil(math.log2(fan))
-    rotations = n_steps * q * fan
-    control_logic = n_steps * q * fan * log_f * log_f
+    log_f = (fan - 1).bit_length()  # ceil(log2 F), exact for every F
+    rotations = n_steps * source.num_states * fan
+    control_logic = rotations * log_f * log_f
     return GateCount(
         rotations=rotations,
         control_logic=control_logic,

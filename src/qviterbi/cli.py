@@ -115,6 +115,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"mode {mode!r} not valid for 'decode'; expected one of {DECODE_MODES}"
             )
+        if (merged["out"] or "").endswith(".csv") and mode != "probabilistic-qva":
+            raise ConfigError(f"mode {mode!r} writes a JSON record, not CSV")
     elif mode is not None:
         raise ConfigError(f"mode is for decode only, not {args.command!r}")
     try:
@@ -376,8 +378,8 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 def cmd_decode(cfg: ExperimentConfig) -> int:
     started = time.perf_counter()
     results, summary = run_decode_campaign(cfg)
-    if cfg.out and cfg.out.endswith(".csv") and cfg.mode == "probabilistic-qva":
-        # flat campaign table instead of the full JSON record
+    if cfg.out and cfg.out.endswith(".csv"):
+        # probabilistic-qva's flat campaign table instead of the full JSON record
         header = ["campaign_id", "seed", "r", "mode", "mode_count", "correct"]
         rows = [
             (
@@ -400,12 +402,8 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
             "summary": summary,
             "timing_seconds": round(time.perf_counter() - started, 6),
         }
-        payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
-        if cfg.out:
-            with _open_out(cfg.out) as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        with _out_stream(cfg) as stream:
+            stream.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     if cfg.out:
         print(
             f"blocks={summary['blocks']} errors={summary['block_errors']} "

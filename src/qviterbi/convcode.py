@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SIZE_LIMIT, SizeLimitError
+from .errors import SIZE_LIMIT, SizeLimitError, check_state
 from .hmm import Hmm
 
 
@@ -152,8 +152,6 @@ class ConvCode:
         The one-row case of encode_rows.
         """
         _check_bits(message)
-        if len(message) % self.k:
-            raise ValueError(f"message length {len(message)} not divisible by k={self.k}")
         inputs = np.array([[int(u, 2) for u in split_blocks(message, self.k)]], dtype=np.int64)
         outputs = self.encode_rows(inputs, initial_state)[0]
         return "".join(format(y, f"0{self.n}b") for y in outputs.tolist())
@@ -170,8 +168,7 @@ class ConvCode:
         walked m steps, or from initial_state, and is exact however long
         the messages are.
         """
-        if not 0 <= initial_state < self.num_states:
-            raise ValueError("initial state out of range")
+        initial_state = check_state(initial_state, self.num_states)
         table = self.trellis()
         states = np.full(inputs.shape, initial_state, dtype=np.int64)
         for _ in range(self.m):

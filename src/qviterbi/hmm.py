@@ -71,12 +71,10 @@ class Hmm:
         if len(self.symbols) != len(self.emissions):
             raise ValueError("duplicate emission symbols")
 
-        n = self.num_states
         for name, table in (("trans", trans), ("emit", emit)):
             for (i, j, y), p in table.items():
-                if not (0 <= i < n and 0 <= j < n and i % 1 == j % 1 == 0
-                        and y in self.symbols and 0.0 <= p <= 1.0):
-                    self._check_key(i, j, y, where=name)  # the first bad entry names the error
+                self._check_key(i, j, y, where=name)
+                if not 0.0 <= p <= 1.0:
                     raise ValueError(f"{name}[{(i, j, y)}] = {p} outside [0, 1]")
 
         successors = defaultdict(list)  # (symbol, state) -> successors of positive probability
@@ -84,7 +82,7 @@ class Hmm:
             if p > 0.0:
                 successors[self.symbols[y], int(i)].append(int(j))
         width = max(map(len, successors.values()), default=0)
-        self.succ = np.full((len(self.emissions), n, width), -1, dtype=np.int32)
+        self.succ = np.full((len(self.emissions), self.num_states, width), -1, dtype=np.int32)
         for (a, i), row in successors.items():
             self.succ[a, i, : len(row)] = sorted(row)
         cells, keys = self._branches()

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import streams, viterbi
 from .convcode import ConvCode, _check_bits, bsc_weights, split_blocks
-from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
+from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError, check_state
 from .hmm import Hmm
 from .viterbi import enumerate_paths
 
@@ -181,8 +181,6 @@ class PathSpace:
         return format(index, f"0{self._input_bits * self.n_steps}b")
 
     def exponent_multiset(self) -> Counter:
-        if self.errors is None:
-            raise ValueError("this path space carries no integer error counts")
         view = self.classes("errors")
         return Counter(dict(zip(view.values.tolist(), view.counts.tolist())))
 
@@ -206,8 +204,7 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     block first) starting from initial_state; its errors come from the
     one-row case of path_error_rows.
     """
-    if not 0 <= initial_state < code.num_states:
-        raise ValueError("initial state out of range")
+    initial_state = check_state(initial_state, code.num_states)
     ys = _received_blocks(code, received)
     return PathSpace(
         n_steps=ys.shape[1],
@@ -290,7 +287,7 @@ def path_error_rows(
     n_steps = ys.shape[1]
     if table is None:
         table = codeword_table(code, n_steps)
-    if initial_state:
+    if check_state(initial_state, code.num_states):
         ys = ys ^ code.encode_rows(np.zeros((1, n_steps), dtype=np.int64), initial_state)
     received = ys.astype(np.uint64) @ _frame_layout(code, n_steps)[0]
     errors = np.bitwise_xor(received[:, :1], table[0])
@@ -798,13 +795,14 @@ def default_schedule(
     trials: int = 7,
     iterations: int | None = None,
 ) -> list[ScheduleEntry]:
-    """Schedule over error classes 0..max_errors ordered by class probability.
+    """Schedule over error classes 0..max_errors, most probable first.
 
-    In a frame of B = N n bits, class e has probability
-    comb(B, e) * bsc_weights(epsilon, B)[e].  Its phase unit is precomputed
-    by sweeping, on the SCHEDULE_GRID grid, the paths from state 0 of a
-    representative received word with e channel errors: every iterated
-    decode starts at state 0.
+    In a frame of B = N n bits, class e has probability p_e =
+    comb(B, e) * bsc_weights(epsilon, B)[e] and cost -log p_e (inf where p_e
+    underflows to 0); viterbi.first_optimum over the costs left picks each
+    next class, so near-tied classes go fewer errors first.  A class's phase
+    unit is swept on the SCHEDULE_GRID grid over the paths from state 0, where
+    every iterated decode starts, of a received word with e channel errors.
     """
     if iterations is None:
         iterations = formula_iterations(code, n_steps)
@@ -812,8 +810,13 @@ def default_schedule(
     if max_errors > total_bits:
         raise ValueError("more errors than codeword bits")
     weights = bsc_weights(epsilon, total_bits)
+    probs = [math.comb(total_bits, e) * weights[e] for e in range(max_errors + 1)]
+    costs = np.array([-math.log(p) if p > 0.0 else math.inf for p in probs])
+    left, order = list(range(max_errors + 1)), []
+    while left:
+        order.append(left.pop(viterbi.first_optimum(costs[left])[0]))
     schedule = []
-    for e in sorted(range(max_errors + 1), key=lambda e: -math.comb(total_bits, e) * weights[e]):
+    for e in order:
         rep = representative_received(code, n_steps, e)
         sw = sweep_omega(build_path_space(code, rep), iterations, SCHEDULE_GRID)
         schedule.append(

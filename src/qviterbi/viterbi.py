@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .convcode import Trellis
-from .errors import SIZE_LIMIT, NoPathError, SizeLimitError
+from .errors import SIZE_LIMIT, NoPathError, SizeLimitError, check_state
 from .hmm import Hmm
 
 # Relative slack for float metric comparisons; integer metrics compare exactly.
@@ -99,8 +99,7 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     optimum's budget, so the first co-optimal path is returned.
     """
     rows = _check_emissions(h, emissions)
-    if not 0 <= initial_state < h.num_states:
-        raise ValueError("initial state out of range")
+    initial_state = check_state(initial_state, h.num_states)
     n = len(emissions)
     q = h.num_states
     costs = h.tables.get("errors", h.tables["neglog"])
@@ -114,11 +113,8 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
     for t in range(n - 1, -1, -1):
         for i, (succ, cost) in enumerate(zip(h.succ[rows[t]].tolist(), costs[rows[t]].tolist())):
             candidates = [(c + to_go[t + 1][j], j) for j, c in zip(succ, cost) if j >= 0]
-            if not candidates:
-                continue
-            best = min(c for c, _ in candidates)
-            if best == math.inf:
-                continue
+            # a state without a finite continuation costs inf; no finite state counts its ways
+            best = min((c for c, _ in candidates), default=math.inf)
             tol = _slack(exact, best)
             to_go[t][i] = best
             ways[t][i] = sum(ways[t + 1][j] for c, j in candidates if c <= best + tol)
@@ -158,8 +154,7 @@ def trellis_decode(
     shape (rows, N), and each row's bit-error count.
     """
     num_states = table.next_state.shape[0]
-    if not 0 <= initial_state < num_states:
-        raise ValueError("initial state out of range")
+    initial_state = check_state(initial_state, num_states)
     rows, n = ys.shape
     chunk = max(1, CHUNK_CELLS // (n * table.next_state.size))
     if rows > chunk:
@@ -219,8 +214,7 @@ def enumerate_paths(
     infinite is not extended, so paths of probability zero never appear.
     """
     rows = _check_emissions(h, emissions)
-    if not 0 <= initial_state < h.num_states:
-        raise ValueError("initial state out of range")
+    initial_state = check_state(initial_state, h.num_states)
     n = len(emissions)
     fan = h.fanout()
     if fan**n > SIZE_LIMIT:

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 import qviterbi.qva as qva_module
-from qviterbi import cli
+from qviterbi import circuits, cli
 from qviterbi.cli import (
     ConfigError,
     build_parser,
@@ -144,6 +145,32 @@ class TestConfigResolution:
         assert out == ""
         assert err.startswith(f"bad config: cannot write {written.format(target)}: "), err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([4], "config document must be a JSON object"),
+            ({"mode": "annealing"}, "mode 'annealing' not valid for 'decode'; expected one of "
+                                    "('classical', 'iterated-qva', 'probabilistic-qva')"),
+            ({"n_steps": 0}, "n_steps must be at least 1"),
+            ({"campaigns": 0}, "campaigns must be at least 1"),
+            ({"max_errors": -1}, "max_errors must be non-negative"),
+        ],
+    )
+    def test_decode_config_refusals_exit_two(self, tmp_path, capsys, doc, message):
+        assert main(["decode", "--config", config_file(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"bad config: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["classical", "iterated-qva"])
+    def test_csv_out_refused_outside_probabilistic_mode(self, tmp_path, capsys, mode):
+        # only probabilistic-qva has a CSV form; the others would write JSON into a .csv
+        target = tmp_path / "campaign.csv"
+        config = config_file(tmp_path, {"mode": mode, "campaigns": 3})
+        assert main(["decode", "--config", config, "--n-steps", "3", "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"bad config: mode {mode!r} writes a JSON record, not CSV\n"
+        assert not target.exists()
 
     def test_table_range_validation(self, tmp_path):
         path = config_file(tmp_path, {"n_range": [2, 9]})
@@ -363,6 +390,13 @@ class TestDecode:
         assert {"block", "seed", "flips", "truth", "decoded", "correct"} <= set(record["results"][0])
         assert "rate=" in capsys.readouterr().out
 
+    def test_record_goes_to_stdout_without_out(self, tmp_path, capsys):
+        config = config_file(tmp_path, {"campaigns": 5})
+        assert main(["decode", "--config", config, "--n-steps", "3", "--seed", "2"]) == 0
+        record = json.loads(capsys.readouterr().out)  # the record alone, no summary line
+        assert record["config"]["out"] is None and record["config"]["seed"] == 2
+        assert len(record["results"]) == record["summary"]["blocks"] == 5
+
     def test_iterated_mode_noiseless_five_hundred_blocks(self, tmp_path):
         path = config_file(
             tmp_path, {"mode": "iterated-qva", "campaigns": 500, "iterations": 3, "trials": 7}
@@ -447,6 +481,25 @@ class TestVerify:
         assert main(["verify", "--seed", "5"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] diffusion-row-form" in out
+
+    @pytest.mark.parametrize(
+        "name, owner, attr, fault",
+        [
+            # the DP decoder reports one bit error more than the oracle
+            ("decoder-oracle-equivalence", cli, "viterbi_decode",
+             lambda healthy: lambda h, blocks: dataclasses.replace(
+                 healthy(h, blocks), metric=healthy(h, blocks).metric + 1)),
+            ("step-block-unitarity", circuits, "step_blocks",
+             lambda healthy: lambda *args: 1.01 * healthy(*args)),
+            ("circuit-vs-block", circuits, "step_circuit_00",
+             lambda healthy: lambda omega: healthy(omega + 0.01)),
+        ],
+    )
+    def test_fault_injected_check_fails(self, capsys, monkeypatch, name, owner, attr, fault):
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        assert main(["verify", "--seed", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"[FAIL] {name} ") for line in lines), lines
 
     def test_other_code_skips_instead_of_passing(self, capsys):
         assert main(["verify", "--code", "1,2,3;13,17", "--seed", "5"]) == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qviterbi.qva as qva_module
+from qviterbi.convcode import ConvCode
 from qviterbi.errors import DecodeFailure, SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import (
@@ -480,6 +481,14 @@ class TestAdaptiveDecode:
         # at epsilon = 0.2 a single flip is more likely than none on 8 bits
         schedule = default_schedule(code, 4, 0.2, max_errors=2, trials=7, iterations=3)
         assert [e.max_errors for e in schedule] == [1, 2, 0]
+
+    @pytest.mark.parametrize("bits, order", [(19, [0, 1, 2]), (39, [1, 2, 3, 0])])
+    def test_schedule_puts_tied_classes_fewer_errors_first(self, bits, order):
+        # at epsilon = 0.05 classes 0 and 1 of 19 bits, and 1 and 2 of 39, tie in
+        # real arithmetic; their float products differ only by rounding
+        one_step = ConvCode.from_spec(f"1,{bits},1;" + ",".join(["3"] * bits))
+        schedule = default_schedule(one_step, 1, 0.05, max_errors=len(order) - 1)
+        assert [e.max_errors for e in schedule] == order
 
     def test_representative_received_spreads_flips(self, code):
         rep = representative_received(code, 4, 2)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from code_reference import edges_by_step, hamming
-from qviterbi import viterbi
+from qviterbi import circuits, qva, viterbi
 from qviterbi.convcode import ConvCode, split_blocks
 from qviterbi.errors import SIZE_LIMIT, NoPathError, SizeLimitError
 from qviterbi.hmm import Hmm
@@ -472,6 +472,41 @@ def test_start_states_out_of_range_are_rejected(hmm01):
         for oracle in (brute_force_decode, path_metric_multiset, build_path_space_hmm):
             with pytest.raises(ValueError, match="initial state out of range"):
                 oracle(hmm01, ["00", "11"], start)
+
+
+def _space(ps):
+    return ps.errors.tolist(), [ps.path(i) for i in range(ps.L)]
+
+
+# Every function that takes a start state, each as (code, its Hmm, state) -> a result,
+# on one three-block word: BLOCKS as strings, YS as block integers
+BLOCKS, YS = ["00", "11", "01"], np.array([[0, 3, 1]])
+START_STATE_CALLS = {
+    "encode": lambda code, h, s: code.encode("10110", s),
+    "encode_rows": lambda code, h, s: code.encode_rows(np.array([[1, 0, 1, 1, 0]]), s).tolist(),
+    "path_error_rows": lambda code, h, s: qva.path_error_rows(code, YS, s).tolist(),
+    "build_path_space": lambda code, h, s: _space(qva.build_path_space(code, "".join(BLOCKS), s)),
+    "build_path_space_hmm": lambda code, h, s: _space(build_path_space_hmm(h, BLOCKS, s)),
+    "trellis_decode": lambda code, h, s: [
+        a.tolist() for a in viterbi.trellis_decode(code.trellis(), YS, s)
+    ],
+    "viterbi_decode": lambda code, h, s: viterbi_decode(h, BLOCKS, s),
+    "brute_force_decode": lambda code, h, s: brute_force_decode(h, BLOCKS, s),
+    "path_metric_multiset": lambda code, h, s: path_metric_multiset(h, BLOCKS, s),
+    "chain_state": lambda code, h, s: circuits.chain_state(code, "0011", 0.68, s).tolist(),
+    "path_reference": lambda code, h, s: circuits.path_reference(code, "0011", 0.68, s).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_STATE_CALLS))
+def test_start_state_must_be_an_integer_state(code, hmm01, name):
+    call = START_STATE_CALLS[name]
+    for start in (1.5, np.float64(2.0), 0.0):  # never truncated to a state
+        with pytest.raises(TypeError):
+            call(code, hmm01, start)
+    assert repr(call(code, hmm01, np.int64(2))) == repr(call(code, hmm01, 2))
+    with pytest.raises(ValueError, match="^initial state out of range$"):
+        call(code, hmm01, code.num_states)
 
 
 def test_brute_force_memory_at_a_million_paths(hmm01):
