@@ -14,8 +14,8 @@ gates is counted by gate_counts but never emitted as a netlist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = UNITARY_
     return bool(np.max(np.abs(flat_a - phase * flat_b)) <= tol)
 
 
-@dataclass(frozen=True)
-class TwoLevelRotation:
+class TwoLevelRotation(NamedTuple):
     """Planar rotation acting on span{|a>, |b>} and as identity elsewhere.
 
     The angle parameterizes matrix entries directly: cos(theta) on the
@@ -256,8 +255,7 @@ def path_reference(
     return reference
 
 
-@dataclass(frozen=True)
-class GateCount:
+class GateCount(NamedTuple):
     """Analytic elementary-operation counts for one full marking pass."""
 
     rotations: int
@@ -278,8 +276,4 @@ def gate_counts(source: ConvCode | Hmm, n_steps: int) -> GateCount:
     log_f = (fan - 1).bit_length()  # ceil(log2 F), exact for every F
     rotations = n_steps * source.num_states * fan
     control_logic = rotations * log_f * log_f
-    return GateCount(
-        rotations=rotations,
-        control_logic=control_logic,
-        total=rotations + control_logic,
-    )
+    return GateCount(rotations, control_logic, total=rotations + control_logic)

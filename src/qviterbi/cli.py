@@ -22,8 +22,8 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, make_dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,15 +68,17 @@ FIELDS = {
     "max_errors": (2, (int,), None),
 }
 
+# Fields only some commands read; the others refuse a value rather than ignore it
+READ_BY = {"mode": ("decode",), "omega": ("circuit",), "grid": ("table", "sweep"),
+           "out": ("table", "sweep", "decode", "circuit")}
+
 
 class ConfigError(Exception):
     """Configuration that cannot be run; maps to exit code 2."""
 
 
 # A resolved run: the command, then every FIELDS entry in order
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig", ["command", *FIELDS], namespace={"__module__": __name__}, frozen=True
-)
+ExperimentConfig = NamedTuple("ExperimentConfig", [(key, object) for key in ("command", *FIELDS)])
 
 
 def load_reference() -> dict:
@@ -87,6 +89,7 @@ def load_reference() -> dict:
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {key: default for key, (default, _, _) in FIELDS.items()}
+    doc = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -107,6 +110,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         # type(), not isinstance(): JSON true/false must not pass as an integer
         if types and type(value) not in types and not (value is None and default is None):
             raise ConfigError(f"{key} must be {types[-1].__name__}, got {json.dumps(value)}")
+    for key, commands in READ_BY.items():
+        given = getattr(args, key, None) is not None or doc.get(key) is not None
+        if given and args.command not in commands:
+            raise ConfigError(f"{key} is for {'/'.join(commands)} only, not {args.command!r}")
 
     mode = merged["mode"]
     if args.command == "decode":
@@ -117,8 +124,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             )
         if (merged["out"] or "").endswith(".csv") and mode != "probabilistic-qva":
             raise ConfigError(f"mode {mode!r} writes a JSON record, not CSV")
-    elif mode is not None:
-        raise ConfigError(f"mode is for decode only, not {args.command!r}")
     try:
         code = ConvCode.from_spec(merged["code"])
     except ValueError as exc:
@@ -397,7 +402,7 @@ def cmd_decode(cfg: ExperimentConfig) -> int:
     else:
         record = {
             "artifact_version": __version__,
-            "config": asdict(cfg),
+            "config": cfg._asdict(),
             "results": results,
             "summary": summary,
             "timing_seconds": round(time.perf_counter() - started, 6),

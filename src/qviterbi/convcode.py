@@ -17,7 +17,6 @@ BscChannel.transmit are their one-row cases on bit strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -62,20 +61,24 @@ class Trellis(NamedTuple):
     output: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConvCode:
+class _CodeFields(NamedTuple):
+    k: int
+    n: int
+    m: int
+    generators: tuple[tuple[int, ...], ...]
+
+
+class ConvCode(_CodeFields):
     """An (n, k) binary convolutional code with memory depth m.
 
     generators is a k x n matrix of polynomial coefficient masks over GF(2);
     bit t of a mask is the coefficient of x^t (a delay of t message blocks).
     """
 
-    k: int
-    n: int
-    m: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 1 or self.n < 1 or self.m < 1:
             raise ValueError("k, n, m must all be positive")
         if self.n > 63:  # output blocks are int64 and frames pack into 64-bit words
@@ -92,6 +95,11 @@ class ConvCode:
                 degrees.append(mask.bit_length() - 1)
         if max(degrees) != self.m:
             raise ValueError("no generator polynomial has degree exactly m")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
     @classmethod
     def from_spec(cls, spec: str) -> "ConvCode":

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ PROB_TOL = 1e-12
 Key = tuple[int, int, str]
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """Outcome of a row-stochasticity scan over all (state, emission) rows."""
 
     passed: bool

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
 
@@ -318,25 +317,33 @@ def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 
     )
 
 
-@dataclass(frozen=True)
-class QvaParams:
-    """Phase unit, iteration count, and phase-exponent source for a run."""
-
+class _QvaFields(NamedTuple):
     omega: float
     iterations: int
     phase_mode: str = "errors"
 
-    def __post_init__(self):
+
+class QvaParams(_QvaFields):
+    """Phase unit, iteration count, and phase-exponent source for a run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.omega <= math.pi:
             raise ValueError("omega must lie in [0, pi]")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.phase_mode not in PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {PHASE_MODES}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Final statevector plus the probabilities the experiments report."""
 
     statevector: np.ndarray
@@ -448,8 +455,7 @@ def single_iteration_prob(g: np.ndarray, target: int) -> float:
     return float(np.abs(g[target] * (L - 2) - 2.0 * rest) ** 2 / L**3)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """A swept curve and its refined peak; amplitudes holds the grid's class
     amplitudes after `iterations` rounds on the class view `view`, for resume."""
 
@@ -653,8 +659,7 @@ def mode_of(counts: Counter) -> tuple[int, int]:
     return index, counts[index]
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     """One error class of an adaptive schedule.
 
     max_errors is the class's re-encoding budget: a measured mode is accepted
@@ -668,8 +673,7 @@ class ScheduleEntry:
     max_errors: int
 
 
-@dataclass(frozen=True)
-class ClassAttempt:
+class ClassAttempt(NamedTuple):
     class_index: int
     max_errors: int
     mode_index: int
@@ -678,8 +682,7 @@ class ClassAttempt:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class AdaptiveDecodeResult:
+class AdaptiveDecodeResult(NamedTuple):
     message: str
     path: tuple[int, ...]
     metric: int          # re-encoding distance of the accepted mode
@@ -819,12 +822,5 @@ def default_schedule(
     for e in order:
         rep = representative_received(code, n_steps, e)
         sw = sweep_omega(build_path_space(code, rep), iterations, SCHEDULE_GRID)
-        schedule.append(
-            ScheduleEntry(
-                omega=sw.omega_star,
-                iterations=iterations,
-                trials=trials,
-                max_errors=e,
-            )
-        )
+        schedule.append(ScheduleEntry(sw.omega_star, iterations, trials, max_errors=e))
     return schedule

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def _trials_for(rate: float, target_failure: float) -> int:
     return max(1, math.ceil(raw - _CEIL_GUARD * max(1.0, raw)))
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+class TrialPlan(NamedTuple):
     """A planned trial campaign for a two-outcome-dominated distribution."""
 
     r: int
@@ -115,8 +114,7 @@ def plan_trials(
     return TrialPlan(r=r, target_failure=target_failure, b=b, b_prime=b_prime)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     mode_index: int
     mode_count: int
     counts: Counter
@@ -131,8 +129,7 @@ def run_trials(v: np.ndarray, r: int, seed) -> TrialOutcome:
     return TrialOutcome(*mode_of(counts), counts=counts)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Oracle-call totals for the two decoding strategies at one frame size."""
 
     n_steps: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,8 +36,7 @@ FLOAT_SLACK = 1e-12
 CHUNK_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """A decoded path, the message driving it, its metric, and the tie count.
 
     path includes the start state, so it has one more entry than the number

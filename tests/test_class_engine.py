@@ -19,7 +19,6 @@ one-dimensional runs, and whole campaigns against the per-block loop they
 replaced, which is kept below as the reference.
 """
 import contextlib
-import dataclasses
 import math
 from collections import Counter
 from unittest import mock
@@ -661,8 +660,8 @@ def per_block_campaign(cfg):
 
 def campaign_config(spec, mode, n_steps, campaigns, seed, epsilon=0.05, max_errors=2):
     base = cli.resolve_config(cli.build_parser().parse_args(["decode"]))
-    return dataclasses.replace(
-        base, code=spec, mode=mode, n_steps=n_steps, campaigns=campaigns, seed=seed,
+    return base._replace(
+        code=spec, mode=mode, n_steps=n_steps, campaigns=campaigns, seed=seed,
         epsilon=epsilon, max_errors=max_errors, n_range=(n_steps, n_steps),
     )
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -67,6 +66,32 @@ class TestConfigResolution:
         assert main([command, "--config", path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"bad config: mode is for decode only, not {command!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            *(([command, "--omega", "0.5"], None, f"omega is for circuit only, not {command!r}")
+              for command in ["table", "sweep", "decode", "verify"]),
+            *(([command, "--grid", "0.3"], None, f"grid is for table/sweep only, not {command!r}")
+              for command in ["decode", "verify", "circuit"]),
+            # a config key counts as given even at its default value
+            (["decode"], {"grid": 0.005}, "grid is for table/sweep only, not 'decode'"),
+            (["verify"], {"omega": 0.68}, "omega is for circuit only, not 'verify'"),
+            (["verify", "--out", "v.txt"], None,
+             "out is for table/sweep/decode/circuit only, not 'verify'"),
+        ],
+    )
+    def test_field_the_command_does_not_read_exits_two(
+        self, tmp_path, monkeypatch, capsys, argv, doc, message
+    ):
+        # a field the command would ignore is refused, not echoed or dropped
+        monkeypatch.chdir(tmp_path)
+        if doc is not None:
+            argv = argv + ["--config", config_file(tmp_path, doc)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"bad config: {message}\n"
+        assert not (tmp_path / "v.txt").exists()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -487,8 +512,8 @@ class TestVerify:
         [
             # the DP decoder reports one bit error more than the oracle
             ("decoder-oracle-equivalence", cli, "viterbi_decode",
-             lambda healthy: lambda h, blocks: dataclasses.replace(
-                 healthy(h, blocks), metric=healthy(h, blocks).metric + 1)),
+             lambda healthy: lambda h, blocks: healthy(h, blocks)._replace(
+                 metric=healthy(h, blocks).metric + 1)),
             ("step-block-unitarity", circuits, "step_blocks",
              lambda healthy: lambda *args: 1.01 * healthy(*args)),
             ("circuit-vs-block", circuits, "step_circuit_00",

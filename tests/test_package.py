@@ -3,12 +3,17 @@ import contextlib
 import importlib
 import importlib.util
 import inspect
+import math
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 import qviterbi
+from qviterbi import CODE_5_7, QvaParams
 
 
 def test_every_export_resolves():
@@ -95,3 +100,43 @@ def test_every_top_level_definition_is_referenced():
                                     for other in members if other is not member)):
                     orphans.append(f"{path.name}:{node.name}.{member.name}")
     assert orphans == []
+
+
+def test_no_dataclasses_in_the_package():
+    # records are NamedTuples: a dataclass compiles its generated methods at import
+    importers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qviterbi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(path.name)
+    assert importers == []
+
+
+@pytest.mark.parametrize(
+    "record, field, bad, message",
+    [
+        (CODE_5_7, "k", 0, "k, n, m must all be positive"),
+        (CODE_5_7, "n", 0, "k, n, m must all be positive"),
+        (CODE_5_7, "n", 64, "n = 64 outputs exceeds the 63-output limit"),
+        (CODE_5_7, "m", 0, "k, n, m must all be positive"),
+        (CODE_5_7, "m", 3, "no generator polynomial has degree exactly m"),
+        (CODE_5_7, "generators", ((5,),), "generator matrix must be k rows of n masks"),
+        (CODE_5_7, "generators", ((-5, 7),), "generator masks must be non-negative"),
+        (QvaParams(0.68, 3), "omega", -0.1, "omega must lie in [0, pi]"),
+        (QvaParams(0.68, 3), "omega", math.pi + 0.01, "omega must lie in [0, pi]"),
+        (QvaParams(0.68, 3), "iterations", 0, "iterations must be at least 1"),
+        (QvaParams(0.68, 3), "phase_mode", "nope",
+         "phase_mode must be one of ('errors', 'neglog')"),
+    ],
+)
+def test_validated_records_refuse_a_bad_field_however_built(record, field, bad, message):
+    fields = record._asdict() | {field: bad}
+    for build in (lambda: type(record)(**fields), lambda: type(record)(*fields.values()),
+                  lambda: type(record)._make(fields.values()),
+                  lambda: record._replace(**{field: bad})):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    same = record._replace(**{field: getattr(record, field)})
+    assert type(same) is type(record) and same == record

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -346,9 +345,9 @@ class TestSweep:
 
     @staticmethod
     def assert_same_sweep(got, want):
-        for field in dataclasses.fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a is b if field.name == "view" else np.array_equal(a, b), field.name
+        for name in want._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a is b if name == "view" else np.array_equal(a, b), name
 
     @pytest.mark.parametrize(
         "first, then, grid, continued",
