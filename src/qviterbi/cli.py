@@ -38,7 +38,7 @@ from .convcode import (
     transmit_rows,
     unpack_blocks,
 )
-from .errors import SizeLimitError
+from .errors import SIZE_LIMIT, SizeLimitError, check_paths
 from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, viterbi_decode
 
 DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
@@ -48,29 +48,38 @@ DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
 # on all 2^16 words of a rate-1/8 code at N = 2 took 11 s
 CHECK_WORDS = 256
 
-# Config field -> (default, JSON types it accepts, flag help or None for a
-# config-only field).  null is accepted where the default is None; n_range,
-# with no types here, is checked where table reads it.  A field with a
-# default takes its default's type, so JSON 0 for epsilon becomes 0.0.
-FIELDS = {
-    "code": ("1,2,2;5,7", (str,), "code spec string 'k,n,m;g11,...' (octal masks)"),
-    "n_steps": (4, (int,), "decode frame length in blocks"),
-    "epsilon": (0.1, (int, float), "channel crossover probability"),
-    "mode": (None, (str,), None),
-    "omega": (None, (int, float), "phase unit in radians"),
-    "iterations": (None, (int,), "amplification iterations"),
-    "trials": (None, (int,), "measurement trials per block"),
-    "seed": (0, (int,), "master seed"),
-    "grid": (0.005, (int, float), "sweep grid step"),
-    "out": (None, (str,), "output path (CSV or JSON record)"),
-    "campaigns": (100, (int,), None),
-    "n_range": (None, (), None),
-    "max_errors": (2, (int,), None),
+# Command -> its help line; COMMANDS maps each to its function
+COMMAND_HELP = {
+    "table": "reproduce the reference operating-point table as CSV",
+    "sweep": "sweep the phase unit and emit the probability curve as CSV",
+    "decode": "run a Monte Carlo decode campaign and persist a JSON record",
+    "verify": "run the cross-module verification checks",
+    "circuit": "compare the gate-level step circuit against the block matrix",
 }
+EVERY = tuple(COMMAND_HELP)
 
-# Fields only some commands read; the others refuse a value rather than ignore it
-READ_BY = {"mode": ("decode",), "omega": ("circuit",), "grid": ("table", "sweep"),
-           "out": ("table", "sweep", "decode", "circuit")}
+# Config field -> (default, JSON types it accepts, flag help or None for a
+# config-only field, the commands that read it; the others refuse it, given
+# by flag or non-null config key).  table takes a seed so one config can seed
+# every command.  null is accepted where the default is None; n_range, with no
+# types here, is checked where table reads it.  A field with a default takes
+# its default's type, so JSON 0 for epsilon becomes 0.0.
+FIELDS = {
+    "code": ("1,2,2;5,7", (str,), "code spec string 'k,n,m;g11,...' (octal masks)", EVERY),
+    "n_steps": (4, (int,), "decode frame length in blocks", ("table", "sweep", "decode")),
+    "epsilon": (0.1, (int, float), "channel crossover probability", ("decode",)),
+    "mode": (None, (str,), None, ("decode",)),
+    "omega": (None, (int, float), "phase unit in radians", ("circuit",)),
+    "iterations": (None, (int,), "amplification iterations", ("sweep", "decode")),
+    "trials": (None, (int,), "measurement trials per block", ("decode",)),
+    "seed": (0, (int,), "master seed", EVERY),
+    "grid": (0.005, (int, float), "sweep grid step", ("table", "sweep")),
+    "out": (None, (str,), "output path (CSV or JSON record)",
+            ("table", "sweep", "decode", "circuit")),
+    "campaigns": (100, (int,), None, ("decode",)),
+    "n_range": (None, (), None, ("table",)),
+    "max_errors": (2, (int,), None, ("decode",)),
+}
 
 
 class ConfigError(Exception):
@@ -88,13 +97,13 @@ def load_reference() -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = {key: default for key, (default, _, _) in FIELDS.items()}
+    merged = {key: default for key, (default, *_) in FIELDS.items()}
     doc = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
@@ -102,66 +111,59 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
-    for key, (default, types, _) in FIELDS.items():
+    given = set()
+    for key, (default, types, _, readers) in FIELDS.items():
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+        if value is not None or doc.get(key) is not None:
+            if args.command not in readers:
+                raise ConfigError(f"{key} is for {'/'.join(readers)} only, not {args.command!r}")
+            given.add(key)
         value = merged[key]
         # type(), not isinstance(): JSON true/false must not pass as an integer
         if types and type(value) not in types and not (value is None and default is None):
             raise ConfigError(f"{key} must be {types[-1].__name__}, got {json.dumps(value)}")
-    for key, commands in READ_BY.items():
-        given = getattr(args, key, None) is not None or doc.get(key) is not None
-        if given and args.command not in commands:
-            raise ConfigError(f"{key} is for {'/'.join(commands)} only, not {args.command!r}")
 
-    mode = merged["mode"]
-    if args.command == "decode":
-        mode = mode or DECODE_MODES[0]
-        if mode not in DECODE_MODES:
-            raise ConfigError(
-                f"mode {mode!r} not valid for 'decode'; expected one of {DECODE_MODES}"
-            )
-        if (merged["out"] or "").endswith(".csv") and mode != "probabilistic-qva":
-            raise ConfigError(f"mode {mode!r} writes a JSON record, not CSV")
+    mode = merged["mode"] or DECODE_MODES[0]
+    if mode not in DECODE_MODES:
+        raise ConfigError(f"mode {mode!r} not valid for 'decode'; expected one of {DECODE_MODES}")
     try:
         code = ConvCode.from_spec(merged["code"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if merged["n_steps"] < 1:
-        raise ConfigError("n_steps must be at least 1")
+    for key, low in (("n_steps", 1), ("campaigns", 1), ("iterations", 1), ("trials", 1),
+                     ("seed", 0), ("max_errors", 0)):
+        if merged[key] is not None and merged[key] < low:
+            raise ConfigError(f"{key} must be " + ("at least 1" if low else "non-negative"))
+    n_steps = merged["n_steps"]
+    if mode == "iterated-qva" and merged["max_errors"] > n_steps * code.n:
+        raise ConfigError("max_errors exceeds the frame's bit count (n_steps * n)")
     if not 0.0 <= merged["epsilon"] < 0.5:
         raise ConfigError("epsilon must lie in [0, 0.5)")
     if not 0.0 < merged["grid"] < math.pi:
         raise ConfigError("grid must lie in (0, pi)")
-    if merged["campaigns"] < 1:
-        raise ConfigError("campaigns must be at least 1")
-    if merged["seed"] < 0:
-        raise ConfigError("seed must be non-negative")
-    if merged["max_errors"] < 0:
-        raise ConfigError("max_errors must be non-negative")
-    if mode == "iterated-qva" and merged["max_errors"] > merged["n_steps"] * code.n:
-        raise ConfigError("max_errors exceeds the frame's bit count (n_steps * n)")
-    for key in ("iterations", "trials"):
-        if merged[key] is not None and merged[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
     if merged["omega"] is not None and not 0.0 <= merged["omega"] <= math.pi:
         raise ConfigError("omega must lie in [0, pi]")
+    # size guards on integers, before any per-frame work: the F^N paths of a
+    # sweep or QVA decode frame, and the received bits of a decode campaign
+    if args.command == "sweep" or mode != "classical":
+        check_paths(code.fanout, n_steps)
+    if args.command == "decode" and merged["campaigns"] * n_steps * code.n > SIZE_LIMIT:
+        raise SizeLimitError(
+            f"{merged['campaigns']} x {n_steps} x {code.n} received bits exceeds the size guard"
+        )
+    n_range = (n_steps, n_steps)
     if args.command == "table":
-        if args.n_steps is not None:
-            n_range = (args.n_steps, args.n_steps)
-        elif merged["n_range"] is not None:
-            raw = merged["n_range"]
-            if not (isinstance(raw, (list, tuple)) and [type(x) for x in raw] == [int, int]):
+        if "n_steps" not in given:  # n_steps, by flag or config key, is the range [N, N]
+            raw = [3, 10] if merged["n_range"] is None else merged["n_range"]
+            if not (isinstance(raw, list) and [type(x) for x in raw] == [int, int]):
                 raise ConfigError("n_range must be a [low, high] pair of integers")
-            n_range = (int(raw[0]), int(raw[1]))
-        else:
-            n_range = (3, 10)
+            n_range = tuple(raw)
         if n_range[0] <= n_range[1] and (n_range[0] < 3 or n_range[1] > 12):
             raise ConfigError("table n_range must lie within [3, 12]")
-    else:
-        n_range = (merged["n_steps"], merged["n_steps"])
-    for key, (default, _, _) in FIELDS.items():
+    # after the range checks: float() of a huge JSON integer overflows
+    for key, (default, *_) in FIELDS.items():
         if default is not None:
             merged[key] = type(default)(merged[key])
     return ExperimentConfig(command=args.command, **{**merged, "mode": mode, "n_range": n_range})
@@ -381,9 +383,12 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def cmd_decode(cfg: ExperimentConfig) -> int:
+    csv = (cfg.out or "").endswith(".csv")
+    if csv and cfg.mode != "probabilistic-qva":
+        raise ConfigError(f"mode {cfg.mode!r} writes a JSON record, not CSV")
     started = time.perf_counter()
     results, summary = run_decode_campaign(cfg)
-    if cfg.out and cfg.out.endswith(".csv"):
+    if csv:
         # probabilistic-qva's flat campaign table instead of the full JSON record
         header = ["campaign_id", "seed", "r", "mode", "mode_count", "correct"]
         rows = [
@@ -617,20 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags are declared once: every add_argument call builds a
     # HelpFormatter, which probes the terminal size
     flags = argparse.ArgumentParser(add_help=False)
-    for key, (_, types, flag_help) in FIELDS.items():
+    for key, (_, types, flag_help, _) in FIELDS.items():
         if flag_help:
             flag = "--" + key.replace("_", "-")
             flags.add_argument(flag, dest=key, type=types[-1], help=flag_help)
     flags.add_argument("--config", help="JSON config file; flags override its fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "table": "reproduce the reference operating-point table as CSV",
-        "sweep": "sweep the phase unit and emit the probability curve as CSV",
-        "decode": "run a Monte Carlo decode campaign and persist a JSON record",
-        "verify": "run the cross-module verification checks",
-        "circuit": "compare the gate-level step circuit against the block matrix",
-    }
-    for name, help_text in helps.items():
+    for name, help_text in COMMAND_HELP.items():
         sub.add_parser(name, help=help_text, parents=[flags])
     return parser
 

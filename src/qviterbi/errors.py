@@ -1,4 +1,4 @@
-"""Shared exception types, the desk-scale size bound and the start-state check."""
+"""Shared exception types, the size bound with its path-count guard, and the start-state check."""
 import operator
 
 
@@ -12,6 +12,14 @@ class SizeLimitError(Exception):
 
 # Most paths, sweep amplitudes, step-block entries or draws per row one array holds
 SIZE_LIMIT = 1 << 24
+
+
+def check_paths(fanout: int, n_steps: int) -> int:
+    """fanout^n_steps, the paths of a frame; once n_steps >= SIZE_LIMIT.bit_length() and
+    fanout >= 2 that is surely over SIZE_LIMIT, and SizeLimitError is raised without it."""
+    if fanout >= 2 and n_steps >= SIZE_LIMIT.bit_length():
+        raise SizeLimitError(f"{fanout}^{n_steps} paths exceeds the size guard")
+    return fanout**n_steps
 
 
 class DecodeFailure(Exception):

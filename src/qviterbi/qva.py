@@ -50,7 +50,7 @@ import numpy as np
 
 from . import streams, viterbi
 from .convcode import ConvCode, _check_bits, bsc_weights, split_blocks
-from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError, check_state
+from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError, check_paths, check_state
 from .hmm import Hmm
 from .viterbi import enumerate_paths
 
@@ -233,10 +233,11 @@ def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
     XORs per word.  Column i is message i in path order, in the word layout
     of _frame_layout.
     """
-    if code.fanout**n_steps > SIZE_LIMIT:
+    paths = check_paths(code.fanout, n_steps)
+    if paths > SIZE_LIMIT:
         raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the size guard")
     unit_words = _frame_layout(code, n_steps)[1]
-    words = np.zeros((unit_words.shape[1], code.fanout**n_steps), dtype=np.uint64)
+    words = np.zeros((unit_words.shape[1], paths), dtype=np.uint64)
     for j, unit in enumerate(unit_words):
         h = 1 << j
         np.bitwise_xor(words[:, :h], unit[:, None], out=words[:, h : 2 * h])
@@ -516,6 +517,8 @@ def sweep_omega(
         raise ValueError("grid step must lie in (0, pi)")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    if iterations > SWEEP_WORK_LIMIT:  # over it at any grid; PEAK_STEP / iterations may overflow
+        raise SizeLimitError(f"{iterations} iterations exceeds the sweep work guard")
     view = ps.classes(phase_mode)
     if resume is not None and resume.view is not view:
         raise ValueError("resume must come from a sweep of the same path space and phase mode")
@@ -769,8 +772,8 @@ def adaptive_decode_rows(
 
 
 def formula_iterations(code: ConvCode, n_steps: int) -> int:
-    """ceil(pi/4 * sqrt(F^N)), the usual amplitude-amplification count."""
-    return path_iterations(code.fanout**n_steps)
+    """ceil(pi/4 * sqrt(F^N)), the usual amplitude-amplification count (errors.check_paths)."""
+    return path_iterations(check_paths(code.fanout, n_steps))
 
 
 def path_iterations(paths: int) -> int:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .convcode import Trellis
-from .errors import SIZE_LIMIT, NoPathError, SizeLimitError, check_state
+from .errors import SIZE_LIMIT, NoPathError, SizeLimitError, check_paths, check_state
 from .hmm import Hmm
 
 # Relative slack for float metric comparisons; integer metrics compare exactly.
@@ -215,7 +215,7 @@ def enumerate_paths(
     initial_state = check_state(initial_state, h.num_states)
     n = len(emissions)
     fan = h.fanout()
-    if fan**n > SIZE_LIMIT:
+    if check_paths(fan, n) > SIZE_LIMIT:
         raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
     # int32 indices hold the at most SIZE_LIMIT paths the guard lets through
     state = np.array([initial_state], dtype=np.int32)
