@@ -61,9 +61,9 @@ EVERY = tuple(COMMAND_HELP)
 # Config field -> (default, JSON types it accepts, flag help or None for a
 # config-only field, the commands that read it; the others refuse it, given
 # by flag or non-null config key).  table takes a seed so one config can seed
-# every command.  null is accepted where the default is None; n_range, with no
-# types here, is checked where table reads it.  A field with a default takes
-# its default's type, so JSON 0 for epsilon becomes 0.0.
+# every command.  A null config key is not given: the field keeps its default.
+# n_range, with no types here, is checked where table reads it.  A field with
+# a default takes its default's type, so JSON 0 for epsilon becomes 0.0.
 FIELDS = {
     "code": ("1,2,2;5,7", (str,), "code spec string 'k,n,m;g11,...' (octal masks)", EVERY),
     "n_steps": (4, (int,), "decode frame length in blocks", ("table", "sweep", "decode")),
@@ -79,6 +79,13 @@ FIELDS = {
     "campaigns": (100, (int,), None, ("decode",)),
     "n_range": (None, (), None, ("table",)),
     "max_errors": (2, (int,), None, ("decode",)),
+}
+
+# decode fields that only some modes read -> those modes; the others refuse them
+MODE_READERS = {
+    "iterations": ("iterated-qva",),
+    "trials": ("iterated-qva", "probabilistic-qva"),
+    "max_errors": ("iterated-qva",),
 }
 
 
@@ -110,7 +117,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(doc) - set(FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(doc)
+        merged.update((key, value) for key, value in doc.items() if value is not None)
     given = set()
     for key, (default, types, _, readers) in FIELDS.items():
         value = getattr(args, key, None)
@@ -122,7 +129,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             given.add(key)
         value = merged[key]
         # type(), not isinstance(): JSON true/false must not pass as an integer
-        if types and type(value) not in types and not (value is None and default is None):
+        if types and value is not None and type(value) not in types:
             raise ConfigError(f"{key} must be {types[-1].__name__}, got {json.dumps(value)}")
 
     mode = merged["mode"] or DECODE_MODES[0]
@@ -136,6 +143,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                      ("seed", 0), ("max_errors", 0)):
         if merged[key] is not None and merged[key] < low:
             raise ConfigError(f"{key} must be " + ("at least 1" if low else "non-negative"))
+    if args.command == "decode":
+        for key, modes in MODE_READERS.items():
+            if key in given and mode not in modes:
+                raise ConfigError(f"{key} is for decode mode {'/'.join(modes)} only, not {mode!r}")
     n_steps = merged["n_steps"]
     if mode == "iterated-qva" and merged["max_errors"] > n_steps * code.n:
         raise ConfigError("max_errors exceeds the frame's bit count (n_steps * n)")

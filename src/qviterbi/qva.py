@@ -12,16 +12,20 @@ Both steps treat paths with equal exponents alike: the marking phase
 depends only on the exponent, and the diffusion on no path label.  So from
 the uniform start each error class keeps one common amplitude, and run_qva
 and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
-with the mean weighted by class sizes.  The per-path operators below are the
-dense reference the class engine is tested against.  One kernel, _amplify,
+with the mean weighted by class sizes.  A code-backed space reads its
+classes, and its viterbi_index, off the trellis (trellis_classes), not off
+its L paths; run_qva spreads the class amplitudes onto the paths with one
+gather over the error counts (ClassView.expand).  The per-path operators
+below are the dense reference the class engine is tested against.  One kernel, _amplify,
 runs every mark+diffuse round; it picks its class-mean reduction once per
 call and can continue an earlier call's state, so a sweep at more
 iterations resumes the grid of one at fewer (sweep_omega's resume).
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
-carries both the neg-log and the bit-error totals; viterbi_index picks their
-optimum by viterbi.first_optimum, the co-optimality rule of every decoder.
+carries both the neg-log and the bit-error totals; they group their
+exponents with np.unique, and viterbi_index picks their optimum by
+viterbi.first_optimum, the co-optimality rule of every decoder.
 
 A code path's error count is the Hamming distance from the received word
 to its codeword.  The codes are linear over GF(2), so codeword_table builds
@@ -77,24 +81,40 @@ SWEEP_WORK_LIMIT = 1 << 32
 class ClassView(NamedTuple):
     """The distinct exponents of a path space, in order of first path index.
 
-    counts[c] paths carry exponent values[c]; first[c] is the smallest of
-    their indices and inverse[i] is the class of path i.
+    counts[c] paths carry exponent values[c] and first[c] is the smallest of
+    their indices.  Path i has key keys[i] and lies in class rank[keys[i]]:
+    a code-backed space keys its paths by error count (keys is its errors
+    vector), any other by the sorted rank of their exponent.
     """
 
     values: np.ndarray
     counts: np.ndarray
     first: np.ndarray
-    inverse: np.ndarray
+    keys: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The class of every path, gathered over the L keys on each read."""
+        return self.rank[self.keys]
+
+    def class_of(self, index: int) -> int:
+        """The class of path `index`."""
+        return int(self.rank[self.keys[index]])
+
+    def expand(self, per_class: np.ndarray) -> np.ndarray:
+        """The per-path array with per_class[c] on every path of class c: one gather over L."""
+        return per_class[self.rank][self.keys]
 
 
 class PathSpace:
     """Ordered admissible paths with their per-path phase exponents.
 
-    Code-backed spaces index paths by the message bits read as an integer
-    and reconstruct state sequences on demand; HMM-backed spaces keep the
-    enumeration's level table (viterbi.Paths) and read paths off it.  errors
-    holds integer bit-error counts, weights holds negative log path
-    probabilities (general HMM mode).
+    Code-backed spaces index paths by the message bits read as an integer,
+    keep the received word's n-bit blocks, and reconstruct state sequences
+    on demand; HMM-backed spaces keep the enumeration's level table
+    (viterbi.Paths) and read paths off it.  errors holds integer bit-error
+    counts, weights holds negative log path probabilities (general HMM mode).
     """
 
     def __init__(
@@ -104,6 +124,7 @@ class PathSpace:
         weights: np.ndarray | None,
         *,
         code: ConvCode | None = None,
+        blocks: np.ndarray | None = None,
         initial_state: int = 0,
         paths: viterbi.Paths | None = None,
         input_bits: int | None = None,
@@ -112,6 +133,7 @@ class PathSpace:
         self.errors = errors
         self.weights = weights
         self.code = code
+        self.blocks = blocks
         self.initial_state = initial_state
         self._paths = paths
         self._input_bits = input_bits
@@ -136,33 +158,38 @@ class PathSpace:
         """Paths grouped by exponent, cached per phase mode.
 
         Classes are ordered by their first path index, so an argmax over
-        classes picks the class that holds the first maximal path.  Integer
-        exponents spanning at most L values (every code-backed space) are
-        binned by offset from their minimum, in O(L) without a sort; float
-        and sparse integer exponents are factorised by np.unique.
+        classes picks the class that holds the first maximal path.  A
+        code-backed space reads its error classes off the trellis
+        (trellis_classes), without a pass over its L paths; any other space
+        factorises its exponents with np.unique.
         """
         view = self._classes.get(phase_mode)
         if view is None:
             x = self.exponents(phase_mode)
-            if x.dtype.kind == "i" and int(x.max()) - int(x.min()) <= self.L:
-                codes = x.astype(np.int64, copy=False) - x.min()
+            if self.code is not None:
+                view = trellis_classes(self.code, self.blocks, self.initial_state, x)
             else:
-                codes = np.unique(x, return_inverse=True)[1]
-            counts = np.bincount(codes)
-            first = np.full(len(counts), self.L, dtype=np.intp)
-            np.minimum.at(first, codes, np.arange(self.L))
-            # absent codes keep first = L and sort behind every present one
-            order = np.argsort(first)[: np.count_nonzero(counts)]
-            rank = np.empty(len(counts), dtype=np.intp)
-            rank[order] = np.arange(len(order))
-            first = first[order]
-            view = ClassView(x[first], counts[order], first, rank[codes])
+                values, first, keys, counts = np.unique(
+                    x, return_index=True, return_inverse=True, return_counts=True
+                )
+                order = np.argsort(first)
+                rank = np.empty_like(order)
+                rank[order] = np.arange(len(order))
+                view = ClassView(values[order], counts[order], first[order], keys, rank)
             self._classes[phase_mode] = view
         return view
 
     @cached_property
     def viterbi_index(self) -> int:
-        """Index of the most probable path, picked once by viterbi.first_optimum."""
+        """Index of the most probable path, the first of the co-optimal ones.
+
+        A code-backed space takes the first path of its lowest-error class
+        from its class view, with no pass over its L paths; any other picks
+        it by viterbi.first_optimum, the co-optimality rule of every decoder.
+        """
+        if self.code is not None:
+            view = self.classes()
+            return int(view.first[view.values.argmin()])
         return viterbi.first_optimum(self.errors if self.errors is not None else self.weights)[0]
 
     def path(self, index: int) -> tuple[int, ...]:
@@ -210,9 +237,85 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         errors=path_error_rows(code, ys, initial_state)[0],
         weights=None,
         code=code,
+        blocks=ys[0],
         initial_state=initial_state,
         input_bits=code.k,
     )
+
+
+def trellis_classes(
+    code: ConvCode, blocks: np.ndarray, initial_state: int, errors: np.ndarray
+) -> ClassView:
+    """The error classes of a code frame read off its trellis, not off its L paths.
+
+    blocks holds the N received n-bit blocks as integers; errors, the
+    frame's path errors, only becomes the view's keys.  The bit errors of
+    every edge at every step are one popcount of output XOR block.  One
+    backward pass over the trellis then gives, for each state s before each
+    step, the paths from s to the end grouped by error total, the weight
+    enumerator of that trellis section (Viterbi 1971):
+    - counts[s] packs the number of paths with e errors into bits W*e up to
+      W*(e + 1) of one Python int, W = k*N + 1 bits holding up to F^N, so an
+      edge with b errors adds its successor's int shifted by W*b;
+    - reach[s] has bit e set where that number is not zero.
+    The class counts are read off counts[initial_state] before step 0, as
+    int64 (exact while k*N < 63).  One descent from the start state then
+    walks the message tree in path order carrying the set of totals still to
+    place: each node hands every total to its first branch whose successor
+    can reach the rest of it, so totals whose first paths share a prefix
+    descend it together, and the leaves come out in ascending path index,
+    each the first path of its class, as top_index's first-maximum rule
+    needs.  The cost is O(N*S*F) integer steps plus one node per distinct
+    prefix of the first paths.
+    """
+    table = code.trellis()
+    n_steps, states, fanout = len(blocks), code.num_states, code.fanout
+    width = code.k * n_steps + 1
+    successors = table.next_state.tolist()
+    errs = np.bitwise_count(table.output ^ blocks[:, None, None]).tolist()  # [t][s][u]
+    counts, reach = [1] * states, [1] * states
+    reaches = [reach]
+    for row in reversed(errs):
+        next_counts, next_reach = [], []
+        for succ, bits in zip(successors, row):
+            c = r = 0
+            for s, b in zip(succ, bits):
+                c += counts[s] << width * b
+                r |= reach[s] << b
+            next_counts.append(c)
+            next_reach.append(r)
+        counts, reach = next_counts, next_reach
+        reaches.append(reach)
+    reaches.reverse()  # reaches[t][s]: the totals from state s before step t
+
+    values, first = [], []
+    # (step, state, errors so far, index so far, totals left for the suffix, first branch to try)
+    stack = [(0, initial_state, 0, 0, reaches[0][initial_state], 0)]
+    while stack:
+        t, s, total, index, left, u = stack.pop()
+        while t < n_steps:
+            succ, bits, ahead = successors[s], errs[t][s], reaches[t + 1]
+            while not (taken := (left >> bits[u]) & ahead[succ[u]]):
+                u += 1
+            b = bits[u]
+            if taken << b != left:  # the other totals try the later branches afterwards
+                stack.append((t, s, total, index, left ^ taken << b, u + 1))
+            t += 1
+            s = succ[u]
+            total += b
+            index = index * fanout + u
+            left = taken
+            u = 0
+        values.append(total)
+        first.append(index)
+
+    start, mask = counts[initial_state], (1 << width) - 1
+    class_counts = [(start >> width * e) & mask for e in values]
+    rank = [0] * (n_steps * code.n + 1)
+    for c, e in enumerate(values):
+        rank[e] = c
+    return ClassView(np.array(values, dtype=errors.dtype), np.array(class_counts, dtype=np.int64),
+                     np.array(first, dtype=np.intp), errors, np.array(rank, dtype=np.intp))
 
 
 def _received_blocks(code: ConvCode, received: str) -> np.ndarray:
@@ -432,8 +535,8 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     v = _amplify(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
     probs = np.abs(v) ** 2
     return RunResult(
-        statevector=v[view.inverse],
-        prob_top=float(probs[view.inverse[ps.viterbi_index]]),
+        statevector=view.expand(v),
+        prob_top=float(probs[view.class_of(ps.viterbi_index)]),
         top_index=int(view.first[np.argmax(probs)]),
     )
 
@@ -523,7 +626,7 @@ def sweep_omega(
     if resume is not None and resume.view is not view:
         raise ValueError("resume must come from a sweep of the same path space and phase mode")
     x = view.values
-    vit = view.inverse[ps.viterbi_index]
+    vit = view.class_of(ps.viterbi_index)
     peak_step = PEAK_STEP / iterations
     step = min(grid, peak_step)
     points = int(math.pi / step)

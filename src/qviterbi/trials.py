@@ -9,6 +9,7 @@ trial count r.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -88,7 +89,9 @@ def _trials_for(rate: float, target_failure: float) -> int:
     """Smallest trial count r >= 1 with exp(-rate * r) <= target_failure."""
     if not 0.0 < target_failure <= 1.0:
         raise ValueError("target_failure must lie in (0, 1]")
-    raw = -math.log(target_failure) / rate
+    raw = -math.log(target_failure) / rate if rate > 0.0 else math.inf
+    if raw == math.inf:  # the rate underflowed: e0^N is below float range
+        raise ValueError("the trial count lies beyond float range")
     return max(1, math.ceil(raw - _CEIL_GUARD * max(1.0, raw)))
 
 
@@ -150,7 +153,14 @@ def compare_costs(
 
     The probabilistic strategy spends one marking pass per trial; the
     iterated strategy spends ceil(pi/4 sqrt(F^N)) passes on O(1) trials.
+    Both counts are taken in floats, so a frame whose F^N or trial count
+    lies beyond float range raises ValueError, before F^N is formed.  There
+    is no path-count guard: the cost model is meant for N past any
+    enumeration.
     """
+    paths_bits = n_steps * math.log2(fanout) if fanout >= 2 else 0.0
+    if qva_iterations is None and paths_bits >= sys.float_info.max_exp:
+        raise ValueError(f"{fanout}^{n_steps} paths lies beyond float range")
     if prob_trials is None:
         prob_trials = required_trials(n_steps, e0, target_failure)
     if qva_iterations is None:

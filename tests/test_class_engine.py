@@ -4,8 +4,10 @@ The table-driven encoder is checked against walking ConvCode.step block by
 block, the channel against flipping bits one at a time, and the sampler
 against Generator.choice; the row encoder, row channel and row sampler
 are checked against their one-row cases, row by row.  The path-space builder is checked against
-re-encoding every message with the step walk, and the class view against a
-sort-based grouping.  run_qva and sweep_omega
+re-encoding every message with the step walk, and the class view, which a
+code-backed space reads off its trellis, against a sort-based grouping of
+the enumerated path errors; runs on it against runs on the same errors
+grouped by np.unique, bit for bit.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration.  Classical Viterbi is checked against
@@ -58,10 +60,10 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def codes(draw):
+def codes(draw, max_memory=2):
     k = draw(st.integers(1, 2))
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, max_memory))
     masks = draw(st.lists(st.integers(0, (1 << (m + 1)) - 1), min_size=k * n, max_size=k * n))
     masks[0] |= 1 << m  # some generator must have degree exactly m
     return ConvCode(k=k, n=n, m=m, generators=tuple(
@@ -115,7 +117,9 @@ def sorted_classes(x):
 
 
 def assert_classes_match_sort(ps, phase_mode):
-    for got, want in zip(ps.classes(phase_mode), sorted_classes(ps.exponents(phase_mode))):
+    view = ps.classes(phase_mode)
+    got_fields = (view.values, view.counts, view.first, view.inverse)
+    for got, want in zip(got_fields, sorted_classes(ps.exponents(phase_mode)), strict=True):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -415,6 +419,76 @@ def test_exact_tie_across_classes_goes_to_first_path():
         params = QvaParams(omega=0.0, iterations=3)
         dense = np.abs(dense_state(shuffled, params)) ** 2
         assert run_qva(shuffled, params).top_index == int(np.argmax(dense)) == 0
+
+
+CODE_171_133 = ConvCode.from_spec("1,2,6;171,133")
+
+
+@st.composite
+def trellis_frames(draw):
+    """A code with m <= 3, or the K = 7 (171,133) code, a start state and a word at N <= 12.
+
+    k = 2 words stop at N = 6, so no frame has more than 4096 paths.
+    """
+    code = draw(codes(max_memory=3) | st.just(CODE_171_133))
+    n_steps = draw(st.integers(1, 12 // code.k))
+    bits = draw(st.lists(st.sampled_from("01"), min_size=n_steps * code.n,
+                         max_size=n_steps * code.n))
+    return code, draw(st.integers(0, code.num_states - 1)), "".join(bits)
+
+
+def assert_trellis_classes_match_enumeration(code, s0, received):
+    """The trellis class view of build_path_space against np.unique over path_error_rows."""
+    ps = build_path_space(code, received, s0)
+    errors = path_error_rows(code, block_values(code, [received]), s0)[0]
+    view = ps.classes()
+    got_fields = (view.values, view.counts, view.first, view.inverse)
+    for got, want in zip(got_fields, sorted_classes(errors), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert ps.viterbi_index == viterbi.first_optimum(errors)[0]
+
+
+@PROPERTY_SETTINGS
+@given(trellis_frames())
+def test_trellis_classes_match_enumeration(frame):
+    assert_trellis_classes_match_enumeration(*frame)
+
+
+@pytest.mark.parametrize(
+    "spec, n_steps, s0, seed",
+    [
+        ("1,2,2;5,7", 1, 0, 0),
+        ("1,2,2;5,7", 1, 3, 1),
+        ("1,2,6;171,133", 1, 45, 2),
+        ("2,3,1;1,2,3,3,1,2", 1, 2, 3),
+        ("1,2,2;5,7", 18, 0, 4),
+        ("1,2,2;5,7", 18, 2, 5),
+        ("1,2,6;171,133", 18, 37, 6),
+    ],
+)
+def test_trellis_classes_match_enumeration_at_the_ends(spec, n_steps, s0, seed):
+    code = ConvCode.from_spec(spec)
+    received = "".join(map(str, np.random.default_rng(seed).integers(0, 2, n_steps * code.n)))
+    assert_trellis_classes_match_enumeration(code, s0, received)
+    assert_trellis_classes_match_enumeration(code, s0, "0" * (n_steps * code.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(trellis_frames(), omegas, st.integers(1, 6), st.sampled_from([0.3, 0.7]))
+def test_runs_equal_those_of_the_space_from_errors_alone(frame, omega, iterations, grid):
+    """The trellis view and np.unique's give bit-identical runs and sweeps."""
+    code, s0, received = frame
+    ps = build_path_space(code, received, s0)
+    alone = PathSpace(n_steps=ps.n_steps, errors=ps.errors, weights=None)
+    params = QvaParams(omega=omega, iterations=iterations)
+    got, want = run_qva(ps, params), run_qva(alone, params)
+    assert got.statevector.tobytes() == want.statevector.tobytes()
+    assert (repr(got.prob_top), got.top_index) == (repr(want.prob_top), want.top_index)
+    got, want = sweep_omega(ps, iterations, grid), sweep_omega(alone, iterations, grid)
+    for name in ("omegas", "probs", "top_indices", "amplitudes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (repr(got.omega_star), repr(got.prob_star)) == (repr(want.omega_star), repr(want.prob_star))
 
 
 # ---------------------------------------------------------------------------

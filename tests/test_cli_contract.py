@@ -33,6 +33,13 @@ READERS = {
     "max_errors": ("decode",),
 }
 
+# The decode modes that read the fields only some modes read, stated apart from cli.MODE_READERS
+DECODE_READERS = {
+    "iterations": ("iterated-qva",),
+    "trials": ("iterated-qva", "probabilistic-qva"),
+    "max_errors": ("iterated-qva",),
+}
+
 # A value every reader accepts, as (flag argument or None, config value)
 VALID = {
     "code": ("1,2,2;5,7", "1,2,2;5,7"),
@@ -77,6 +84,8 @@ class TestFieldReaders:
         assert cli.EVERY == tuple(cli.COMMANDS) == COMMANDS
         assert sum(len(readers) for readers in READERS.values()) == 28
         assert not hasattr(cli, "READ_BY")  # the readers are stated once, in FIELDS
+        assert cli.MODE_READERS == DECODE_READERS
+        assert all("decode" in READERS[key] for key in DECODE_READERS)
 
     @pytest.mark.parametrize(
         "command, key, via",
@@ -119,10 +128,55 @@ class TestFieldReaders:
         doc = {key: VALID[key][1]}
         if key == "out" and command == "decode":
             doc[key] = "out.json"  # the CSV form is probabilistic-qva's
+        if command == "decode" and key in DECODE_READERS:
+            doc["mode"] = DECODE_READERS[key][0]  # the default mode, classical, refuses it
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         cfg = resolve_config(build_parser().parse_args([command, "--config", str(path)]))
         assert cfg.command == command
+
+    @pytest.mark.parametrize(
+        "key, mode, via",
+        [(k, m, via) for k in DECODE_READERS for m in DECODE_MODES if m not in DECODE_READERS[k]
+         for via in ("flag", "config") if via == "config" or VALID[k][0] is not None],
+    )
+    def test_field_the_decode_mode_ignores_exits_two(self, tmp_path, monkeypatch, key, mode, via):
+        monkeypatch.chdir(tmp_path)
+        doc = {"mode": mode, "campaigns": 2, "n_steps": 3, "out": "out.json"}
+        if via == "flag":
+            result = run(["decode", "--" + key.replace("_", "-"), VALID[key][0]], doc)
+        else:
+            result = run(["decode"], {**doc, key: VALID[key][1]})
+        modes = "/".join(DECODE_READERS[key])
+        assert_bad_config(result, f"{key} is for decode mode {modes} only, not {mode!r}")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key, mode", [(k, m) for k in DECODE_READERS for m in DECODE_READERS[k]])
+    def test_field_the_decode_mode_reads_runs(self, tmp_path, monkeypatch, key, mode):
+        monkeypatch.chdir(tmp_path)
+        doc = {"mode": mode, "campaigns": 2, "n_steps": 3, "out": "out.json", key: VALID[key][1]}
+        code, out, err = run(["decode"], doc)
+        assert code == 0 and err == "" and out.startswith("blocks=2 ")
+        assert json.loads((tmp_path / "out.json").read_text())["config"][key] == VALID[key][1]
+
+    def test_classical_decode_with_iterations_flag_exits_two(self, tmp_path, monkeypatch):
+        # read by no part of a classical campaign, which used to run and exit 0
+        monkeypatch.chdir(tmp_path)
+        assert_bad_config(run(["decode", "--iterations", "3"]),
+                          "iterations is for decode mode iterated-qva only, not 'classical'")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for k, entry in FIELDS.items() if entry[0] is not None for c in READERS[k]],
+    )
+    def test_null_config_key_resolves_as_omitted(self, tmp_path, command, key):
+        # {"n_steps": null} exited 2 ("n_steps must be int, got null")
+        def resolve(doc):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return resolve_config(build_parser().parse_args([command, "--config", str(path)]))
+
+        assert resolve({key: None}) == resolve({})
 
     def test_null_config_key_is_not_given(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -295,4 +349,8 @@ def test_cli_exits_zero_or_one_bad_config_line(in_tmp_dir, request_):
     else:
         assert err == ""
     if any(command not in READERS[key] for key in given_keys):
+        assert code == 2, (argv, doc)
+    mode = (doc or {}).get("mode") or DECODE_MODES[0]
+    if command == "decode" and any(mode not in DECODE_READERS.get(key, (mode,))
+                                   for key in given_keys):
         assert code == 2, (argv, doc)

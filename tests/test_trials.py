@@ -212,3 +212,20 @@ class TestCompareCosts:
         assert ratios[-1] < ratios[0]
         tail = ratios[2:]
         assert all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
+
+    @pytest.mark.parametrize("n_steps", [1100, 2**40])
+    def test_frames_beyond_float_range_are_refused_at_once(self, n_steps):
+        # 2^1100 overflowed float(); 2^(2^40) would be a 128 GiB integer
+        with pytest.raises(ValueError, match=rf"^2\^{n_steps} paths lies beyond float range$"):
+            compare_costs(n_steps)
+
+    def test_trial_count_beyond_float_range_is_refused(self):
+        # 0.8^(2^40) underflows to 0, which divided by zero before
+        with pytest.raises(ValueError, match="trial count lies beyond float range"):
+            compare_costs(2**40, qva_iterations=5)
+        assert compare_costs(1100, qva_iterations=5).probabilistic_calls > 10**100
+
+    def test_largest_frame_in_float_range(self):
+        assert compare_costs(1023).amplified_calls == math.ceil(math.pi / 4 * math.sqrt(2.0**1023))
+        with pytest.raises(ValueError, match="beyond float range"):
+            compare_costs(512, fanout=4)
