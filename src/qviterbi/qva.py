@@ -16,10 +16,15 @@ with the mean weighted by class sizes.  A code-backed space reads its
 classes, and its viterbi_index, off the trellis (trellis_classes), not off
 its L paths; run_qva spreads the class amplitudes onto the paths with one
 gather over the error counts (ClassView.expand).  The per-path operators
-below are the dense reference the class engine is tested against.  One kernel, _amplify,
-runs every mark+diffuse round; it picks its class-mean reduction once per
-call and can continue an earlier call's state, so a sweep at more
-iterations resumes the grid of one at fewer (sweep_omega's resume).
+below are the dense reference the class engine is tested against.  Two
+kernels run the mark+diffuse rounds.  _amplify steps them one at a time for
+sweep grids, golden-section objectives, per-row campaigns and resumes; it
+picks its class-mean reduction once per call and can continue an earlier
+call's state, so a sweep at more iterations resumes the grid of one at
+fewer (sweep_omega's resume).  _power, run_qva's kernel, merges the
+classes of equal phase and raises the C' x C' round matrix to the k-th
+power by repeated squaring, where a measured rule on C' and k says that
+costs less than stepping (SQUARING_ROUNDS); _amplify is its oracle.
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
@@ -28,10 +33,11 @@ exponents with np.unique, and viterbi_index picks their optimum by
 viterbi.first_optimum, the co-optimality rule of every decoder.
 
 A code path's error count is the Hamming distance from the received word
-to its codeword.  The codes are linear over GF(2), so codeword_table builds
-the packed codewords of all F^N messages by XOR doubling over the message
-bits, and path_error_rows takes the counts of many received words at once
-as popcounts of their XOR against that table, one (rows, L) matrix.
+to its codeword.  The codes are linear over GF(2), so XOR doubling over the
+message bits (_xor_doubling) fills y XOR the packed codewords of all F^N
+messages from the packed received word y, and path_error_rows popcounts
+them in place, one (rows, L) matrix; codeword_table is the doubling from
+y = 0, which path_error_groups builds once and shares between its chunks.
 Decode campaigns add this leading block axis: path_error_groups keeps each
 received word's path errors, computed once, in row groups of at most
 SIZE_LIMIT cells; adaptive_decode_rows amplifies every pending row at once
@@ -76,6 +82,16 @@ SCHEDULE_GRID = 0.01
 # updates: `sweep --n-steps 20` makes about 2.5e8 (1.7 s on a 2-vCPU host),
 # so the bound is about half a minute of sweeping
 SWEEP_WORK_LIMIT = 1 << 32
+
+# run_qva's rounds go by repeated squaring (_power) from SQUARING_ROUNDS rounds
+# on at most SQUARING_CLASSES classes of distinct phase.  With one BLAS thread
+# on a 2-vCPU host, squaring first beat stepping (~1.6 us of call overhead a
+# round) at k ~ 32 for C' <= 24, ~48 for C' = 32 and ~64 for C' = 40 (then
+# ~200 for C' = 64 and ~1500 for C' = 128).  Over 40 classes OpenBLAS may
+# split the product over threads: unpinned, a 44 x 44 one took 16 ms there,
+# 20 us pinned.
+SQUARING_ROUNDS = 64
+SQUARING_CLASSES = 40
 
 
 class ClassView(NamedTuple):
@@ -331,20 +347,35 @@ def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
     """Packed codewords of all F^N messages from state 0, shape (W, F^N) uint64.
 
     The code is linear over GF(2), so the codeword of message i is the XOR
-    of the codewords of its set bits: doubling over the message bits,
-    words[h:2h] = words[:h] ^ unit[j] with h = 2^j, fills the table in F^N
-    XORs per word.  Column i is message i in path order, in the word layout
-    of _frame_layout.
+    of the codewords of its set bits: the zero-start case of _xor_doubling,
+    in F^N XORs per word.  Column i is message i in path order, in the word
+    layout of _frame_layout.
     """
+    paths = _frame_paths(code, n_steps)
+    unit_words = _frame_layout(code, n_steps)[1]
+    words = np.empty((unit_words.shape[1], paths), dtype=np.uint64)
+    return _xor_doubling(words, 0, unit_words[:, :, None])
+
+
+def _frame_paths(code: ConvCode, n_steps: int) -> int:
+    """F^N, the paths of a frame, refused over SIZE_LIMIT."""
     paths = check_paths(code.fanout, n_steps)
     if paths > SIZE_LIMIT:
         raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the size guard")
-    unit_words = _frame_layout(code, n_steps)[1]
-    words = np.zeros((unit_words.shape[1], paths), dtype=np.uint64)
-    for j, unit in enumerate(unit_words):
+    return paths
+
+
+def _xor_doubling(out: np.ndarray, start, units) -> np.ndarray:
+    """Column i of out (rows, 2^J) set to start XOR the units[j] of the set bits j of i.
+
+    start and each of the J units broadcast against a column of out; doubling,
+    out[:, h:2h] = out[:, :h] ^ units[j] with h = 2^j, fills it in place.
+    """
+    out[:, :1] = start
+    for j, unit in enumerate(units):
         h = 1 << j
-        np.bitwise_xor(words[:, :h], unit[:, None], out=words[:, h : 2 * h])
-    return words
+        np.bitwise_xor(out[:, :h], unit, out=out[:, h : 2 * h])
+    return out
 
 
 @cache
@@ -380,23 +411,35 @@ def path_error_rows(
     ys has shape (rows, N) and holds each word's n-bit blocks as integers
     (MSB first); row r of the (rows, F^N) int64 result is indexed by message
     like build_path_space.  A path's error count is the Hamming distance
-    from the received word to its codeword.  The codeword from
-    initial_state is the zero-input response from there XOR the codeword
-    from state 0, so the response is XORed into the received words once and
-    each count is a popcount against codeword_table(code, N), summed over
-    its 64-bit words.  Callers that decode many chunks of one frame length
-    pass that table in.
+    from the received word to its codeword, summed over its 64-bit words.
+    The codeword from initial_state is the zero-input response from there
+    XOR the codeword from state 0, so the response is XORed into the
+    received words once.  Each word of y XOR the codewords is popcounted in
+    place, so a one-word frame allocates only the result.  Without a table,
+    that word is filled by _xor_doubling started from the packed received
+    word, (y ^ cw_i) = (y ^ cw_{i-h}) ^ unit_j; callers that decode many
+    chunks of one frame length pass codeword_table(code, N) instead, and
+    the word is y XOR its row: one XOR a chunk, where the doubling makes
+    k*N numpy calls.
     """
     n_steps = ys.shape[1]
-    if table is None:
-        table = codeword_table(code, n_steps)
+    paths = _frame_paths(code, n_steps)
     if check_state(initial_state, code.num_states):
         ys = ys ^ code.encode_rows(np.zeros((1, n_steps), dtype=np.int64), initial_state)
-    received = ys.astype(np.uint64) @ _frame_layout(code, n_steps)[0]
-    errors = np.bitwise_xor(received[:, :1], table[0])
-    np.bitwise_count(errors, out=errors)
-    for w in range(1, len(table)):
-        errors += np.bitwise_count(received[:, w, None] ^ table[w])
+    layout, unit_words = _frame_layout(code, n_steps)
+    received = ys.astype(np.uint64) @ layout
+    errors = np.empty((len(received), paths), dtype=np.uint64)
+    words = errors  # the first word's XORs are popcounted in place, the others beside it
+    for w in range(received.shape[1]):
+        if w == 1:
+            words = np.empty_like(errors)
+        if table is None:
+            _xor_doubling(words, received[:, w, None], unit_words[:, w])
+        else:
+            np.bitwise_xor(received[:, w, None], table[w], out=words)
+        np.bitwise_count(words, out=words)
+        if w:
+            errors += words
     return errors.view(np.int64)
 
 
@@ -520,6 +563,35 @@ def _amplify(
     return state
 
 
+def _power(g: np.ndarray, iterations: int, counts: np.ndarray) -> np.ndarray:
+    """_amplify from uniform on one row g with counts, by repeated squaring where that pays.
+
+    Classes of equal phase keep equal amplitudes, so they are merged first:
+    exact ties stay exact, and top_index keeps its first-path rule.  On the
+    C' merged classes with path counts w, one round is the matrix
+    (2/L) * 1 (w*g)^T - diag(g), and its k-th power is applied to the
+    uniform state by binary powering, in log2(k) C' x C' products.  Under
+    SQUARING_ROUNDS rounds or over SQUARING_CLASSES classes, _amplify steps
+    the rounds.
+    """
+    if iterations >= SQUARING_ROUNDS:
+        phases, inverse = np.unique(g, return_inverse=True)
+        size = len(phases)
+        if size <= SQUARING_CLASSES:
+            L = int(counts.sum())
+            matrix = np.tile((2.0 / L) * np.bincount(inverse, counts) * phases, (size, 1))
+            matrix.flat[:: size + 1] -= phases
+            state = np.full(size, 1.0 / math.sqrt(L), dtype=complex)
+            while True:
+                if iterations & 1:
+                    state = matrix @ state
+                iterations >>= 1
+                if not iterations:
+                    return state[inverse]
+                matrix = matrix @ matrix
+    return _amplify(g, iterations, counts)
+
+
 def amplify_phases(g: np.ndarray, iterations: int) -> np.ndarray:
     """Run `iterations` mark+diffuse rounds from uniform with marking diagonal g."""
     return _amplify(np.asarray(g, dtype=complex), iterations)
@@ -528,11 +600,13 @@ def amplify_phases(g: np.ndarray, iterations: int) -> np.ndarray:
 def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     """Uniform superposition, then `iterations` mark+diffuse rounds.
 
+    The rounds run on the class view, by _power: repeated squaring of the
+    round matrix where the cost rule favours it, else _amplify's stepping.
     prob_top is the probability of measuring the classical-Viterbi optimal
     path; top_index is the most likely measurement outcome.
     """
     view = ps.classes(params.phase_mode)
-    v = _amplify(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
+    v = _power(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
     probs = np.abs(v) ** 2
     return RunResult(
         statevector=view.expand(v),

@@ -10,8 +10,9 @@ the enumerated path errors; runs on it against runs on the same errors
 grouped by np.unique, bit for bit.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
-all L amplitudes on every iteration.  Classical Viterbi is checked against
-brute-force enumeration and the path space.
+all L amplitudes on every iteration, and run_qva's squaring kernel, _power,
+is checked against the stepping kernel _amplify.  Classical Viterbi is
+checked against brute-force enumeration and the path space.
 
 The block axis of decode campaigns is checked row by row: path_error_rows
 against re-encoding every message with the step walk, also where a frame
@@ -22,6 +23,7 @@ replaced, which is kept below as the reference.
 """
 import contextlib
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -476,6 +478,10 @@ def test_trellis_classes_match_enumeration_at_the_ends(spec, n_steps, s0, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(trellis_frames(), omegas, st.integers(1, 6), st.sampled_from([0.3, 0.7]))
+# run_qva's squaring route, at least SQUARING_ROUNDS rounds on few classes
+@example((ConvCode.from_spec("1,2,2;5,7"), 1, "011010001110100101110010"), 0.37, 70, 0.7)
+@example((ConvCode.from_spec("1,2,2;5,7"), 0, "0" * 28), 0.0, 101, 0.7)
+@example((CODE_171_133, 5, "1101000111010010111001101001"), math.pi, 64, 0.3)
 def test_runs_equal_those_of_the_space_from_errors_alone(frame, omega, iterations, grid):
     """The trellis view and np.unique's give bit-identical runs and sweeps."""
     code, s0, received = frame
@@ -546,6 +552,40 @@ def test_path_error_rows_across_words(spec, n_steps, s0, sampled):
         last = code.fanout**n_steps - 1
         indices = [0, last, *rng.integers(0, last, 400).tolist()]
     assert_errors_match_reencoding(code, s0, words, indices)
+
+
+@pytest.mark.parametrize(
+    "spec, n_steps, s0",
+    [
+        ("1,2,2;5,7", 12, 0),
+        ("1,2,2;5,7", 12, 3),
+        ("2,3,1;1,2,3,3,1,2", 5, 1),  # k = 2
+        ("1,7,2;5,7,3,1,6,4,7", 10, 3),  # 70 bits: two packed words
+    ],
+)
+def test_path_error_rows_without_table_match_the_table_route(spec, n_steps, s0):
+    # XOR doubling from each received word against popcounts of y ^ codeword_table
+    code = ConvCode.from_spec(spec)
+    ys = np.random.default_rng([n_steps, s0]).integers(0, 1 << code.n, (5, n_steps))
+    ys[0] = (1 << code.n) - 1
+    want = path_error_rows(code, ys, s0, qva.codeword_table(code, n_steps))
+    got = path_error_rows(code, ys, s0)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(path_error_rows(code, ys[2:3], s0), want[2:3])
+
+
+def test_build_path_space_allocates_one_path_array():
+    code, n_steps = ConvCode.from_spec("1,2,2;5,7"), 16
+    received = "".join(map(str, np.random.default_rng(16).integers(0, 2, 2 * n_steps)))
+    build_path_space(code, received)  # the per-frame-length layout is cached
+    tracemalloc.start()
+    try:
+        build_path_space(code, received)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * 2**n_steps
 
 
 @pytest.mark.parametrize(
@@ -669,6 +709,52 @@ def test_amplify_matches_reference_kernel(counts_kind, batched, seed, iterations
     first = data.draw(st.integers(0, iterations))
     state = _amplify(g, first, counts)
     assert np.array_equal(_amplify(g, iterations - first, counts, state), expected)
+
+
+@pytest.mark.parametrize("phase", ["drawn", "zero", "pi", "repeated"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2000), omegas)
+def test_power_matches_amplify(phase, seed, iterations, omega):
+    # the squaring route at every k, against the stepping kernel as its oracle
+    rng = np.random.default_rng(seed)
+    classes = int(rng.integers(1, 41))
+    counts = rng.integers(1, 1 << int(rng.integers(1, 21)), classes)
+    values = rng.integers(0, 3 if phase == "repeated" else 64, classes)
+    g = np.exp(1j * {"zero": 0.0, "pi": math.pi}.get(phase, omega) * values)
+    with mock.patch.object(qva, "SQUARING_ROUNDS", 0):
+        got = qva._power(g, iterations, counts)
+    assert np.max(np.abs(got - _amplify(g, iterations, counts))) <= TOL
+    assert abs(float(counts @ np.abs(got) ** 2) - 1.0) <= TOL
+    _, first, inverse = np.unique(g, return_index=True, return_inverse=True)
+    assert np.array_equal(got, got[first][inverse])  # equal phases, equal amplitudes
+
+
+def test_exact_tie_on_the_squaring_route_goes_to_first_path():
+    # test_exact_tie_across_classes_goes_to_first_path at k = 101: at omega = 0
+    # the classes merge into one, so they tie exactly (unmerged, the squared
+    # rounds part the 22 classes of N = 13 by rounding)
+    code = ConvCode.from_spec("1,2,2;5,7")
+    params = QvaParams(omega=0.0, iterations=101)
+    assert params.iterations >= qva.SQUARING_ROUNDS
+    for n_steps in (13, 14):
+        ps = build_path_space(code, "0" * 2 * n_steps)
+        assert run_qva(ps, params).top_index == 0
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(ps.L)
+            shuffled = PathSpace(n_steps=ps.n_steps, errors=ps.errors[perm], weights=None)
+            assert run_qva(shuffled, params).top_index == 0
+
+
+def test_squaring_rule_keeps_neglog_spaces_stepping():
+    # a neglog space has a class per path, C = L: at L's formula count a space
+    # of few enough classes has too few rounds, while the (5,7) frames of
+    # N = 14..18 square
+    assert qva.path_iterations(qva.SQUARING_CLASSES) < qva.SQUARING_ROUNDS
+    code = ConvCode.from_spec("1,2,2;5,7")
+    for n_steps in (14, 16, 18):
+        ps = build_path_space(code, "01" * n_steps)
+        assert len(ps.classes().values) <= qva.SQUARING_CLASSES
+        assert qva.formula_iterations(code, n_steps) >= qva.SQUARING_ROUNDS
 
 
 def per_block_campaign(cfg):
