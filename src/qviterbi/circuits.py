@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convcode import ConvCode, _check_bits, split_blocks
-from .errors import SIZE_LIMIT, SizeLimitError, check_state
+from .convcode import ConvCode, parse_blocks
+from .errors import SizeLimitError, check_size, check_state
 from .hmm import Hmm
 from .qva import build_path_space
 
@@ -130,13 +130,15 @@ def step_blocks(code: ConvCode, received_block: str, omega: float) -> np.ndarray
     the NOT pattern copying the retained control bits, as the gate-level
     construction realizes it.  Stacks over SIZE_LIMIT entries are refused.
     """
-    if code.num_states**3 > SIZE_LIMIT:
-        raise SizeLimitError(f"{code.num_states}^3 step-block entries exceeds the size guard")
+    check_size(code.num_states**3, f"{code.num_states}^3 step-block entries")
     if len(received_block) != code.n:
         raise ValueError(f"received block must have {code.n} bits")
-    _check_bits(received_block)
-    # bit errors of every edge against the block, shape (states, inputs)
-    errors = np.bitwise_count(code.trellis().output ^ int(received_block, 2))
+    errors = code.trellis().branch_errors(parse_blocks(received_block, code.n))
+    return _edge_phase_blocks(code, errors[0], omega)
+
+
+def _edge_phase_blocks(code: ConvCode, errors: np.ndarray, omega: float) -> np.ndarray:
+    """step_blocks from the bit errors of every edge against the block, shape (states, inputs)."""
     h_k = reduce(np.kron, [_H1] * code.k)
     suffix_bits = code.k * (code.m - 1)
     low = (1 << suffix_bits) - 1
@@ -221,16 +223,17 @@ def chain_state(code: ConvCode, received: str, omega: float, initial_state: int 
     Register t of the N+1 state registers holds the state after t steps.
     Step t touches only registers t-1 and t, so it is one matmul of the step
     blocks against a (left, Q, Q, rest) view of the state, broadcast over
-    the control register t-1; the full chain unitary is never formed.
+    the control register t-1; the full chain unitary is never formed.  The
+    qubit guard keeps every step's (S, S, S) stack far under SIZE_LIMIT.
     """
     initial_state = check_state(initial_state, code.num_states)
-    blocks = split_blocks(received, code.n)
+    blocks = code.received_blocks(received)
     n = len(blocks)
     q_bits = code.state_bits
     x = np.zeros(1 << _chain_qubits(code, n), dtype=complex)
     x[initial_state << (q_bits * n)] = 1.0
-    for t, y in enumerate(blocks, start=1):
-        v = step_blocks(code, y, omega)
+    for t, errors in enumerate(code.trellis().branch_errors(blocks), start=1):
+        v = _edge_phase_blocks(code, errors, omega)
         x = (v @ x.reshape(1 << (q_bits * (t - 1)), len(v), len(v), -1)).reshape(x.shape)
     return x
 

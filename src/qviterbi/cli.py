@@ -38,7 +38,7 @@ from .convcode import (
     transmit_rows,
     unpack_blocks,
 )
-from .errors import SIZE_LIMIT, SizeLimitError, check_paths
+from .errors import SizeLimitError, check_paths, check_size
 from .viterbi import brute_force_decode, path_metric_multiset, trellis_decode, viterbi_decode
 
 DECODE_MODES = ("classical", "iterated-qva", "probabilistic-qva")
@@ -160,10 +160,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     # sweep or QVA decode frame, and the received bits of a decode campaign
     if args.command == "sweep" or mode != "classical":
         check_paths(code.fanout, n_steps)
-    if args.command == "decode" and merged["campaigns"] * n_steps * code.n > SIZE_LIMIT:
-        raise SizeLimitError(
-            f"{merged['campaigns']} x {n_steps} x {code.n} received bits exceeds the size guard"
-        )
+    if args.command == "decode":
+        check_size(merged["campaigns"] * n_steps * code.n,
+                   f"{merged['campaigns']} x {n_steps} x {code.n} received bits")
     n_range = (n_steps, n_steps)
     if args.command == "table":
         if "n_steps" not in given:  # n_steps, by flag or config key, is the range [N, N]

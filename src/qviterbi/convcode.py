@@ -9,10 +9,12 @@ of message bit i (mask bit t multiplies the block from t steps ago).
 
 ConvCode.step is that definition bit by bit, one edge at a time; the cached
 Trellis tables hold it for every edge at once, computed as array parities,
-and are the one edge table every other layer reads: encode, the path-space
-build, the circuits and to_hmm all count bit errors as popcounts of XORed
-output blocks.  encode_rows and transmit_rows work on many words at once, as
-integer arrays with a leading row axis; ConvCode.encode and
+and are the one edge table every other layer reads: to_hmm, the trellis
+class counts, trellis_decode and the circuits all take an edge's bit errors
+against a received block from Trellis.branch_errors.  parse_blocks is the
+one reading of a bit string as its blocks, and ConvCode.received_blocks the
+one of a received word.  encode_rows and transmit_rows work on many words
+at once, as integer arrays with a leading row axis; ConvCode.encode and
 BscChannel.transmit are their one-row cases on bit strings.
 """
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SIZE_LIMIT, SizeLimitError, check_state
+from .errors import check_size, check_state
 from .hmm import Hmm
 
 
@@ -33,8 +35,18 @@ def split_blocks(bits: str, size: int) -> list[str]:
 
 
 def _check_bits(bits: str) -> None:
-    if set(bits) - {"0", "1"}:
+    if bits.strip("01"):  # what is left holds a character other than '0' and '1'
         raise ValueError("bit strings may only contain '0' and '1'")
+
+
+def parse_blocks(bits: str, width: int) -> np.ndarray:
+    """A bit string as the int64 array of its width-bit blocks, each read MSB first.
+
+    A character other than '0' and '1', or a length that width does not
+    divide, is refused with ValueError.
+    """
+    _check_bits(bits)
+    return np.array([int(y, 2) for y in split_blocks(bits, width)], dtype=np.int64)
 
 
 def pack_blocks(bits: np.ndarray, width: int) -> np.ndarray:
@@ -52,13 +64,19 @@ class Trellis(NamedTuple):
     """The state diagram as read-only lookup tables, indexed [state, input].
 
     next_state and output hold each edge's successor and its n output bits
-    as an integer (MSB first).  The bit errors of edge (s, u) against an
-    n-bit received block y, packed the same way, are
-    np.bitwise_count(output[s, u] ^ y).
+    as an integer (MSB first).
     """
 
     next_state: np.ndarray
     output: np.ndarray
+
+    def branch_errors(self, blocks: np.ndarray) -> np.ndarray:
+        """The bit errors of every edge against each n-bit block, packed as output is.
+
+        Indexed [*blocks.shape, state, input]: the popcount of the edge's
+        output XOR the block, the branch metric of every code-side layer.
+        """
+        return np.bitwise_count(self.output ^ blocks[..., None, None])
 
 
 class _CodeFields(NamedTuple):
@@ -159,10 +177,14 @@ class ConvCode(_CodeFields):
 
         The one-row case of encode_rows.
         """
-        _check_bits(message)
-        inputs = np.array([[int(u, 2) for u in split_blocks(message, self.k)]], dtype=np.int64)
-        outputs = self.encode_rows(inputs, initial_state)[0]
+        outputs = self.encode_rows(parse_blocks(message, self.k)[None], initial_state)[0]
         return "".join(format(y, f"0{self.n}b") for y in outputs.tolist())
+
+    def received_blocks(self, received: str) -> np.ndarray:
+        """The N >= 1 n-bit blocks of a received word (parse_blocks); an empty word is refused."""
+        if not received:
+            raise ValueError("received word is empty")
+        return parse_blocks(received, self.n)
 
     def encode_rows(self, inputs: np.ndarray, initial_state: int = 0) -> np.ndarray:
         """Output blocks of many messages, read off the cached trellis tables.
@@ -195,14 +217,11 @@ class ConvCode(_CodeFields):
         if not 0.0 < epsilon < 0.5:
             raise ValueError("epsilon must lie strictly inside (0, 0.5)")
         n = self.n
-        if (self.num_states * self.fanout) << n > SIZE_LIMIT:
-            raise SizeLimitError(
-                f"{self.num_states} x {self.fanout} x 2^{n} Hmm entries exceeds the size guard"
-            )
+        check_size((self.num_states * self.fanout) << n,
+                   f"{self.num_states} x {self.fanout} x 2^{n} Hmm entries")
         table = self.trellis()
         weights = bsc_weights(epsilon, n)
-        # [block, state, input]: each edge's bit errors against each received block
-        errors = np.bitwise_count(table.output ^ np.arange(1 << n)[:, None, None])
+        errors = table.branch_errors(np.arange(1 << n))  # [block, state, input]
         return Hmm.from_tables(
             (format(v, f"0{n}b") for v in range(1 << n)),
             np.broadcast_to(table.next_state.astype(np.int32), errors.shape),
@@ -222,10 +241,7 @@ def _trellis(code: ConvCode) -> Trellis:
     from t steps ago at bit k (m - t) + k - 1 - i, so output bit j is the
     parity of R masked by generator column j's taps placed there.
     """
-    if code.num_states * code.fanout > SIZE_LIMIT:
-        raise SizeLimitError(
-            f"{code.num_states} x {code.fanout} trellis edges exceeds the size guard"
-        )
+    check_size(code.num_states * code.fanout, f"{code.num_states} x {code.fanout} trellis edges")
     k, m = code.k, code.m
     state, u = np.ogrid[: code.num_states, : code.fanout]
     register = (u << (k * m)) | state
@@ -240,7 +256,8 @@ def _trellis(code: ConvCode) -> Trellis:
     return table
 
 
-def _check_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a crossover probability outside [0, 0.5) with ValueError."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")
 
@@ -252,7 +269,7 @@ def bsc_weights(epsilon: float, bits: int) -> np.ndarray:
     e from a sent word of `bits` bits.  to_hmm reads it with bits = n and
     the QVA decoders with bits = N n.
     """
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     return np.array([(epsilon**e) * ((1.0 - epsilon) ** (bits - e)) for e in range(bits + 1)])
 
 
@@ -265,7 +282,7 @@ class BscChannel:
     """
 
     def __init__(self, epsilon: float, seed=0):
-        _check_epsilon(epsilon)
+        check_epsilon(epsilon)
         self.epsilon = float(epsilon)
         self.seed = seed
         self._rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Shared exception types, the size bound with its path-count guard, and the start-state check."""
+"""Shared exception types, the size bound with its guards, and the start-state check."""
 import operator
 
 
@@ -12,6 +12,12 @@ class SizeLimitError(Exception):
 
 # Most paths, sweep amplitudes, step-block entries or draws per row one array holds
 SIZE_LIMIT = 1 << 24
+
+
+def check_size(count: int, what: str) -> None:
+    """Refuse a count over SIZE_LIMIT with SizeLimitError("<what> exceeds the size guard")."""
+    if count > SIZE_LIMIT:
+        raise SizeLimitError(f"{what} exceeds the size guard")
 
 
 def check_paths(fanout: int, n_steps: int) -> int:

@@ -16,7 +16,7 @@ import json
 import math
 from collections import defaultdict
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,6 +165,13 @@ class Hmm:
     def fanout(self) -> int:
         """The most successors of any state under one emission: the table width."""
         return self.succ.shape[-1]
+
+    def message(self, path: Sequence[int]) -> str | None:
+        """The input_bits-bit edge inputs along a state path, joined; None without edge inputs."""
+        if self.edge_inputs is None or self.input_bits is None:
+            return None
+        width = f"0{self.input_bits}b"
+        return "".join(format(self.edge_inputs[edge], width) for edge in zip(path, path[1:]))
 
     def to_json_dict(self) -> dict:
         return {

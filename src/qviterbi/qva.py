@@ -59,8 +59,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import streams, viterbi
-from .convcode import ConvCode, _check_bits, bsc_weights, split_blocks
-from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError, check_paths, check_state
+from .convcode import ConvCode, bsc_weights
+from .errors import SIZE_LIMIT, DecodeFailure, SizeLimitError, check_paths, check_size, check_state
 from .hmm import Hmm
 from .viterbi import enumerate_paths
 
@@ -128,9 +128,10 @@ class PathSpace:
 
     Code-backed spaces index paths by the message bits read as an integer,
     keep the received word's n-bit blocks, and reconstruct state sequences
-    on demand; HMM-backed spaces keep the enumeration's level table
-    (viterbi.Paths) and read paths off it.  errors holds integer bit-error
-    counts, weights holds negative log path probabilities (general HMM mode).
+    on demand; HMM-backed spaces keep their model and the enumeration's
+    level table (viterbi.Paths), and read paths off it.  errors holds
+    integer bit-error counts, weights holds negative log path probabilities
+    (general HMM mode).
     """
 
     def __init__(
@@ -143,7 +144,7 @@ class PathSpace:
         blocks: np.ndarray | None = None,
         initial_state: int = 0,
         paths: viterbi.Paths | None = None,
-        input_bits: int | None = None,
+        hmm: Hmm | None = None,
     ):
         self.n_steps = n_steps
         self.errors = errors
@@ -152,7 +153,7 @@ class PathSpace:
         self.blocks = blocks
         self.initial_state = initial_state
         self._paths = paths
-        self._input_bits = input_bits
+        self._hmm = hmm
         ref = errors if errors is not None else weights
         self.L = int(len(ref))
         self._classes: dict[str, ClassView] = {}
@@ -217,10 +218,16 @@ class PathSpace:
         return _code_path(self.code, self.initial_state, self.n_steps, index)
 
     def message(self, index: int) -> str | None:
-        """Message bits driving path `index` (code-backed spaces only)."""
-        if self._input_bits is None:
-            return None
-        return format(index, f"0{self._input_bits * self.n_steps}b")
+        """Message bits driving path `index`, read off path(index), so IndexError outside [0, L).
+
+        A code-backed space's path order is message order, so they are the
+        bits of the index; an HMM-backed space reads them off its model's
+        edge inputs (Hmm.message), None where it has none.
+        """
+        path = self.path(index)
+        if self.code is not None:
+            return format(index, f"0{self.code.k * self.n_steps}b")
+        return self._hmm.message(path)
 
     def exponent_multiset(self) -> Counter:
         view = self.classes("errors")
@@ -247,7 +254,7 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
     one-row case of path_error_rows.
     """
     initial_state = check_state(initial_state, code.num_states)
-    ys = _received_blocks(code, received)
+    ys = code.received_blocks(received)[None]
     return PathSpace(
         n_steps=ys.shape[1],
         errors=path_error_rows(code, ys, initial_state)[0],
@@ -255,7 +262,6 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
         code=code,
         blocks=ys[0],
         initial_state=initial_state,
-        input_bits=code.k,
     )
 
 
@@ -266,7 +272,7 @@ def trellis_classes(
 
     blocks holds the N received n-bit blocks as integers; errors, the
     frame's path errors, only becomes the view's keys.  The bit errors of
-    every edge at every step are one popcount of output XOR block.  One
+    every edge at every step are one Trellis.branch_errors call.  One
     backward pass over the trellis then gives, for each state s before each
     step, the paths from s to the end grouped by error total, the weight
     enumerator of that trellis section (Viterbi 1971):
@@ -288,7 +294,7 @@ def trellis_classes(
     n_steps, states, fanout = len(blocks), code.num_states, code.fanout
     width = code.k * n_steps + 1
     successors = table.next_state.tolist()
-    errs = np.bitwise_count(table.output ^ blocks[:, None, None]).tolist()  # [t][s][u]
+    errs = table.branch_errors(blocks).tolist()  # [t][s][u]
     counts, reach = [1] * states, [1] * states
     reaches = [reach]
     for row in reversed(errs):
@@ -334,15 +340,6 @@ def trellis_classes(
                      np.array(first, dtype=np.intp), errors, np.array(rank, dtype=np.intp))
 
 
-def _received_blocks(code: ConvCode, received: str) -> np.ndarray:
-    """A received bit string as the (1, N) array of its n-bit blocks."""
-    _check_bits(received)
-    blocks = split_blocks(received, code.n)
-    if not blocks:
-        raise ValueError("received word is empty")
-    return np.array([[int(y, 2) for y in blocks]], dtype=np.int64)
-
-
 def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
     """Packed codewords of all F^N messages from state 0, shape (W, F^N) uint64.
 
@@ -351,18 +348,9 @@ def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
     in F^N XORs per word.  Column i is message i in path order, in the word
     layout of _frame_layout.
     """
-    paths = _frame_paths(code, n_steps)
     unit_words = _frame_layout(code, n_steps)[1]
-    words = np.empty((unit_words.shape[1], paths), dtype=np.uint64)
+    words = np.empty((unit_words.shape[1], 1 << len(unit_words)), dtype=np.uint64)
     return _xor_doubling(words, 0, unit_words[:, :, None])
-
-
-def _frame_paths(code: ConvCode, n_steps: int) -> int:
-    """F^N, the paths of a frame, refused over SIZE_LIMIT."""
-    paths = check_paths(code.fanout, n_steps)
-    if paths > SIZE_LIMIT:
-        raise SizeLimitError(f"{code.fanout}^{n_steps} paths exceeds the size guard")
-    return paths
 
 
 def _xor_doubling(out: np.ndarray, start, units) -> np.ndarray:
@@ -382,14 +370,17 @@ def _xor_doubling(out: np.ndarray, start, units) -> np.ndarray:
 def _frame_layout(code: ConvCode, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """How an N-block frame packs into 64-bit words, and its unit codewords.
 
+    Frames of over SIZE_LIMIT paths are refused, before any array is built.
     blocks.astype(np.uint64) @ weights packs (rows, N) n-bit blocks into
     (rows, W) words: word w holds blocks w * G .. w * G + G - 1 counted back
     from the last one (G = 64 // n), the last block in its lowest bits, so
     the words are the frame's bit string read in 64-bit pieces from the
     end.  Row j of unit_words is the packed codeword from state 0 of the
-    message whose only set bit is bit j of the path index.  Both are built
-    once per code and frame length (k*N <= 24 rows under the size guard).
+    message whose only set bit is bit j of the path index, so the frame
+    has 2^len(unit_words) = F^N paths.  Both are built once per code and
+    frame length (k*N <= 24 rows under the size guard).
     """
+    check_size(check_paths(code.fanout, n_steps), f"{code.fanout}^{n_steps} paths")
     per_word = 64 // code.n
     back = np.arange(n_steps - 1, -1, -1)  # block t counted back from the last
     shifts = (code.n * (back % per_word)).astype(np.uint64)
@@ -423,12 +414,11 @@ def path_error_rows(
     k*N numpy calls.
     """
     n_steps = ys.shape[1]
-    paths = _frame_paths(code, n_steps)
+    layout, unit_words = _frame_layout(code, n_steps)
     if check_state(initial_state, code.num_states):
         ys = ys ^ code.encode_rows(np.zeros((1, n_steps), dtype=np.int64), initial_state)
-    layout, unit_words = _frame_layout(code, n_steps)
     received = ys.astype(np.uint64) @ layout
-    errors = np.empty((len(received), paths), dtype=np.uint64)
+    errors = np.empty((len(received), 1 << len(unit_words)), dtype=np.uint64)
     words = errors  # the first word's XORs are popcounted in place, the others beside it
     for w in range(received.shape[1]):
         if w == 1:
@@ -460,7 +450,7 @@ def build_path_space_hmm(h: Hmm, emissions: Sequence[str], initial_state: int = 
         weights=paths.totals[0],
         initial_state=initial_state,
         paths=paths,
-        input_bits=h.input_bits if h.edge_inputs is not None else None,
+        hmm=h,
     )
 
 
@@ -704,8 +694,7 @@ def sweep_omega(
     peak_step = PEAK_STEP / iterations
     step = min(grid, peak_step)
     points = int(math.pi / step)
-    if points * len(x) > SIZE_LIMIT:
-        raise SizeLimitError(f"{points} grid points x {len(x)} classes exceeds the size guard")
+    check_size(points * len(x), f"{points} grid points x {len(x)} classes")
     if points * len(x) * iterations > SWEEP_WORK_LIMIT:
         raise SizeLimitError(
             f"{points} grid points x {len(x)} classes x {iterations} iterations"
@@ -886,7 +875,7 @@ def adaptive_decode(
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
-    ys = _received_blocks(code, received)
+    ys = code.received_blocks(received)[None]
     # class c measures with default_rng([*seed, c]): c takes the block column
     seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     tables = [streams.seed_table(seeds, [cls]) for cls in range(len(schedule))]
@@ -962,6 +951,8 @@ def representative_received(code: ConvCode, n_steps: int, n_errors: int) -> str:
     """All-zero codeword with n_errors flips spread one per block."""
     bits = list("0" * (n_steps * code.n))
     total = len(bits)
+    if n_errors < 0:
+        raise ValueError("n_errors must be non-negative")
     if n_errors > total:
         raise ValueError("more errors than codeword bits")
     for i in range(n_errors):
@@ -990,6 +981,8 @@ def default_schedule(
     if iterations is None:
         iterations = formula_iterations(code, n_steps)
     total_bits = n_steps * code.n
+    if max_errors < 0:
+        raise ValueError("max_errors must be non-negative")
     if max_errors > total_bits:
         raise ValueError("more errors than codeword bits")
     weights = bsc_weights(epsilon, total_bits)

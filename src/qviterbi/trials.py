@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convcode import _check_epsilon, bsc_weights
+from .convcode import bsc_weights, check_epsilon
 from .qva import PathSpace, measure, mode_of, path_iterations
 
 DEFAULT_TARGET_FAILURE = math.exp(-2.0)
@@ -35,7 +35,7 @@ def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
     """
     if ps.code is not None and ps.errors is not None:
         return _normalised_sqrt(bsc_weights(epsilon, ps.n_steps * ps.code.n)[ps.errors])
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     if ps.weights is None:
         raise ValueError("path space carries neither a code nor log weights")
     return _normalised_sqrt(np.exp(-ps.weights))

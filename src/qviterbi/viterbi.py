@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .convcode import Trellis
-from .errors import SIZE_LIMIT, NoPathError, SizeLimitError, check_paths, check_state
+from .errors import NoPathError, check_paths, check_size, check_state
 from .hmm import Hmm
 
 # Relative slack for float metric comparisons; integer metrics compare exactly.
@@ -79,16 +79,6 @@ def _check_emissions(h: Hmm, emissions: Sequence[str]) -> list[int]:
     return [h.symbols[y] for y in emissions]
 
 
-def _message(h: Hmm, path: Sequence[int]) -> str | None:
-    if h.edge_inputs is None or h.input_bits is None:
-        return None
-    blocks = [
-        format(h.edge_inputs[(path[t], path[t + 1])], f"0{h.input_bits}b")
-        for t in range(len(path) - 1)
-    ]
-    return "".join(blocks)
-
-
 def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> DecodeResult:
     """Most probable state path given the receive blocks.
 
@@ -132,7 +122,7 @@ def viterbi_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> 
                 break
     return DecodeResult(
         path=tuple(path),
-        message=_message(h, path),
+        message=h.message(path),
         metric=prefix,
         ties=ways[0][initial_state],
     )
@@ -144,11 +134,11 @@ def trellis_decode(
     """Bit-error Viterbi decoding of every row of ys on a code's trellis table.
 
     ys has shape (rows, N) and holds each received word's n-bit blocks as
-    integers (MSB first); a branch costs the popcount of its output XOR the
-    block.  A backward cost-to-go pass of shape (rows, S) is followed by a
-    forward traceback that takes the smallest co-optimal successor state,
-    the tie rule of viterbi_decode, in chunks of rows whose branch costs
-    hold CHUNK_CELLS cells.  Returns the message block driving each step,
+    integers (MSB first); a branch costs its Trellis.branch_errors.  A
+    backward cost-to-go pass of shape (rows, S) is followed by a forward
+    traceback that takes the smallest co-optimal successor state, the tie
+    rule of viterbi_decode, in chunks of rows whose branch costs hold
+    CHUNK_CELLS cells.  Returns the message block driving each step,
     shape (rows, N), and each row's bit-error count.
     """
     num_states = table.next_state.shape[0]
@@ -159,7 +149,7 @@ def trellis_decode(
         parts = [trellis_decode(table, ys[s : s + chunk], initial_state)
                  for s in range(0, rows, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    branch = np.bitwise_count(table.output ^ ys[..., None, None])  # [row, step, state, input]
+    branch = table.branch_errors(ys)  # [row, step, state, input]
     to_go = np.zeros((n + 1, rows, num_states), dtype=np.int64)
     for t in range(n - 1, -1, -1):
         to_go[t] = (branch[:, t] + to_go[t + 1][:, table.next_state]).min(axis=-1)
@@ -215,8 +205,7 @@ def enumerate_paths(
     initial_state = check_state(initial_state, h.num_states)
     n = len(emissions)
     fan = h.fanout()
-    if check_paths(fan, n) > SIZE_LIMIT:
-        raise SizeLimitError(f"about {fan}^{n} paths exceeds the size guard")
+    check_size(check_paths(fan, n), f"about {fan}^{n} paths")
     # int32 indices hold the at most SIZE_LIMIT paths the guard lets through
     state = np.array([initial_state], dtype=np.int32)
     states, parents = [state], [np.zeros(1, dtype=np.int32)]
@@ -264,7 +253,7 @@ def brute_force_decode(h: Hmm, emissions: Sequence[str], initial_state: int = 0)
         raise NoPathError(f"no admissible path from state {initial_state}")
     leaf, best, ties = first_optimum(paths.totals[0])
     path = tuple(paths.rows([leaf])[0].tolist())
-    return DecodeResult(path=path, message=_message(h, path), metric=best, ties=ties)
+    return DecodeResult(path=path, message=h.message(path), metric=best, ties=ties)
 
 
 def path_metric_multiset(h: Hmm, emissions: Sequence[str], initial_state: int = 0) -> Counter:

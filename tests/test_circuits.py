@@ -209,6 +209,9 @@ class TestStepBlock:
         for state in (-1, code.num_states):
             with pytest.raises(ValueError, match="initial state out of range"):
                 chain_state(code, "00", 0.5, initial_state=state)
+        for build in (chain_state, path_reference):  # a word of no blocks has no chain
+            with pytest.raises(ValueError, match="^received word is empty$"):
+                build(code, "", 0.5)
 
     def test_wide_code_blocks(self):
         # two message bits per step, single memory block: four-way fan-out

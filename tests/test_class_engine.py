@@ -12,7 +12,8 @@ amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration, and run_qva's squaring kernel, _power,
 is checked against the stepping kernel _amplify.  Classical Viterbi is
-checked against brute-force enumeration and the path space.
+checked against brute-force enumeration and the path space, and every
+path space's messages against the edge inputs along its paths.
 
 The block axis of decode campaigns is checked row by row: path_error_rows
 against re-encoding every message with the step walk, also where a frame
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from code_reference import hamming
 from qviterbi import cli, qva, streams, viterbi
 from qviterbi.convcode import BscChannel, ConvCode, split_blocks, transmit_rows
+from qviterbi.hmm import Hmm
 from qviterbi.qva import (
     PathSpace,
     QvaParams,
@@ -162,6 +164,49 @@ def test_build_matches_reencoding(frame, data):
     for i in range(ps.L):
         assert ps.errors[i] == hamming(encode_by_step(code, ps.message(i), s0), received)
     assert_classes_match_sort(ps, "errors")
+
+
+@st.composite
+def message_spaces(draw):
+    """(path space, its model's edge inputs and block width): an HMM whose states'
+    fanouts differ, or a code frame with k = 1, 2 from a drawn start state."""
+    if draw(st.booleans()):
+        code, received = draw(frames())
+        h = code.to_hmm(0.1)
+        ps = build_path_space(code, received, draw(st.integers(0, code.num_states - 1)))
+        return ps, h.edge_inputs, h.input_bits
+    bits, q = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    trans, edge_inputs = {}, {}
+    for i in range(q):
+        succ = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=min(q, 1 << bits),
+                             unique=True))
+        for j, u in zip(succ, draw(st.permutations(range(1 << bits)))):
+            trans[i, j, "a"] = 1.0 / len(succ)
+            edge_inputs[i, j] = u
+    h = Hmm(q, ("a",), trans, dict.fromkeys(trans, 1.0), edge_inputs=edge_inputs,
+            input_bits=bits)
+    return build_path_space_hmm(h, ["a"] * draw(st.integers(1, 4))), edge_inputs, bits
+
+
+# state 1 has one successor, so paths 2-4 are not the index bits 010, 011, 100
+UNEQUAL_FANOUT = {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+UNEQUAL_FANOUT_HMM = Hmm(2, ("a",), {(0, 0, "a"): 0.5, (0, 1, "a"): 0.5, (1, 0, "a"): 1.0},
+                         {(0, 0, "a"): 1.0, (0, 1, "a"): 1.0, (1, 0, "a"): 1.0},
+                         edge_inputs=UNEQUAL_FANOUT, input_bits=1)
+
+
+@PROPERTY_SETTINGS
+@given(message_spaces())
+@example((build_path_space_hmm(UNEQUAL_FANOUT_HMM, ["a"] * 3), UNEQUAL_FANOUT, 1))
+def test_messages_are_the_edge_inputs_along_each_path(space):
+    ps, edge_inputs, bits = space
+    for i in range(ps.L):
+        path = ps.path(i)
+        inputs = [edge_inputs[path[t], path[t + 1]] for t in range(ps.n_steps)]
+        assert ps.message(i) == "".join(format(u, f"0{bits}b") for u in inputs)
+    for i in (-1, ps.L):
+        with pytest.raises(IndexError):
+            ps.message(i)
 
 
 @PROPERTY_SETTINGS

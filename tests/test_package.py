@@ -114,6 +114,25 @@ def test_no_dataclasses_in_the_package():
     assert importers == []
 
 
+def test_no_module_reads_another_modules_private_name():
+    # a module's underscore names are its own: another module goes through a public one
+    readers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qviterbi").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # sibling modules bound by `from . import x`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+                modules.update(names if node.module is None else ())
+                readers += [f"{path.name}: {node.module}.{name}" for name in names
+                            if name.startswith("_") and not name.startswith("__")]
+        readers += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")
+                    and not node.attr.startswith("__")]
+    assert readers == []
+
+
 @pytest.mark.parametrize(
     "record, field, bad, message",
     [

@@ -494,6 +494,16 @@ class TestAdaptiveDecode:
         assert rep == "10100000"
         assert representative_received(code, 4, 0) == "0" * 8
 
+    def test_negative_error_count_rejected(self, code):
+        # a negative count flips nothing and would pass for the all-zero word
+        with pytest.raises(ValueError, match="^n_errors must be non-negative$"):
+            representative_received(code, 4, -1)
+
+    def test_negative_schedule_budget_rejected(self, code):
+        # a negative budget leaves an empty schedule, refused only when a decode runs it
+        with pytest.raises(ValueError, match="^max_errors must be non-negative$"):
+            default_schedule(code, 4, 0.1, max_errors=-1)
+
 
 class TestFormulaIterations:
     def test_reference_counts(self, code):

@@ -321,7 +321,7 @@ def walk_brute_force(h, emissions, initial_state=0):
     within = [p for p, total in enumerate(totals) if total <= best + tol]
     path = trails[within[0]]
     return viterbi.DecodeResult(
-        path=path, message=viterbi._message(h, path), metric=totals[within[0]], ties=len(within)
+        path=path, message=h.message(path), metric=totals[within[0]], ties=len(within)
     )
 
 
