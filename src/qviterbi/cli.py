@@ -33,6 +33,7 @@ from .convcode import (
     CODE_5_7,
     ConvCode,
     bsc_weights,
+    check_epsilon,
     pack_blocks,
     split_blocks,
     transmit_rows,
@@ -150,8 +151,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     n_steps = merged["n_steps"]
     if mode == "iterated-qva" and merged["max_errors"] > n_steps * code.n:
         raise ConfigError("max_errors exceeds the frame's bit count (n_steps * n)")
-    if not 0.0 <= merged["epsilon"] < 0.5:
-        raise ConfigError("epsilon must lie in [0, 0.5)")
+    try:
+        check_epsilon(merged["epsilon"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not 0.0 < merged["grid"] < math.pi:
         raise ConfigError("grid must lie in (0, pi)")
     if merged["omega"] is not None and not 0.0 <= merged["omega"] <= math.pi:
@@ -334,8 +337,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         )
         tables = [stream_table(2, cls) for cls in range(len(schedule))]
 
-    message_bits = cfg.n_steps * code.k
-    messages = streams.bits(stream_table(0), message_bits)
+    messages = streams.bits(stream_table(0), cfg.n_steps * code.k)
     codewords = unpack_blocks(code.encode_rows(pack_blocks(messages, code.k)), code.n)
     uniforms = streams.uniforms(stream_table(1), codewords.shape[1])
     received, flips = transmit_rows(codewords, cfg.epsilon, uniforms)
@@ -362,9 +364,10 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         found = qva.adaptive_decode_rows(code, ys, schedule, tables)
         accepted = found[:, 3] == 1  # (entries, blocks): at most one entry accepts a block
         classes = np.where(accepted.any(axis=0), accepted.argmax(axis=0), -1)
-        modes = unpack_blocks(found[classes, 0, np.arange(cfg.campaigns)][:, None], message_bits)
-        for row, cls, decoded in zip(results, classes.tolist(), _bit_strings(modes)):
-            row["decoded"], row["accepted_class"] = (decoded, cls) if cls >= 0 else (None, None)
+        modes = found[classes, 0, np.arange(cfg.campaigns)]
+        decoded = _bit_strings(unpack_blocks(qva.input_blocks(code, cfg.n_steps, modes), code.k))
+        for row, cls, bits in zip(results, classes.tolist(), decoded):
+            row["decoded"], row["accepted_class"] = (bits, cls) if cls >= 0 else (None, None)
     else:
         weights = bsc_weights(eps_dec, cfg.n_steps * code.n)
         weights = np.broadcast_to(weights, (cfg.campaigns, len(weights)))
@@ -374,7 +377,7 @@ def run_decode_campaign(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
             qva.sample_modes(errors, weights[rows], seeds[rows], prob_r)
             for rows, errors in qva.path_error_groups(code, ys)
         ], axis=1)
-        decoded = _bit_strings(unpack_blocks(modes[:, None], message_bits))
+        decoded = _bit_strings(unpack_blocks(qva.input_blocks(code, cfg.n_steps, modes), code.k))
         for row, bits, mode, count in zip(results, decoded, modes.tolist(), mode_counts.tolist()):
             row["decoded"], row["mode_index"], row["mode_count"] = bits, mode, count
     for row in results:

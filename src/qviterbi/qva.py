@@ -32,6 +32,12 @@ carries both the neg-log and the bit-error totals; they group their
 exponents with np.unique, and viterbi_index picks their optimum by
 viterbi.first_optimum, the co-optimality rule of every decoder.
 
+Path i of a code frame is driven by the k*N bits of i, first block most
+significant.  input_blocks is the one reader of that rule on index arrays,
+and code_walk its one-path case, giving a path's message bits and state
+walk: PathSpace.path and .message, adaptive_decode, the unit messages of
+_frame_layout and the decode campaigns of the CLI read these two.
+
 A code path's error count is the Hamming distance from the received word
 to its codeword.  The codes are linear over GF(2), so XOR doubling over the
 message bits (_xor_doubling) fills y XOR the packed codewords of all F^N
@@ -211,39 +217,62 @@ class PathSpace:
 
     def path(self, index: int) -> tuple[int, ...]:
         """State sequence of path `index`, including the start state."""
+        return self._walk(index)[1]
+
+    def message(self, index: int) -> str | None:
+        """Message bits driving path `index`; IndexError outside [0, L).
+
+        A code-backed space's path order is message order, so they are the
+        bits of the index (code_walk); an HMM-backed space reads them off
+        its model's edge inputs (Hmm.message), None where it has none.
+        """
+        return self._walk(index)[0]
+
+    def _walk(self, index: int) -> tuple[str | None, tuple[int, ...]]:
+        """(message, path) of path `index`."""
         if not 0 <= index < self.L:
             raise IndexError("path index out of range")
         if self._paths is not None:
-            return tuple(self._paths.rows([index])[0].tolist())
-        return _code_path(self.code, self.initial_state, self.n_steps, index)
-
-    def message(self, index: int) -> str | None:
-        """Message bits driving path `index`, read off path(index), so IndexError outside [0, L).
-
-        A code-backed space's path order is message order, so they are the
-        bits of the index; an HMM-backed space reads them off its model's
-        edge inputs (Hmm.message), None where it has none.
-        """
-        path = self.path(index)
-        if self.code is not None:
-            return format(index, f"0{self.code.k * self.n_steps}b")
-        return self._hmm.message(path)
+            path = tuple(self._paths.rows([index])[0].tolist())
+            return self._hmm.message(path), path
+        if self.code is None:
+            raise ValueError("this path space carries no paths")
+        return code_walk(self.code, self.n_steps, index, self.initial_state)
 
     def exponent_multiset(self) -> Counter:
         view = self.classes("errors")
         return Counter(dict(zip(view.values.tolist(), view.counts.tolist())))
 
 
-def _code_path(code: ConvCode, initial_state: int, n_steps: int, index: int) -> tuple[int, ...]:
-    """State sequence driven by the k*N message bits of index, start state included."""
-    k = code.k
-    next_state = code.trellis().next_state
-    state = initial_state
-    out = [state]
-    for t in range(n_steps):
-        state = next_state.item(state, (index >> (k * (n_steps - 1 - t))) & ((1 << k) - 1))
-        out.append(state)
-    return tuple(out)
+def input_blocks(code: ConvCode, n_steps: int, indices: np.ndarray) -> np.ndarray:
+    """The N k-bit input blocks driving each code-path index, shape (..., N).
+
+    This is the one reader of code-path indices: path i of an N-step frame
+    is driven by the k*N bits of i, first block most significant.
+    """
+    back = code.k * np.arange(n_steps - 1, -1, -1)
+    return (indices[..., None] >> back) & (code.fanout - 1)
+
+
+def code_walk(
+    code: ConvCode, n_steps: int, index: int, initial_state: int = 0
+) -> tuple[str, tuple[int, ...]]:
+    """Message bits of code path `index` and its state walk from initial_state.
+
+    The one-path case of input_blocks, as Python ints: the bits of index,
+    and the states its blocks drive, start state included.
+    """
+    k, successors = code.k, _successors(code)
+    mask, walk = (1 << k) - 1, [initial_state]
+    for shift in range(k * (n_steps - 1), -1, -k):
+        walk.append(successors[walk[-1]][(index >> shift) & mask])
+    return format(index, "b").zfill(k * n_steps), tuple(walk)
+
+
+@cache
+def _successors(code: ConvCode) -> tuple[tuple[int, ...], ...]:
+    """Trellis.next_state as Python ints, [state][input], for walks one edge at a time."""
+    return tuple(map(tuple, code.trellis().next_state.tolist()))
 
 
 def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> PathSpace:
@@ -293,7 +322,7 @@ def trellis_classes(
     table = code.trellis()
     n_steps, states, fanout = len(blocks), code.num_states, code.fanout
     width = code.k * n_steps + 1
-    successors = table.next_state.tolist()
+    successors = _successors(code)
     errs = table.branch_errors(blocks).tolist()  # [t][s][u]
     counts, reach = [1] * states, [1] * states
     reaches = [reach]
@@ -386,8 +415,7 @@ def _frame_layout(code: ConvCode, n_steps: int) -> tuple[np.ndarray, np.ndarray]
     shifts = (code.n * (back % per_word)).astype(np.uint64)
     weights = np.zeros((n_steps, -(-n_steps // per_word)), dtype=np.uint64)
     weights[np.arange(n_steps), back // per_word] = 1 << shifts
-    bits = np.arange(code.k * n_steps)
-    units = ((1 << bits)[:, None] >> (code.k * back)) & (code.fanout - 1)
+    units = input_blocks(code, n_steps, 1 << np.arange(code.k * n_steps))
     unit_words = code.encode_rows(units).astype(np.uint64) @ weights
     for array in (weights, unit_words):
         array.flags.writeable = False  # shared by every caller of the cache
@@ -885,10 +913,8 @@ def adaptive_decode(
     last = attempts[-1]
     if not last.accepted:
         raise DecodeFailure(f"all {len(schedule)} error classes exhausted: {list(attempts)}")
-    n_steps = ys.shape[1]
     return AdaptiveDecodeResult(
-        message=format(last.mode_index, f"0{code.k * n_steps}b"),
-        path=_code_path(code, 0, n_steps, last.mode_index),
+        *code_walk(code, ys.shape[1], last.mode_index),  # message and path
         metric=last.distance,
         accepted_class=last.class_index,
         attempts=attempts,

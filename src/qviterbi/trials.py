@@ -48,17 +48,15 @@ def _normalised_sqrt(weights: np.ndarray) -> np.ndarray:
     return np.sqrt(weights).astype(complex) / norm
 
 
-def mode_failure_rate(b: float, b_prime: float, symmetric: bool = False) -> float:
+def mode_failure_rate(b: float, b_prime: float) -> float:
     """Exponential decay rate of the mode-miss probability, lambda.
 
-    The default denominator carries the term b'(1 + (b-b')^2); symmetric=True
-    uses b'(1 + (b-b'))^2 instead, mirroring the b term.
+    The denominator carries the term b'(1 + (b-b')^2).
     """
     if not 0.0 <= b_prime <= b <= 1.0:
         raise ValueError("need 0 <= b' <= b <= 1")
     gap = b - b_prime
-    second = (1.0 + gap) ** 2 if symmetric else 1.0 + gap**2
-    denom = 2.0 * (b * (1.0 - gap) ** 2 + b_prime * second)
+    denom = 2.0 * (b * (1.0 - gap) ** 2 + b_prime * (1.0 + gap**2))
     if denom <= 0.0:
         raise ValueError("degenerate distribution: zero denominator")
     return gap**2 / denom

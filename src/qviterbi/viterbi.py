@@ -53,18 +53,6 @@ class DecodeResult(NamedTuple):
     ties: int
 
 
-def _neglog(h: Hmm, i: int, j: int, y: str) -> float:
-    """-log P(j|i,y)P(y|i,j) of a branch, read off the views; inf at probability zero."""
-    p = h.trans[(i, j, y)] * h.emit.get((i, j, y), 0.0)
-    return math.inf if p == 0.0 else -math.log(p)
-
-
-def _branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
-    if h.branch_errors is not None:
-        return h.branch_errors[(i, j, y)]
-    return _neglog(h, i, j, y)
-
-
 def _slack(exact: bool, value: float) -> float:
     return 0 if exact else FLOAT_SLACK * max(1.0, abs(value))
 

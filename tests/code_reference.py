@@ -3,7 +3,11 @@
 The library reads every edge off the cached Trellis arrays; these helpers
 walk the edges one at a time with ConvCode.step and count bit errors on bit
 strings, so the tests can check the array-built tables against them.
+neglog and branch_cost read one branch's cost off an Hmm's dict views, for
+the recursive path walks that check viterbi.enumerate_paths.
 """
+import math
+
 from qviterbi.hmm import Hmm
 
 
@@ -45,3 +49,16 @@ def reference_to_hmm(code, epsilon: float) -> Hmm:
         edge_inputs=edge_inputs,
         input_bits=code.k,
     )
+
+
+def neglog(h: Hmm, i: int, j: int, y: str) -> float:
+    """-log P(j|i,y)P(y|i,j) of a branch, read off the views; inf at probability zero."""
+    p = h.trans[(i, j, y)] * h.emit.get((i, j, y), 0.0)
+    return math.inf if p == 0.0 else -math.log(p)
+
+
+def branch_cost(h: Hmm, i: int, j: int, y: str) -> float:
+    """A branch's bit errors where the model has them, else its neglog."""
+    if h.branch_errors is not None:
+        return h.branch_errors[(i, j, y)]
+    return neglog(h, i, j, y)

@@ -946,3 +946,14 @@ def test_adaptive_decode_rows_count_each_block_once(chunk_cells, group_rows):
 def test_campaign_rows_match_per_block_loop_at_full_chunks(mode, spec, n_steps, campaigns):
     cfg = campaign_config(spec, mode, n_steps, campaigns, seed=23, epsilon=0.08)
     assert cli.run_decode_campaign(cfg) == per_block_campaign(cfg)
+
+
+@pytest.mark.parametrize("mode", ["iterated-qva", "probabilistic-qva"])
+def test_campaign_rows_match_per_block_loop_over_shot_groups(mode):
+    # sample_modes draws the uniforms of SHOT_CELLS (row, shot) cells a group: at 200
+    # cells, iterated-qva's 7 shots a block give groups of 28 rows, and
+    # probabilistic-qva's 88 shots a block at N = 6 groups of 2
+    cfg = campaign_config("1,2,2;5,7", mode, 6, 60, seed=29, epsilon=0.08)
+    with mock.patch.object(qva, "SHOT_CELLS", 200):
+        rows = cli.run_decode_campaign(cfg)
+    assert rows == per_block_campaign(cfg)

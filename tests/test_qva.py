@@ -54,6 +54,13 @@ class TestPathSpace:
         assert ps.message(8) == "1000"
         assert ps.path(8) == (0, 2, 1, 0, 0)
         assert ps.path(0) == (0, 0, 0, 0, 0)
+        # a space of error counts alone has neither a code nor a level table
+        bare = PathSpace(n_steps=1, errors=np.array([0, 1]), weights=None)
+        for read in (bare.path, bare.message):
+            with pytest.raises(ValueError, match="^this path space carries no paths$"):
+                read(0)
+            with pytest.raises(IndexError):
+                read(2)
 
     def test_per_path_errors_match_walk(self, code):
         ps = build_path_space(code, "0" * 8)
@@ -475,6 +482,26 @@ class TestAdaptiveDecode:
         result = adaptive_decode(code, received, schedule, seed=11)
         oracle = viterbi_decode(hmm01, [received[2 * i : 2 * i + 2] for i in range(3)])
         assert result.message == oracle.message
+
+    @pytest.mark.parametrize("spec, n_steps", [("1,2,2;5,7", 5), ("2,3,1;1,2,3,3,1,2", 3)])
+    def test_result_is_the_accepted_mode_read_off_the_path_space(self, spec, n_steps):
+        code = ConvCode.from_spec(spec)
+        schedule = default_schedule(code, n_steps, 0.1, max_errors=2, trials=7)
+        accepted = 0
+        for c in range(20):
+            rng = np.random.default_rng([17, c])
+            sent = code.encode("".join(rng.choice(["0", "1"], n_steps * code.k)))
+            received = "".join(str(int(b) ^ (rng.random() < 0.1)) for b in sent)
+            try:
+                result = adaptive_decode(code, received, schedule, seed=[17, c])
+            except DecodeFailure:
+                continue
+            m = result.attempts[-1].mode_index
+            ps = build_path_space(code, received)
+            assert (result.message, result.path) == (ps.message(m), ps.path(m))
+            assert result.attempts[-1].distance == result.metric == ps.errors[m]
+            accepted += 1
+        assert accepted >= 10
 
     def test_schedule_ordering_follows_class_probability(self, code):
         # at epsilon = 0.2 a single flip is more likely than none on 8 bits

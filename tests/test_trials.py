@@ -74,10 +74,6 @@ class TestFailureRates:
         # gap 0.2: 0.04 / (2 * (0.6*0.64 + 0.4*1.04)) = 0.025
         assert mode_failure_rate(0.6, 0.4) == pytest.approx(0.025, abs=1e-15)
 
-    def test_symmetric_variant_value(self):
-        # gap 0.2: 0.04 / (2 * (0.6*0.64 + 0.4*1.44)) = 1/48
-        assert mode_failure_rate(0.6, 0.4, symmetric=True) == pytest.approx(1 / 48, abs=1e-15)
-
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             mode_failure_rate(0.0, 0.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from code_reference import edges_by_step, hamming
+from code_reference import branch_cost, edges_by_step, hamming, neglog
 from qviterbi import circuits, qva, viterbi
 from qviterbi.convcode import ConvCode, split_blocks
 from qviterbi.errors import SIZE_LIMIT, NoPathError, SizeLimitError
@@ -312,7 +312,7 @@ def walk_collect(h, emissions, start, cost, skip_infinite=False):
 def walk_brute_force(h, emissions, initial_state=0):
     """The first walked path whose total lies within the slack of the smallest."""
     trails, totals = walk_collect(
-        h, emissions, initial_state, viterbi._branch_cost, h.branch_errors is None
+        h, emissions, initial_state, branch_cost, h.branch_errors is None
     )
     if not trails:
         raise NoPathError(f"no admissible path from state {initial_state}")
@@ -367,9 +367,9 @@ def outcome(fn, *args):
 @given(oracle_instances())
 def test_enumeration_matches_recursive_walk(instance):
     h, emissions, start = instance
-    costs = [("neglog", viterbi._neglog)]
+    costs = [("neglog", neglog)]
     if h.branch_errors is not None:
-        costs.append(("errors", viterbi._branch_cost))
+        costs.append(("errors", branch_cost))
     for finite_only in (False, True):
         for name, cost in costs:
             trails, totals = walk_collect(h, emissions, start, cost, finite_only)
@@ -384,7 +384,7 @@ def test_enumeration_matches_recursive_walk(instance):
     if isinstance(got, viterbi.DecodeResult):
         assert type(got.metric) is (int if h.branch_errors is not None else float)
 
-    trails, weights = walk_collect(h, emissions, start, viterbi._neglog)
+    trails, weights = walk_collect(h, emissions, start, neglog)
     ps = outcome(build_path_space_hmm, h, emissions, start)
     if not trails:
         assert ps == (ValueError, "no admissible path; check the model and emissions")
@@ -394,7 +394,7 @@ def test_enumeration_matches_recursive_walk(instance):
     if h.branch_errors is None:
         assert ps.errors is None
         return
-    _trails, errors = walk_collect(h, emissions, start, viterbi._branch_cost)
+    _trails, errors = walk_collect(h, emissions, start, branch_cost)
     assert ps.errors.tolist() == errors
     assert path_metric_multiset(h, emissions, start) == Counter(errors)
 
@@ -427,7 +427,7 @@ def test_float_near_ties_follow_the_sequential_slack_rule(offsets, winner, ties)
     trans = {(0, j, "a"): 0.25 for j in range(1, len(offsets) + 1)}
     emit = {(0, j, "a"): 4.0 * math.exp(-v) for j, v in enumerate(targets, start=1)}
     h = Hmm(5, ("a",), trans, emit)
-    totals = [viterbi._neglog(h, 0, j, "a") for j in range(1, len(offsets) + 1)]
+    totals = [neglog(h, 0, j, "a") for j in range(1, len(offsets) + 1)]
     assert totals == pytest.approx(targets, abs=0.05 * tol)
     result = brute_force_decode(h, ["a"])
     assert result == walk_brute_force(h, ["a"]) == viterbi_decode(h, ["a"])
