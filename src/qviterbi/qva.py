@@ -13,18 +13,21 @@ depends only on the exponent, and the diffusion on no path label.  So from
 the uniform start each error class keeps one common amplitude, and run_qva
 and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
 with the mean weighted by class sizes.  A code-backed space reads its
-classes, and its viterbi_index, off the trellis (trellis_classes), not off
-its L paths; run_qva spreads the class amplitudes onto the paths with one
-gather over the error counts (ClassView.expand).  The per-path operators
-below are the dense reference the class engine is tested against.  Two
-kernels run the mark+diffuse rounds.  _amplify steps them one at a time for
-sweep grids, golden-section objectives, per-row campaigns and resumes; it
-picks its class-mean reduction once per call and can continue an earlier
-call's state, so a sweep at more iterations resumes the grid of one at
-fewer (sweep_omega's resume).  _power, run_qva's kernel, merges the
-classes of equal phase and raises the C' x C' round matrix to the k-th
-power by repeated squaring, where a measured rule on C' and k says that
-costs less than stepping (SQUARING_ROUNDS); _amplify is its oracle.
+classes, and its viterbi_index, off the trellis (trellis_classes), which
+needs no path vector, so its cost does not follow the L paths.  The class
+view records the class of the Viterbi path (ClassView.viterbi_class), the
+class whose probability run_qva and sweep_omega report; run_qva spreads the
+class amplitudes onto the paths with one gather over the error counts
+(ClassView.expand).  The per-path operators below are the dense reference
+the class engine is tested against.  Two kernels run the mark+diffuse
+rounds.  _amplify steps them one at a time for sweep grids, golden-section
+objectives, per-row campaigns and resumes; it picks its class-mean
+reduction once per call and can continue an earlier call's state, so a
+sweep at more iterations resumes the grid of one at fewer (sweep_omega's
+resume).  _power, run_qva's kernel, merges the classes of equal phase and
+raises the C' x C' round matrix to the k-th power by repeated squaring,
+where a measured rule on C' and k says that costs less than stepping
+(SQUARING_ROUNDS); _amplify is its oracle.
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
@@ -106,7 +109,9 @@ class ClassView(NamedTuple):
     counts[c] paths carry exponent values[c] and first[c] is the smallest of
     their indices.  Path i has key keys[i] and lies in class rank[keys[i]]:
     a code-backed space keys its paths by error count (keys is its errors
-    vector), any other by the sorted rank of their exponent.
+    vector), any other by the sorted rank of their exponent.  viterbi_class
+    is the class that holds the space's viterbi_index, the class whose
+    probability run_qva and sweep_omega report.
     """
 
     values: np.ndarray
@@ -114,15 +119,12 @@ class ClassView(NamedTuple):
     first: np.ndarray
     keys: np.ndarray
     rank: np.ndarray
+    viterbi_class: int
 
     @property
     def inverse(self) -> np.ndarray:
         """The class of every path, gathered over the L keys on each read."""
         return self.rank[self.keys]
-
-    def class_of(self, index: int) -> int:
-        """The class of path `index`."""
-        return int(self.rank[self.keys[index]])
 
     def expand(self, per_class: np.ndarray) -> np.ndarray:
         """The per-path array with per_class[c] on every path of class c: one gather over L."""
@@ -183,22 +185,28 @@ class PathSpace:
         Classes are ordered by their first path index, so an argmax over
         classes picks the class that holds the first maximal path.  A
         code-backed space reads its error classes off the trellis
-        (trellis_classes), without a pass over its L paths; any other space
-        factorises its exponents with np.unique.
+        (trellis_classes), without a pass over its L paths, and its Viterbi
+        path's class is the lowest-error one; any other space factorises its
+        exponents with np.unique and finds that class at its viterbi_index.
+        One tail then keys the paths: rank maps a key (an error count, or a
+        sorted rank) to its class.
         """
         view = self._classes.get(phase_mode)
         if view is None:
-            x = self.exponents(phase_mode)
+            keys = self.exponents(phase_mode)
             if self.code is not None:
-                view = trellis_classes(self.code, self.blocks, self.initial_state, x)
+                values, counts, first = trellis_classes(self.code, self.blocks, self.initial_state)
+                slots, size = values, self.n_steps * self.code.n + 1
             else:
                 values, first, keys, counts = np.unique(
-                    x, return_index=True, return_inverse=True, return_counts=True
+                    keys, return_index=True, return_inverse=True, return_counts=True
                 )
-                order = np.argsort(first)
-                rank = np.empty_like(order)
-                rank[order] = np.arange(len(order))
-                view = ClassView(values[order], counts[order], first[order], keys, rank)
+                slots = np.argsort(first)
+                values, counts, first, size = values[slots], counts[slots], first[slots], len(slots)
+            rank = np.zeros(size, dtype=np.intp)
+            rank[slots] = np.arange(len(slots))
+            top = values.argmin() if self.code is not None else rank[keys[self.viterbi_index]]
+            view = ClassView(values, counts, first, keys, rank, int(top))
             self._classes[phase_mode] = view
         return view
 
@@ -206,13 +214,14 @@ class PathSpace:
     def viterbi_index(self) -> int:
         """Index of the most probable path, the first of the co-optimal ones.
 
-        A code-backed space takes the first path of its lowest-error class
-        from its class view, with no pass over its L paths; any other picks
-        it by viterbi.first_optimum, the co-optimality rule of every decoder.
+        A code-backed space takes the first path of the class its class view
+        records as the Viterbi path's, with no pass over its L paths; any
+        other picks it by viterbi.first_optimum, the co-optimality rule of
+        every decoder.
         """
         if self.code is not None:
             view = self.classes()
-            return int(view.first[view.values.argmin()])
+            return int(view.first[view.viterbi_class])
         return viterbi.first_optimum(self.errors if self.errors is not None else self.weights)[0]
 
     def path(self, index: int) -> tuple[int, ...]:
@@ -295,12 +304,14 @@ def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> P
 
 
 def trellis_classes(
-    code: ConvCode, blocks: np.ndarray, initial_state: int, errors: np.ndarray
-) -> ClassView:
-    """The error classes of a code frame read off its trellis, not off its L paths.
+    code: ConvCode, blocks: np.ndarray, initial_state: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The error classes (values, counts, first) of a code frame, read off its trellis alone.
 
-    blocks holds the N received n-bit blocks as integers; errors, the
-    frame's path errors, only becomes the view's keys.  The bit errors of
+    blocks holds the N received n-bit blocks as integers; no path-error
+    vector is read or built, so the cost does not follow the F^N paths.
+    The class arrays are those of ClassView: values[c] errors on counts[c]
+    paths, the first of them path first[c].  The bit errors of
     every edge at every step are one Trellis.branch_errors call.  One
     backward pass over the trellis then gives, for each state s before each
     step, the paths from s to the end grouped by error total, the weight
@@ -362,11 +373,8 @@ def trellis_classes(
 
     start, mask = counts[initial_state], (1 << width) - 1
     class_counts = [(start >> width * e) & mask for e in values]
-    rank = [0] * (n_steps * code.n + 1)
-    for c, e in enumerate(values):
-        rank[e] = c
-    return ClassView(np.array(values, dtype=errors.dtype), np.array(class_counts, dtype=np.int64),
-                     np.array(first, dtype=np.intp), errors, np.array(rank, dtype=np.intp))
+    return (np.array(values, dtype=np.int64), np.array(class_counts, dtype=np.int64),
+            np.array(first, dtype=np.intp))
 
 
 def codeword_table(code: ConvCode, n_steps: int) -> np.ndarray:
@@ -628,7 +636,7 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     probs = np.abs(v) ** 2
     return RunResult(
         statevector=view.expand(v),
-        prob_top=float(probs[view.class_of(ps.viterbi_index)]),
+        prob_top=float(probs[view.viterbi_class]),
         top_index=int(view.first[np.argmax(probs)]),
     )
 
@@ -699,8 +707,9 @@ def sweep_omega(
     the given number of iterations.  Its peak narrows like 1/iterations, so
     the grid step is at most PEAK_STEP / iterations and the refinement
     tolerance shrinks with it; `grid` is the step while it is finer.  Grids
-    over SIZE_LIMIT (point, class) amplitudes, or whose iterations
-    would make over SWEEP_WORK_LIMIT amplitude updates, are refused.  The full
+    of over SIZE_LIMIT points, checked before the point count is formed, or
+    of over SIZE_LIMIT (point, class) amplitudes, or whose iterations would
+    make over SWEEP_WORK_LIMIT amplitude updates, are refused.  The full
     grid curve is returned so callers can plot or diff it.
 
     resume takes an earlier result on the same path space and phase mode
@@ -718,9 +727,9 @@ def sweep_omega(
     if resume is not None and resume.view is not view:
         raise ValueError("resume must come from a sweep of the same path space and phase mode")
     x = view.values
-    vit = view.class_of(ps.viterbi_index)
     peak_step = PEAK_STEP / iterations
     step = min(grid, peak_step)
+    check_size(math.pi / step, f"the grid of step {step!r}")  # before int(): pi / 1e-320 is inf
     points = int(math.pi / step)
     check_size(points * len(x), f"{points} grid points x {len(x)} classes")
     if points * len(x) * iterations > SWEEP_WORK_LIMIT:
@@ -735,14 +744,14 @@ def sweep_omega(
         state, done = resume.amplitudes.copy(), resume.iterations
     g = np.exp(1j * omegas[:, None] * x[None, :])
     amps = _amplify(g, iterations - done, view.counts, state)
-    probs = np.abs(amps[:, vit]) ** 2
+    probs = np.abs(amps[:, view.viterbi_class]) ** 2
     top_indices = view.first[np.argmax(np.abs(amps) ** 2, axis=1)]
 
     best = int(np.argmax(probs))
 
     def objective(w: float) -> float:
         v = _amplify(np.exp(1j * w * x), iterations, view.counts)
-        return float(np.abs(v[vit]) ** 2)
+        return float(np.abs(v[view.viterbi_class]) ** 2)
 
     lo = max(omegas[best] - step, 1e-9)
     hi = min(omegas[best] + step, math.pi - 1e-9)

@@ -6,8 +6,9 @@ against Generator.choice; the row encoder, row channel and row sampler
 are checked against their one-row cases, row by row.  The path-space builder is checked against
 re-encoding every message with the step walk, and the class view, which a
 code-backed space reads off its trellis, against a sort-based grouping of
-the enumerated path errors; runs on it against runs on the same errors
-grouped by np.unique, bit for bit.  run_qva and sweep_omega
+the enumerated path errors, and at N = 40, past the size guard, each
+class's first path against re-encoding it; runs on it against runs on the
+same errors grouped by np.unique, bit for bit.  run_qva and sweep_omega
 amplify one amplitude per distinct exponent; their reference is the public
 per-path chain uniform_superposition -> phase_mark -> diffuse, which touches
 all L amplitudes on every iteration, and run_qva's squaring kernel, _power,
@@ -456,6 +457,25 @@ def test_class_view_partitions_paths(frame):
     assert all(type(e) is int for e in ps.exponent_multiset())
 
 
+@PROPERTY_SETTINGS
+@given(frames(), st.floats(0.01, 0.49), st.data())
+def test_class_view_records_the_viterbi_class(frame, epsilon, data):
+    # the trellis route records the lowest-error class, the np.unique route the
+    # class of viterbi_index; both are the class of the space's Viterbi path
+    code, received = frame
+    s0 = data.draw(st.integers(0, code.num_states - 1))
+    ps = build_path_space(code, received, s0)
+    hmm_space = build_path_space_hmm(code.to_hmm(epsilon), split_blocks(received, code.n), s0)
+    bare = PathSpace(n_steps=ps.n_steps, errors=ps.errors[::-1].copy(), weights=None)
+    for space, phase_mode in ((ps, "errors"), (bare, "errors"), (hmm_space, "errors"),
+                              (hmm_space, "neglog")):
+        view = space.classes(phase_mode)
+        assert type(view.viterbi_class) is int
+        assert view.viterbi_class == view.inverse[space.viterbi_index]
+    view = ps.classes()
+    assert view.values[view.viterbi_class] == ps.errors.min()
+
+
 def test_exact_tie_across_classes_goes_to_first_path():
     # at omega = 0 every class keeps the same amplitude in both engines, so
     # the dense argmax is path 0 whichever class holds it
@@ -519,6 +539,26 @@ def test_trellis_classes_match_enumeration_at_the_ends(spec, n_steps, s0, seed):
     received = "".join(map(str, np.random.default_rng(seed).integers(0, 2, n_steps * code.n)))
     assert_trellis_classes_match_enumeration(code, s0, received)
     assert_trellis_classes_match_enumeration(code, s0, "0" * (n_steps * code.n))
+
+
+@pytest.mark.parametrize("spec", ["1,2,2;5,7", "1,2,6;171,133"])
+def test_trellis_classes_at_forty_steps_read_the_trellis_alone(spec):
+    # 2^40 paths, far past the size guard: no L-entry array may be built
+    code, n_steps = ConvCode.from_spec(spec), 40
+    received = "".join(map(str, np.random.default_rng(40).integers(0, 2, n_steps * code.n)))
+    blocks = code.received_blocks(received)
+    tracemalloc.start()
+    try:
+        values, counts, first = qva.trellis_classes(code, blocks, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert int(counts.sum()) == 1 << n_steps
+    assert np.all(np.diff(first) > 0)
+    for e, index in zip(values.tolist(), first.tolist()):
+        message = qva.code_walk(code, n_steps, index)[0]
+        assert hamming(code.encode(message), received) == e
 
 
 @settings(max_examples=30, deadline=None)

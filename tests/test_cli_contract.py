@@ -3,12 +3,13 @@ guards run before any per-frame work, and bad input exits 2 with one line."""
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qviterbi import cli, qva
+from qviterbi import circuits, cli, qva
 from qviterbi.cli import DECODE_MODES, FIELDS, build_parser, main, resolve_config
 from qviterbi.convcode import CODE_5_7, ConvCode
 from qviterbi.errors import SIZE_LIMIT, SizeLimitError, check_paths
@@ -269,6 +270,22 @@ class TestPathCountGuard:
         monkeypatch.chdir(tmp_path)
         assert_bad_config(run(argv, doc))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n-steps", "3", "--grid", "1e-309"],
+            ["table", "--grid", "1e-320"],
+            ["sweep", "--n-steps", "3", "--grid", "1e-300"],
+        ],
+    )
+    def test_grid_of_more_points_than_the_bound_exits_two(self, tmp_path, monkeypatch, argv):
+        # the first two were an OverflowError traceback and exit 1 (pi / grid is
+        # inf); the third printed a 301-digit point count in a 361-character line
+        monkeypatch.chdir(tmp_path)
+        result = run(argv)
+        assert_bad_config(result, f"the grid of step {argv[-1]} exceeds the size guard")
+        assert len(result[2]) < 80
+
 
 def test_config_file_that_is_not_utf8_exits_two(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -298,7 +315,7 @@ DRAWS = {
     "iterations": (["1", "3", "0", *map(str, HUGE)], WRONG_TYPES + [None]),
     "trials": (["1", "5", "0", *map(str, HUGE)], WRONG_TYPES + [None]),
     "seed": (["0", "7", "-1", str(2**70)], WRONG_TYPES + [None]),
-    "grid": (["0.005", "0.05", "3", "0", "4", "1e-300", "nan"], ["x", None, 10**400]),
+    "grid": (["0.005", "0.05", "3", "0", "4", "1e-300", "1e-320", "nan"], ["x", None, 10**400]),
     "out": (["out.csv", "out.json", "step", "missing/x.csv"], [5, None]),
     "campaigns": ([], [1, 4, 0, *HUGE, *WRONG_TYPES, None]),
     "n_range": ([], [[3, 4], [5, 4], [6, 6], [2, 9], [3, 13], ["a", 5], [3], 5, None]),
@@ -354,3 +371,45 @@ def test_cli_exits_zero_or_one_bad_config_line(in_tmp_dir, request_):
     if command == "decode" and any(mode not in DECODE_READERS.get(key, (mode,))
                                    for key in given_keys):
         assert code == 2, (argv, doc)
+
+
+# ---------------------------------------------------------------------------
+# The sibling property: a verify run whose check is made to fail exits 1 and
+# names that check in a [FAIL] line.  The faults are those of
+# tests/test_cli.py's test_fault_injected_check_fails, each drawn with codes
+# the faulted check applies to.
+
+FAULTS = [
+    # the DP decoder reports one bit error more than the oracle
+    ("decoder-oracle-equivalence", cli, "viterbi_decode",
+     lambda healthy: lambda h, blocks: healthy(h, blocks)._replace(
+         metric=healthy(h, blocks).metric + 1),
+     ["1,2,2;5,7", "1,3,2;5,7,3", "1,2,3;13,17"]),
+    ("step-block-unitarity", circuits, "step_blocks",
+     lambda healthy: lambda *args: 1.01 * healthy(*args),
+     ["1,2,2;5,7", "1,3,2;5,7,3", "1,2,3;13,17"]),
+    # the gate-level circuit is defined for the (5,7) code only
+    ("circuit-vs-block", circuits, "step_circuit_00",
+     lambda healthy: lambda omega: healthy(omega + 0.01),
+     ["1,2,2;5,7", "1,2,2;05,07"]),
+]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FAULTS), st.data())
+def test_verify_with_a_failing_check_exits_one(in_tmp_dir, fault, data):
+    name, owner, attr, inject, specs = fault
+    argv, doc = ["verify"], {}
+    # None leaves the field out: the default code, (5,7), suits every fault
+    for key, values in (("code", specs), ("seed", [0, 5, 7])):
+        value = data.draw(st.sampled_from([None, *values]))
+        if value is None:
+            continue
+        if data.draw(st.booleans()):
+            argv += ["--" + key, str(value)]
+        else:
+            doc[key] = value
+    with mock.patch.object(owner, attr, inject(getattr(owner, attr))):
+        code, out, err = run(argv, doc or None)
+    assert code == 1 and err == "", (argv, doc, code, err)
+    assert any(line.startswith(f"[FAIL] {name} ") for line in out.splitlines()), out

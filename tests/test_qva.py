@@ -8,7 +8,7 @@ import pytest
 
 import qviterbi.qva as qva_module
 from qviterbi.convcode import ConvCode
-from qviterbi.errors import DecodeFailure, SizeLimitError
+from qviterbi.errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import (
     PathSpace,
@@ -318,6 +318,13 @@ class TestSweep:
             sweep_omega(ps, iterations=1, grid=0.0)
         with pytest.raises(ValueError):
             sweep_omega(ps, iterations=0)
+
+    @pytest.mark.parametrize("grid", [1e-320, 1e-300, math.pi / (SIZE_LIMIT + 2)])
+    def test_grid_over_the_size_bound_is_refused(self, code, grid):
+        # pi / 1e-320 is inf, and int() of it raised OverflowError before any guard
+        ps = build_path_space(code, "0" * 6)
+        with pytest.raises(SizeLimitError, match=r"^the grid of step \S+ exceeds the size guard$"):
+            sweep_omega(ps, 3, grid=grid)
 
     def test_curve_matches_scalar_runs(self, code):
         ps = build_path_space(code, "0" * 6)
