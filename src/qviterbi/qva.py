@@ -27,7 +27,11 @@ sweep at more iterations resumes the grid of one at fewer (sweep_omega's
 resume).  _power, run_qva's kernel, merges the classes of equal phase and
 raises the C' x C' round matrix to the k-th power by repeated squaring,
 where a measured rule on C' and k says that costs less than stepping
-(SQUARING_ROUNDS); _amplify is its oracle.
+(SQUARING_ROUNDS); _amplify is its oracle.  A sweep grid's phases
+exp(i * omega * v) are computed once per grid step and exponent value v
+(_grid_phases): the sweeps of one step, over frames whose exponent values
+nest, read their columns from one store, which keeps the latest step that
+fits PHASE_CELLS phases.
 
 HMM-backed spaces come from viterbi.enumerate_paths, the enumeration that
 also serves brute_force_decode and path_metric_multiset, in one pass that
@@ -54,8 +58,8 @@ on the class axis e = 0..N*n with per-row class counts, and sample_modes,
 the one measurement pass of both QVA decode modes, reads those errors,
 draws the shot uniforms of many rows at once (streams.uniforms) and
 samples every row of a chunk of viterbi.CHUNK_CELLS path cells from one
-CDF matrix, each row searched in its own CDF as Generator.choice searches
-(sample_rows).  build_path_space,
+CDF matrix, each row searched in its own CDF as Generator.choice searches,
+its uniforms in ascending order (sample_rows).  build_path_space,
 adaptive_decode and measure are their one-row cases.
 """
 from __future__ import annotations
@@ -101,6 +105,12 @@ SWEEP_WORK_LIMIT = 1 << 32
 # 20 us pinned.
 SQUARING_ROUNDS = 64
 SQUARING_CLASSES = 40
+
+# _grid_phases keeps the sweep grid phases of one grid step, one column per
+# exponent value, up to PHASE_CELLS phases (16 MB) in all.  Its one entry is
+# replaced whole, never changed in place, so a reader gets a matching pair.
+PHASE_CELLS = 1 << 20
+_phases: dict = {}  # {step: ({exponent value: column}, read-only (points, K) table)}
 
 
 class ClassView(NamedTuple):
@@ -693,6 +703,31 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, floa
     return x, f(x)
 
 
+def _grid_phases(step: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep grid of step `step` over (0, pi) and its phases exp(1j * omega * x), (points, C).
+
+    Each phase is formed as np.exp(1j * omegas[:, None] * x[None, :]) forms
+    it, but a column is computed once per grid step and exponent value: the
+    values of x missing from the store go through one np.exp, and the store
+    keeps one step's columns, as a read-only (points, K) table of at most
+    PHASE_CELLS phases.  A call that would take it past that bound computes
+    all its columns afresh and leaves it as it was; a call on a new step
+    that fits replaces it.
+    """
+    omegas = np.arange(step, math.pi, step)
+    columns, table = _phases.get(step, ({}, np.empty((len(omegas), 0), dtype=complex)))
+    new = x[[v not in columns for v in x.tolist()]]
+    if (len(columns) + len(new)) * len(omegas) > PHASE_CELLS:
+        return omegas, np.exp(1j * omegas[:, None] * x[None, :])
+    if len(new):
+        table = np.hstack([table, np.exp(1j * omegas[:, None] * new[None, :])])
+        table.flags.writeable = False
+        columns = {**columns, **dict(zip(new.tolist(), range(len(columns), table.shape[1])))}
+        _phases.clear()
+        _phases[step] = columns, table
+    return omegas, table.take([columns[v] for v in x.tolist()], axis=1)
+
+
 def sweep_omega(
     ps: PathSpace,
     iterations: int,
@@ -737,12 +772,11 @@ def sweep_omega(
             f"{points} grid points x {len(x)} classes x {iterations} iterations"
             " exceeds the sweep work guard"
         )
-    omegas = np.arange(step, math.pi, step)
+    omegas, g = _grid_phases(step, x)
 
     state, done = None, 0
     if resume and resume.iterations <= iterations and np.array_equal(resume.omegas, omegas):
         state, done = resume.amplitudes.copy(), resume.iterations
-    g = np.exp(1j * omegas[:, None] * x[None, :])
     amps = _amplify(g, iterations - done, view.counts, state)
     probs = np.abs(amps[:, view.viterbi_class]) ** 2
     top_indices = view.first[np.argmax(np.abs(amps) ** 2, axis=1)]
@@ -777,8 +811,9 @@ def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     entries in [0, 1), exactly as Generator.choice(L, size, p=p[r] / p[r].sum())
     does from a generator whose random(size) is u[r], minus its validation:
     p is normalised into its CDF in place, and each row's uniforms are looked
-    up in its own CDF row.  Returns the (rows, L) draw counts; the first
-    maximum of a row, its argmax, is the mode_of tie rule.
+    up in its own CDF row, in ascending order (on a sorted copy of u).
+    Returns the (rows, L) draw counts; the first maximum of a row, its
+    argmax, is the mode_of tie rule.
     """
     if u.shape[1] < 1:
         raise ValueError("need at least one draw")
@@ -788,7 +823,9 @@ def sample_rows(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(np.divide(p, total, out=p), axis=-1, out=p)
     cdf /= cdf[:, -1:]
     counts = np.empty(p.shape, dtype=np.int64)
-    for row, cdf_row, u_row in zip(counts, cdf, u):
+    # a histogram does not depend on draw order, and searchsorted narrows each
+    # search from the previous hit when its keys ascend
+    for row, cdf_row, u_row in zip(counts, cdf, np.sort(u, axis=-1)):
         row[:] = np.bincount(cdf_row.searchsorted(u_row, side="right"), minlength=len(cdf_row))
     return counts
 

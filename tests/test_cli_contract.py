@@ -6,7 +6,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qviterbi import circuits, cli, qva
@@ -357,6 +357,10 @@ def requests(draw):
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(requests())
+# a grid step whose point count overflows is refused on every run, not only
+# when the draws land on it with every other field valid
+@example(("table", ["table", "--grid", "1e-320"], None, {"grid"}))
+@example(("sweep", ["sweep"], {"grid": 1e-320}, {"grid"}))
 def test_cli_exits_zero_or_one_bad_config_line(in_tmp_dir, request_):
     command, argv, doc, given_keys = request_
     code, out, err = run(argv, doc)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import qviterbi.qva as qva_module
+from qviterbi import cli
 from qviterbi.convcode import ConvCode
 from qviterbi.errors import SIZE_LIMIT, DecodeFailure, SizeLimitError
 from qviterbi.hmm import Hmm
@@ -303,6 +305,41 @@ class TestSingleIteration:
             assert ratio <= 9.0
 
 
+def neglog_space():
+    """A random two-state HMM's space over five emissions: one float class per path."""
+    rng = np.random.default_rng(3)
+    keys = [(i, j, y) for i in range(2) for j in range(2) for y in "ab"]
+    trans = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
+    emit = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
+    return build_path_space_hmm(Hmm(2, "ab", trans, emit), list("abbab"))
+
+
+# (path space, phase mode) builders for the shared-phase tests
+SPACES = {
+    "all-zero": lambda code: (build_path_space(code, "0" * 16), "errors"),
+    # the all-zero word's classes in another order, and a word with classes of its own
+    "erred-tail": lambda code: (build_path_space(code, "0" * 14 + "11"), "errors"),
+    "erred-middle": lambda code: (build_path_space(code, "0" * 8 + "01" + "0" * 6), "errors"),
+    "neglog": lambda code: (neglog_space(), "neglog"),
+}
+
+
+def direct_sweep(*args, **kwargs):
+    """sweep_omega with its grid phases formed in one np.exp over the whole grid, no store."""
+    def direct(step, x):
+        omegas = np.arange(step, math.pi, step)
+        return omegas, np.exp(1j * omegas[:, None] * x[None, :])
+
+    with mock.patch.object(qva_module, "_grid_phases", direct):
+        return sweep_omega(*args, **kwargs)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty store of sweep grid phases for the test, the module's own put back after."""
+    monkeypatch.setattr(qva_module, "_phases", {})
+
+
 class TestSweep:
     def test_four_step_sweep_finds_reference_point(self, code):
         ps = build_path_space(code, "0" * 8)
@@ -361,7 +398,12 @@ class TestSweep:
     def assert_same_sweep(got, want):
         for name in want._fields:
             a, b = getattr(got, name), getattr(want, name)
-            assert a is b if name == "view" else np.array_equal(a, b), name
+            if name == "view":
+                assert a is b, name
+            else:
+                a, b = np.asarray(a), np.asarray(b)
+                assert np.array_equal(a, b) and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize(
         "first, then, grid, continued",
@@ -386,17 +428,74 @@ class TestSweep:
         assert resumed.iterations == then and resumed.view is ps.classes()
 
     def test_resumed_neglog_sweep_on_an_hmm_space(self):
-        rng = np.random.default_rng(3)
-        keys = [(i, j, y) for i in range(2) for j in range(2) for y in "ab"]
-        trans = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
-        emit = dict(zip(keys, rng.uniform(0.1, 1.0, len(keys)).tolist()))
-        ps = build_path_space_hmm(Hmm(2, "ab", trans, emit), list("abbab"))
+        ps = neglog_space()
         assert len(ps.classes("neglog").values) > 8
         earlier = sweep_omega(ps, 3, phase_mode="neglog")
         self.assert_same_sweep(
             sweep_omega(ps, 6, phase_mode="neglog", resume=earlier),
             sweep_omega(ps, 6, phase_mode="neglog"),
         )
+
+    @pytest.mark.parametrize("space", list(SPACES))
+    def test_shared_phases_sweep_as_the_direct_grid(self, code, empty_store, space):
+        ps, mode = SPACES[space](code)
+        with mock.patch.object(qva_module, "_amplify", wraps=qva_module._amplify) as kernel:
+            first = sweep_omega(ps, 3, phase_mode=mode)  # computes the columns
+            again = sweep_omega(ps, 3, phase_mode=mode)  # reads them from the store
+            resumed = sweep_omega(ps, 6, phase_mode=mode, resume=first)
+        x = ps.classes(mode).values
+        direct = np.exp(1j * first.omegas[:, None] * x[None, :])
+        grids = [call.args[0] for call in kernel.call_args_list if call.args[0].ndim == 2]
+        assert len(grids) == 3
+        assert all(g.tobytes() == direct.tobytes() for g in grids)
+        self.assert_same_sweep(first, direct_sweep(ps, 3, phase_mode=mode))
+        self.assert_same_sweep(again, first)
+        self.assert_same_sweep(resumed, direct_sweep(ps, 6, phase_mode=mode))
+
+    @pytest.mark.parametrize("names", [("all-zero", "erred-tail"), ("erred-tail", "all-zero"),
+                                       ("all-zero", "erred-middle"), ("erred-middle", "all-zero"),
+                                       ("erred-middle", "neglog"), ("neglog", "erred-middle")])
+    def test_spaces_sharing_one_grid_sweep_as_the_direct_grid(self, code, empty_store, names):
+        # the second space finds some of its columns stored by the first
+        for name in names:
+            ps, mode = SPACES[name](code)
+            self.assert_same_sweep(sweep_omega(ps, 4, phase_mode=mode),
+                                   direct_sweep(ps, 4, phase_mode=mode))
+        assert len(qva_module._phases) == 1
+
+    def test_table_computes_each_grid_column_once(self, empty_store, tmp_path):
+        # N = 3..12 make 14 sweeps on the 0.005 grid over 20 distinct error counts
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps({"n_range": [3, 12]}))
+        with mock.patch.object(np, "exp", wraps=np.exp) as exp:
+            assert cli.main(["table", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 0
+        arrays = [call.args[0] for call in exp.call_args_list]
+        assert sum(a.shape[1] for a in arrays if np.ndim(a) == 2) == 20
+        (step, (columns, table)), = qva_module._phases.items()
+        assert step == 0.005 and sorted(columns) == [0, *range(2, 21)]
+        assert table.shape == (628, 20)
+
+    def test_grid_past_the_cell_budget_sweeps_as_the_direct_grid(self, code, empty_store,
+                                                                 monkeypatch):
+        # room for 12 columns of the 628-point 0.005 grid: the 13 classes of N = 8
+        # overflow it, and so do the 785 points x 10 classes of N = 6 on a 0.004
+        # grid; both leave the store as it was, and a 0.05 grid that fits replaces it
+        monkeypatch.setattr(qva_module, "PHASE_CELLS", 628 * 12)
+        small, large = (build_path_space(code, "0" * (2 * n)) for n in (6, 8))
+        cases = [(small, 0.005, 0.005, 10), (large, 0.005, 0.005, 10),
+                 (small, 0.004, 0.005, 10), (large, 0.05, 0.05, 13)]
+        for ps, grid, kept_step, kept in cases:
+            self.assert_same_sweep(sweep_omega(ps, 3, grid), direct_sweep(ps, 3, grid))
+            (step, (columns, table)), = qva_module._phases.items()
+            assert step == kept_step and len(columns) == table.shape[1] == kept
+            assert table.size <= qva_module.PHASE_CELLS
+
+    def test_stored_phases_are_read_only(self, code, empty_store):
+        sweep_omega(build_path_space(code, "0" * 8), 3)
+        (_, table), = qva_module._phases.values()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
     def test_resume_from_another_space_or_phase_mode_raises(self, code, hmm01):
         word = "0" * 6
