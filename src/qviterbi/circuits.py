@@ -271,11 +271,12 @@ def gate_counts(source: ConvCode | Hmm, n_steps: int) -> GateCount:
 
     Each of the N steps carries |Q| controlled blocks; each block needs F
     two-level rotations plus F (log2 F)^2 subspace-changing operations, so
-    the total is N |Q| F (1 + (log2 F)^2).
+    the total is N |Q| F (1 + (log2 F)^2).  A fanout below 1 or a negative
+    N raises ValueError.
     """
     fan = source.fanout if isinstance(source, ConvCode) else source.fanout()
-    if fan < 1:
-        raise ValueError("fanout must be at least 1")
+    if fan < 1 or n_steps < 0:
+        raise ValueError("need a fanout of at least 1 and a non-negative n_steps")
     log_f = (fan - 1).bit_length()  # ceil(log2 F), exact for every F
     rotations = n_steps * source.num_states * fan
     control_logic = rotations * log_f * log_f

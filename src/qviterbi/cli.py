@@ -159,13 +159,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("grid must lie in (0, pi)")
     if merged["omega"] is not None and not 0.0 <= merged["omega"] <= math.pi:
         raise ConfigError("omega must lie in [0, pi]")
-    # size guards on integers, before any per-frame work: the F^N paths of a
-    # sweep or QVA decode frame, and the received bits of a decode campaign
-    if args.command == "sweep" or mode != "classical":
-        check_paths(code.fanout, n_steps)
-    if args.command == "decode":
-        check_size(merged["campaigns"] * n_steps * code.n,
-                   f"{merged['campaigns']} x {n_steps} x {code.n} received bits")
     n_range = (n_steps, n_steps)
     if args.command == "table":
         if "n_steps" not in given:  # n_steps, by flag or config key, is the range [N, N]
@@ -175,6 +168,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             n_range = tuple(raw)
         if n_range[0] <= n_range[1] and (n_range[0] < 3 or n_range[1] > 12):
             raise ConfigError("table n_range must lie within [3, 12]")
+    # size guards on integers, before any per-frame work: the F^N paths of every
+    # table, sweep or QVA decode frame, and the received bits of a decode campaign
+    if args.command in ("table", "sweep") or mode != "classical":
+        for n in range(n_range[0], n_range[1] + 1):
+            check_size(check_paths(code.fanout, n), f"{code.fanout}^{n} paths")
+    if args.command == "decode":
+        check_size(merged["campaigns"] * n_steps * code.n,
+                   f"{merged['campaigns']} x {n_steps} x {code.n} received bits")
     # after the range checks: float() of a huge JSON integer overflows
     for key, (default, *_) in FIELDS.items():
         if default is not None:
@@ -479,7 +480,7 @@ def _check_oracle_equivalence(code, seed, _tol) -> tuple[bool, str]:
 def _check_multiset(code, _seed, _tol) -> tuple[bool, str]:
     reference = load_reference()
     received = "0" * (4 * code.n)
-    qva.codeword_table(code, 4)  # the path space's size guards, then to_hmm's, before any work
+    qva.codeword_table(code, 4)  # the frame's size guards (F^4 paths, trellis), then to_hmm's
     if reference["code"] == code.to_spec():
         expected = {int(k): v for k, v in reference["exponent_multiset_n4"].items()}
     else:

@@ -12,13 +12,15 @@ Both steps treat paths with equal exponents alike: the marking phase
 depends only on the exponent, and the diffusion on no path label.  So from
 the uniform start each error class keeps one common amplitude, and run_qva
 and sweep_omega amplify one amplitude per class (C <= N*n + 1 for a code)
-with the mean weighted by class sizes.  A code-backed space reads its
-classes, and its viterbi_index, off the trellis (trellis_classes), which
-needs no path vector, so its cost does not follow the L paths.  The class
-view records the class of the Viterbi path (ClassView.viterbi_class), the
-class whose probability run_qva and sweep_omega report; run_qva spreads the
-class amplitudes onto the paths with one gather over the error counts
-(ClassView.expand).  The per-path operators below are the dense reference
+with the mean weighted by class sizes.  A code-backed space holds only its
+frame and reads its classes, and its viterbi_index, off the trellis
+(trellis_classes), which needs no path vector, so its cost does not follow
+the L paths; its error vector is computed only when something reads it.
+The class view records the class of the Viterbi path
+(ClassView.viterbi_class), the class whose probability run_qva and
+sweep_omega report; run_qva spreads the class amplitudes onto the paths
+with one gather over the error counts (PathSpace.per_path), under the
+size guard of that read.  The per-path operators below are the dense reference
 the class engine is tested against.  Two kernels run the mark+diffuse
 rounds.  _amplify steps them one at a time for sweep grids, golden-section
 objectives, per-row campaigns and resumes; it picks its class-mean
@@ -117,39 +119,31 @@ class ClassView(NamedTuple):
     """The distinct exponents of a path space, in order of first path index.
 
     counts[c] paths carry exponent values[c] and first[c] is the smallest of
-    their indices.  Path i has key keys[i] and lies in class rank[keys[i]]:
-    a code-backed space keys its paths by error count (keys is its errors
-    vector), any other by the sorted rank of their exponent.  viterbi_class
-    is the class that holds the space's viterbi_index, the class whose
-    probability run_qva and sweep_omega report.
+    their indices.  viterbi_class is the class that holds the space's
+    viterbi_index, the class whose probability run_qva and sweep_omega
+    report.  The view holds per-class arrays only; PathSpace.per_path puts
+    a per-class array on the paths.
     """
 
     values: np.ndarray
     counts: np.ndarray
     first: np.ndarray
-    keys: np.ndarray
-    rank: np.ndarray
     viterbi_class: int
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """The class of every path, gathered over the L keys on each read."""
-        return self.rank[self.keys]
-
-    def expand(self, per_class: np.ndarray) -> np.ndarray:
-        """The per-path array with per_class[c] on every path of class c: one gather over L."""
-        return per_class[self.rank][self.keys]
 
 
 class PathSpace:
     """Ordered admissible paths with their per-path phase exponents.
 
-    Code-backed spaces index paths by the message bits read as an integer,
-    keep the received word's n-bit blocks, and reconstruct state sequences
-    on demand; HMM-backed spaces keep their model and the enumeration's
-    level table (viterbi.Paths), and read paths off it.  errors holds
-    integer bit-error counts, weights holds negative log path probabilities
-    (general HMM mode).
+    A code-backed space holds only its frame: the code, the received word's
+    n-bit blocks and the start state.  Its paths are indexed by their
+    message bits read as an integer, L = F^N is a Python int, state
+    sequences are reconstructed on demand, and errors, the paths' integer
+    bit-error counts, is computed on its first read (path_error_rows, which
+    refuses over SIZE_LIMIT paths); classes and viterbi_index never read
+    it.  HMM-backed spaces keep their model and the enumeration's level
+    table (viterbi.Paths), and read paths off it.  Every other space is
+    given its exponents: errors, and weights, the negative log path
+    probabilities (general HMM mode).
     """
 
     def __init__(
@@ -165,7 +159,7 @@ class PathSpace:
         hmm: Hmm | None = None,
     ):
         self.n_steps = n_steps
-        self.errors = errors
+        self._errors = errors
         self.weights = weights
         self.code = code
         self.blocks = blocks
@@ -173,8 +167,21 @@ class PathSpace:
         self._paths = paths
         self._hmm = hmm
         ref = errors if errors is not None else weights
-        self.L = int(len(ref))
-        self._classes: dict[str, ClassView] = {}
+        self.L = len(ref) if code is None else code.fanout**n_steps
+        # per phase mode: the class view, the key->class rank, and the per-path
+        # keys (None on the trellis route, whose keys are the errors)
+        self._classes: dict[str, tuple[ClassView, np.ndarray, np.ndarray | None]] = {}
+
+    @property
+    def errors(self) -> np.ndarray | None:
+        """The paths' bit-error counts; a code-backed space computes them on the first read.
+
+        That read is the one-row case of path_error_rows, and every later
+        one returns the same array.
+        """
+        if self._errors is None and self.code is not None:
+            self._errors = path_error_rows(self.code, self.blocks[None], self.initial_state)[0]
+        return self._errors
 
     def exponents(self, phase_mode: str = "errors") -> np.ndarray:
         if phase_mode == "errors":
@@ -195,30 +202,39 @@ class PathSpace:
         Classes are ordered by their first path index, so an argmax over
         classes picks the class that holds the first maximal path.  A
         code-backed space reads its error classes off the trellis
-        (trellis_classes), without a pass over its L paths, and its Viterbi
+        (trellis_classes), without reading its errors, and its Viterbi
         path's class is the lowest-error one; any other space factorises its
         exponents with np.unique and finds that class at its viterbi_index.
-        One tail then keys the paths: rank maps a key (an error count, or a
-        sorted rank) to its class.
+        Beside the view, rank maps a path's key (an error count, or the
+        sorted rank of its exponent) to its class, for per_path.
         """
-        view = self._classes.get(phase_mode)
-        if view is None:
-            keys = self.exponents(phase_mode)
-            if self.code is not None:
+        if phase_mode not in self._classes:
+            if self.code is not None and phase_mode == "errors":
                 values, counts, first = trellis_classes(self.code, self.blocks, self.initial_state)
-                slots, size = values, self.n_steps * self.code.n + 1
+                slots, size, keys = values, self.n_steps * self.code.n + 1, None
             else:
                 values, first, keys, counts = np.unique(
-                    keys, return_index=True, return_inverse=True, return_counts=True
+                    self.exponents(phase_mode), return_index=True, return_inverse=True,
+                    return_counts=True,
                 )
                 slots = np.argsort(first)
                 values, counts, first, size = values[slots], counts[slots], first[slots], len(slots)
             rank = np.zeros(size, dtype=np.intp)
             rank[slots] = np.arange(len(slots))
-            top = values.argmin() if self.code is not None else rank[keys[self.viterbi_index]]
-            view = ClassView(values, counts, first, keys, rank, int(top))
-            self._classes[phase_mode] = view
-        return view
+            top = values.argmin() if keys is None else rank[keys[self.viterbi_index]]
+            self._classes[phase_mode] = ClassView(values, counts, first, int(top)), rank, keys
+        return self._classes[phase_mode][0]
+
+    def per_path(self, per_class: np.ndarray, phase_mode: str = "errors") -> np.ndarray:
+        """per_class[c] on every path of class c of classes(phase_mode): one gather over L.
+
+        per_class[rank] puts the classes on the keys, and the paths' keys
+        gather it: a code-backed space's errors, read here, or the sorted
+        ranks of any other space's exponents.
+        """
+        self.classes(phase_mode)
+        _, rank, keys = self._classes[phase_mode]
+        return per_class[rank][self.errors if keys is None else keys]
 
     @cached_property
     def viterbi_index(self) -> int:
@@ -295,22 +311,19 @@ def _successors(code: ConvCode) -> tuple[tuple[int, ...], ...]:
 
 
 def build_path_space(code: ConvCode, received: str, initial_state: int = 0) -> PathSpace:
-    """Enumerate all message sequences and their total bit-error counts.
+    """The path space of a received word: its code, n-bit blocks and start state.
 
     Path i is the one driven by the k*N message bits of i (most significant
-    block first) starting from initial_state; its errors come from the
-    one-row case of path_error_rows.
+    block first) starting from initial_state.  Nothing of F^N entries is
+    built here: the errors are read on demand, and the classes off the
+    trellis, whose int64 class counts are exact while k*N <= 62, so a
+    longer frame raises SizeLimitError.
     """
     initial_state = check_state(initial_state, code.num_states)
-    ys = code.received_blocks(received)[None]
-    return PathSpace(
-        n_steps=ys.shape[1],
-        errors=path_error_rows(code, ys, initial_state)[0],
-        weights=None,
-        code=code,
-        blocks=ys[0],
-        initial_state=initial_state,
-    )
+    blocks = code.received_blocks(received)
+    if code.k * len(blocks) > 62:
+        raise SizeLimitError(f"{code.fanout}^{len(blocks)} paths exceeds the class count bound")
+    return PathSpace(len(blocks), None, None, code=code, blocks=blocks, initial_state=initial_state)
 
 
 def trellis_classes(
@@ -538,6 +551,7 @@ def uniform_superposition(ps: PathSpace) -> np.ndarray:
     """Equal amplitude 1/sqrt(L) on every admissible path."""
     if ps.L < 1:
         raise ValueError("empty path space")
+    check_size(ps.L, f"{ps.L} paths")
     return np.full(ps.L, 1.0 / math.sqrt(ps.L), dtype=complex)
 
 
@@ -645,7 +659,7 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     v = _power(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
     probs = np.abs(v) ** 2
     return RunResult(
-        statevector=view.expand(v),
+        statevector=ps.per_path(v, params.phase_mode),
         prob_top=float(probs[view.viterbi_class]),
         top_index=int(view.first[np.argmax(probs)]),
     )

@@ -33,7 +33,7 @@ def amplitude_loaded_state(ps: PathSpace, epsilon: float) -> np.ndarray:
     and B the received length in bits.  The argmax amplitude is the
     classical most-likely path.
     """
-    if ps.code is not None and ps.errors is not None:
+    if ps.code is not None:
         return _normalised_sqrt(bsc_weights(epsilon, ps.n_steps * ps.code.n)[ps.errors])
     check_epsilon(epsilon)
     if ps.weights is None:
@@ -152,11 +152,13 @@ def compare_costs(
     The probabilistic strategy spends one marking pass per trial; the
     iterated strategy spends ceil(pi/4 sqrt(F^N)) passes on O(1) trials.
     Both counts are taken in floats, so a frame whose F^N or trial count
-    lies beyond float range raises ValueError, before F^N is formed.  There
-    is no path-count guard: the cost model is meant for N past any
-    enumeration.
+    lies beyond float range raises ValueError, before F^N is formed, as
+    does a fanout below 1 or a negative N.  There is no path-count guard:
+    the cost model is meant for N past any enumeration.
     """
-    paths_bits = n_steps * math.log2(fanout) if fanout >= 2 else 0.0
+    if fanout < 1 or n_steps < 0:
+        raise ValueError("need a fanout of at least 1 and a non-negative n_steps")
+    paths_bits = n_steps * math.log2(fanout)
     if qva_iterations is None and paths_bits >= sys.float_info.max_exp:
         raise ValueError(f"{fanout}^{n_steps} paths lies beyond float range")
     if prob_trials is None:

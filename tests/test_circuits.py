@@ -376,6 +376,12 @@ class TestGateCounts:
         assert counts.rotations == 2 * 4 * 4
         assert counts.control_logic == 2 * 4 * 4 * 4  # (log2 4)^2 = 4
 
+    @pytest.mark.parametrize("n_steps", [-1, -7])
+    def test_negative_frame_is_refused(self, code, n_steps):
+        # the counts came out negative
+        with pytest.raises(ValueError, match="^need a fanout of at least 1 and a non-negative n_steps$"):
+            gate_counts(code, n_steps)
+
 
 class TestGlobalPhaseComparison:
     def test_phase_multiplied_matrices_compare_equal(self):

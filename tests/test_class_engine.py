@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 from code_reference import hamming
 from qviterbi import cli, qva, streams, viterbi
 from qviterbi.convcode import BscChannel, ConvCode, split_blocks, transmit_rows
+from qviterbi.errors import SizeLimitError
 from qviterbi.hmm import Hmm
 from qviterbi.qva import (
     PathSpace,
@@ -121,9 +122,14 @@ def sorted_classes(x):
     return values[order], counts[order], first[order], rank[inverse]
 
 
+def class_of_every_path(ps, phase_mode="errors"):
+    """The class index of every path, through the space's per-path gather."""
+    return ps.per_path(np.arange(len(ps.classes(phase_mode).first)), phase_mode)
+
+
 def assert_classes_match_sort(ps, phase_mode):
     view = ps.classes(phase_mode)
-    got_fields = (view.values, view.counts, view.first, view.inverse)
+    got_fields = (view.values, view.counts, view.first, class_of_every_path(ps, phase_mode))
     for got, want in zip(got_fields, sorted_classes(ps.exponents(phase_mode)), strict=True):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -450,10 +456,11 @@ def test_class_view_partitions_paths(frame):
     code, received = frame
     ps = build_path_space(code, received)
     view = ps.classes()
+    inverse = class_of_every_path(ps)
     assert int(view.counts.sum()) == ps.L
-    assert np.array_equal(view.values[view.inverse], ps.errors)
+    assert np.array_equal(view.values[inverse], ps.errors)
     assert np.all(np.diff(view.first) > 0)
-    assert np.array_equal(view.inverse[view.first], np.arange(len(view.first)))
+    assert np.array_equal(inverse[view.first], np.arange(len(view.first)))
     assert all(type(e) is int for e in ps.exponent_multiset())
 
 
@@ -471,7 +478,7 @@ def test_class_view_records_the_viterbi_class(frame, epsilon, data):
                               (hmm_space, "neglog")):
         view = space.classes(phase_mode)
         assert type(view.viterbi_class) is int
-        assert view.viterbi_class == view.inverse[space.viterbi_index]
+        assert view.viterbi_class == class_of_every_path(space, phase_mode)[space.viterbi_index]
     view = ps.classes()
     assert view.values[view.viterbi_class] == ps.errors.min()
 
@@ -509,7 +516,7 @@ def assert_trellis_classes_match_enumeration(code, s0, received):
     ps = build_path_space(code, received, s0)
     errors = path_error_rows(code, block_values(code, [received]), s0)[0]
     view = ps.classes()
-    got_fields = (view.values, view.counts, view.first, view.inverse)
+    got_fields = (view.values, view.counts, view.first, class_of_every_path(ps))
     for got, want in zip(got_fields, sorted_classes(errors), strict=True):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -559,6 +566,27 @@ def test_trellis_classes_at_forty_steps_read_the_trellis_alone(spec):
     for e, index in zip(values.tolist(), first.tolist()):
         message = qva.code_walk(code, n_steps, index)[0]
         assert hamming(code.encode(message), received) == e
+
+
+@pytest.mark.parametrize("spec", ["1,2,2;5,7", "1,2,6;171,133"])
+def test_class_reads_at_forty_steps_allocate_no_path_array(spec):
+    # a code space holds only its frame, so its class reads run past the size guard
+    code, n_steps = ConvCode.from_spec(spec), 40
+    received = "".join(map(str, np.random.default_rng(41).integers(0, 2, n_steps * code.n)))
+    tracemalloc.start()
+    try:
+        ps = build_path_space(code, received)
+        view, index, multiset = ps.classes(), ps.viterbi_index, ps.exponent_multiset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert ps.L == sum(multiset.values()) == 1 << n_steps
+    assert index == view.first[view.viterbi_class]
+    e = hamming(code.encode(ps.message(index)), received)
+    assert e == view.values[view.viterbi_class] == min(multiset)
+    with pytest.raises(SizeLimitError):
+        ps.errors
 
 
 @settings(max_examples=30, deadline=None)
@@ -663,10 +691,11 @@ def test_path_error_rows_without_table_match_the_table_route(spec, n_steps, s0):
 def test_build_path_space_allocates_one_path_array():
     code, n_steps = ConvCode.from_spec("1,2,2;5,7"), 16
     received = "".join(map(str, np.random.default_rng(16).integers(0, 2, 2 * n_steps)))
-    build_path_space(code, received)  # the per-frame-length layout is cached
+    build_path_space(code, received).errors  # the per-frame-length layout is cached
+    ps = build_path_space(code, received)
     tracemalloc.start()
     try:
-        build_path_space(code, received)
+        ps.errors  # the first read builds the one path array
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

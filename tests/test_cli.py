@@ -258,6 +258,14 @@ class TestTable:
             row = by_key[(n, "reference")]
             assert abs(float(row["omega_star"]) - float(row["ref_omega_star"])) <= 0.03
 
+    def test_table_reads_no_path_errors(self, capsys, monkeypatch):
+        # every frame's classes come off the trellis: no error vector is built
+        calls, real = [], qva_module.path_error_rows
+        monkeypatch.setattr(qva_module, "path_error_rows",
+                            lambda *args: calls.append(args) or real(*args))
+        assert main(["table"]) == 0
+        assert calls == [] and capsys.readouterr().out.count("\n") == 17
+
     def test_table_output_deterministic(self, capsys):
         assert main(["table", "--n-steps", "5"]) == 0
         first = capsys.readouterr().out

@@ -238,6 +238,19 @@ class TestPathCountGuard:
         result = run(["decode", "--n-steps", str(2**40)], {"mode": mode, "campaigns": 1})
         assert_bad_config(result, f"2^{2**40} paths exceeds the size guard")
 
+    @pytest.mark.parametrize("argv, paths", [
+        (["sweep", "--n-steps", "9", "--iterations", "1"], "8^9"),
+        (["table"], "8^9"),  # the first frame of N = 3..10 over the bound
+        (["decode", "--n-steps", "9"], "8^9"),
+    ])
+    def test_frames_over_the_bound_under_25_steps_exit_two(self, tmp_path, monkeypatch,
+                                                           argv, paths):
+        # a code path space reads its classes at any size, but the CLI keeps the path bound
+        monkeypatch.chdir(tmp_path)
+        doc = {"mode": "iterated-qva"} if argv[0] == "decode" else None
+        result = run([*argv, "--code", "3,2,1;1,2,3,1,2,3"], doc)
+        assert_bad_config(result, f"{paths} paths exceeds the size guard")
+
     def test_resolve_refuses_a_sweep_of_10_to_the_8_steps(self):
         # main used to build the 2e8-bit received word before any guard ran
         args = build_parser().parse_args(["sweep", "--n-steps", "100000000", "--iterations", "1"])

@@ -71,8 +71,18 @@ class TestPathSpace:
         assert int(ps.errors[9]) == 7
 
     def test_size_guard(self, code):
+        ps = build_path_space(code, "00" * 25)
         with pytest.raises(SizeLimitError):
-            build_path_space(code, "00" * 25)
+            ps.errors
+
+    @pytest.mark.parametrize("spec, n_steps", [("1,2,2;5,7", 62), ("3,2,1;1,2,3,1,2,3", 20)])
+    def test_class_count_bound(self, spec, n_steps):
+        # int64 class counts hold F^N while k*N <= 62; one step more is refused at build
+        code = ConvCode.from_spec(spec)
+        ps = build_path_space(code, "0" * (n_steps * code.n))
+        assert ps.L == int(ps.classes().counts.sum()) == 1 << (code.k * n_steps)
+        with pytest.raises(SizeLimitError, match="exceeds the class count bound$"):
+            build_path_space(code, "0" * ((63 // code.k) * code.n))
 
     def test_hmm_space_guard(self, hmm01):
         with pytest.raises(SizeLimitError):
@@ -391,7 +401,8 @@ class TestSweep:
         # a 5e-5 scan of (0, pi) puts the maximum within 1e-3 of pi / N here
         omegas = np.arange(math.pi / n_steps - 0.015, math.pi / n_steps + 0.015, 1e-5)
         amps = _amplify(np.exp(1j * omegas[:, None] * view.values), iterations, view.counts)
-        oracle = float(np.max(np.abs(amps[:, view.inverse[ps.viterbi_index]]) ** 2))
+        target = ps.per_path(np.arange(len(view.first)))[ps.viterbi_index]
+        oracle = float(np.max(np.abs(amps[:, target]) ** 2))
         assert abs(sweep_omega(ps, iterations).prob_star - oracle) <= 1e-3
 
     @staticmethod

@@ -225,3 +225,9 @@ class TestCompareCosts:
         assert compare_costs(1023).amplified_calls == math.ceil(math.pi / 4 * math.sqrt(2.0**1023))
         with pytest.raises(ValueError, match="beyond float range"):
             compare_costs(512, fanout=4)
+
+    @pytest.mark.parametrize("n_steps, fanout", [(5, 0), (5, -2), (-3, 2), (-1, 1)])
+    def test_fanout_below_one_or_negative_frame_is_refused(self, n_steps, fanout):
+        # fanout 0 divided by its 0 oracle calls; N = -3 gave a fractional path count
+        with pytest.raises(ValueError, match="^need a fanout of at least 1 and a non-negative n_steps$"):
+            compare_costs(n_steps, fanout=fanout)
