@@ -480,7 +480,9 @@ def _check_oracle_equivalence(code, seed, _tol) -> tuple[bool, str]:
 def _check_multiset(code, _seed, _tol) -> tuple[bool, str]:
     reference = load_reference()
     received = "0" * (4 * code.n)
-    qva.codeword_table(code, 4)  # the frame's size guards (F^4 paths, trellis), then to_hmm's
+    # the frame's size guards (F^4 paths, then the trellis) before to_hmm's
+    check_size(check_paths(code.fanout, 4), f"{code.fanout}^4 paths")
+    code.trellis()
     if reference["code"] == code.to_spec():
         expected = {int(k): v for k, v in reference["exponent_multiset_n4"].items()}
     else:

@@ -18,10 +18,11 @@ frame and reads its classes, and its viterbi_index, off the trellis
 the L paths; its error vector is computed only when something reads it.
 The class view records the class of the Viterbi path
 (ClassView.viterbi_class), the class whose probability run_qva and
-sweep_omega report; run_qva spreads the class amplitudes onto the paths
-with one gather over the error counts (PathSpace.per_path), under the
-size guard of that read.  The per-path operators below are the dense reference
-the class engine is tested against.  Two kernels run the mark+diffuse
+sweep_omega report; run_qva keeps the class amplitudes, and its result
+spreads them onto the paths only when its statevector is read, with one
+gather over the error counts (PathSpace.per_path) under the size guard of
+that read.  The per-path operators below are the dense reference the
+class engine is tested against.  Two kernels run the mark+diffuse
 rounds.  _amplify steps them one at a time for sweep grids, golden-section
 objectives, per-row campaigns and resumes; it picks its class-mean
 reduction once per call and can continue an earlier call's state, so a
@@ -67,6 +68,7 @@ adaptive_decode and measure are their one-row cases.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from functools import cache, cached_property, partial
 from typing import NamedTuple, Sequence
@@ -540,11 +542,22 @@ class QvaParams(_QvaFields):
 
 
 class RunResult(NamedTuple):
-    """Final statevector plus the probabilities the experiments report."""
+    """The final class amplitudes plus the probabilities the experiments report.
 
-    statevector: np.ndarray
+    amplitudes[c] is the amplitude of every path of class c of
+    space.classes(phase_mode).  statevector puts them on the paths on each
+    read, with PathSpace.per_path, under the size guard of that gather.
+    """
+
+    amplitudes: np.ndarray
     prob_top: float      # probability of the classically optimal path
     top_index: int       # argmax of the measured distribution
+    space: PathSpace
+    phase_mode: str = "errors"
+
+    @property
+    def statevector(self) -> np.ndarray:
+        return self.space.per_path(self.amplitudes, self.phase_mode)
 
 
 def uniform_superposition(ps: PathSpace) -> np.ndarray:
@@ -653,16 +666,15 @@ def run_qva(ps: PathSpace, params: QvaParams) -> RunResult:
     The rounds run on the class view, by _power: repeated squaring of the
     round matrix where the cost rule favours it, else _amplify's stepping.
     prob_top is the probability of measuring the classical-Viterbi optimal
-    path; top_index is the most likely measurement outcome.
+    path; top_index is the most likely measurement outcome.  Nothing of L
+    entries is read or built here: the result keeps the class amplitudes,
+    and its statevector is gathered only when read.
     """
     view = ps.classes(params.phase_mode)
     v = _power(np.exp(1j * params.omega * view.values), params.iterations, view.counts)
     probs = np.abs(v) ** 2
-    return RunResult(
-        statevector=ps.per_path(v, params.phase_mode),
-        prob_top=float(probs[view.viterbi_class]),
-        top_index=int(view.first[np.argmax(probs)]),
-    )
+    return RunResult(v, float(probs[view.viterbi_class]), int(view.first[np.argmax(probs)]),
+                     ps, params.phase_mode)
 
 
 def single_iteration_prob(g: np.ndarray, target: int) -> float:
@@ -1024,13 +1036,21 @@ def adaptive_decode_rows(
 
 
 def formula_iterations(code: ConvCode, n_steps: int) -> int:
-    """ceil(pi/4 * sqrt(F^N)), the usual amplitude-amplification count (errors.check_paths)."""
-    return path_iterations(check_paths(code.fanout, n_steps))
+    """ceil(pi/4 * sqrt(F^N)), the usual amplitude-amplification count (path_iterations)."""
+    return path_iterations(code.fanout, n_steps)
 
 
-def path_iterations(paths: int) -> int:
-    """ceil(pi/4 * sqrt(L)), the amplitude-amplification count over L paths."""
-    return math.ceil(math.pi / 4.0 * math.sqrt(float(paths)))
+def path_iterations(fanout: int, n_steps: int) -> int:
+    """ceil(pi/4 * sqrt(F^N)), the amplitude-amplification count over F^N paths.
+
+    The closed form of Boyer, Brassard, Hoyer and Tapp (1998), taken in
+    floats: a frame whose F^N lies beyond float range raises ValueError
+    before F^N is formed.  No path count bounds it, since nothing of F^N
+    entries is built.
+    """
+    if n_steps * math.log2(fanout) >= sys.float_info.max_exp:
+        raise ValueError(f"{fanout}^{n_steps} paths lies beyond float range")
+    return math.ceil(math.pi / 4.0 * math.sqrt(float(fanout**n_steps)))
 
 
 def representative_received(code: ConvCode, n_steps: int, n_errors: int) -> str:

@@ -9,7 +9,6 @@ trial count r.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -151,20 +150,17 @@ def compare_costs(
 
     The probabilistic strategy spends one marking pass per trial; the
     iterated strategy spends ceil(pi/4 sqrt(F^N)) passes on O(1) trials.
-    Both counts are taken in floats, so a frame whose F^N or trial count
-    lies beyond float range raises ValueError, before F^N is formed, as
-    does a fanout below 1 or a negative N.  There is no path-count guard:
-    the cost model is meant for N past any enumeration.
+    Both counts are taken in floats, so a frame whose F^N (qva.path_iterations)
+    or trial count lies beyond float range raises ValueError, before F^N is
+    formed, as does a fanout below 1 or a negative N.  There is no
+    path-count guard: the cost model is meant for N past any enumeration.
     """
     if fanout < 1 or n_steps < 0:
         raise ValueError("need a fanout of at least 1 and a non-negative n_steps")
-    paths_bits = n_steps * math.log2(fanout)
-    if qva_iterations is None and paths_bits >= sys.float_info.max_exp:
-        raise ValueError(f"{fanout}^{n_steps} paths lies beyond float range")
+    if qva_iterations is None:
+        qva_iterations = path_iterations(fanout, n_steps)
     if prob_trials is None:
         prob_trials = required_trials(n_steps, e0, target_failure)
-    if qva_iterations is None:
-        qva_iterations = path_iterations(fanout**n_steps)
     return CostReport(
         n_steps=n_steps,
         probabilistic_calls=prob_trials,

@@ -589,6 +589,23 @@ def test_class_reads_at_forty_steps_allocate_no_path_array(spec):
         ps.errors
 
 
+@pytest.mark.parametrize("spec", ["1,2,2;5,7", "1,2,6;171,133"])
+def test_run_at_forty_steps_stays_on_the_classes(spec):
+    # omega = 0 keeps the uniform state, and every value on the way is a power of two
+    code, n_steps = ConvCode.from_spec(spec), 40
+    tracemalloc.start()
+    try:
+        ps = build_path_space(code, "0" * (n_steps * code.n))
+        result = run_qva(ps, QvaParams(omega=0.0, iterations=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert result.prob_top == 2.0**-40 and result.top_index == 0
+    with pytest.raises(SizeLimitError, match=r"^2\^40 paths exceeds the size guard$"):
+        result.statevector
+
+
 @settings(max_examples=30, deadline=None)
 @given(trellis_frames(), omegas, st.integers(1, 6), st.sampled_from([0.3, 0.7]))
 # run_qva's squaring route, at least SQUARING_ROUNDS rounds on few classes
@@ -863,7 +880,7 @@ def test_squaring_rule_keeps_neglog_spaces_stepping():
     # a neglog space has a class per path, C = L: at L's formula count a space
     # of few enough classes has too few rounds, while the (5,7) frames of
     # N = 14..18 square
-    assert qva.path_iterations(qva.SQUARING_CLASSES) < qva.SQUARING_ROUNDS
+    assert qva.path_iterations(qva.SQUARING_CLASSES, 1) < qva.SQUARING_ROUNDS
     code = ConvCode.from_spec("1,2,2;5,7")
     for n_steps in (14, 16, 18):
         ps = build_path_space(code, "01" * n_steps)

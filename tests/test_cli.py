@@ -625,6 +625,17 @@ class TestVerify:
             cli._check_multiset(code, 5, 0.0)
         assert built == []
 
+    def test_multiset_check_builds_no_codeword_table(self, monkeypatch, capsys):
+        # its guards are the F^4 path count and the trellis, with no F^4 table filled
+        tables = []
+        monkeypatch.setattr(qva_module, "codeword_table", lambda *args: tables.append(args))
+        assert main(["verify", "--code", "5,1,1;2,1,1,1,1"]) == 0
+        assert main(["verify", "--code", "7,1,1;2,1,1,1,1,1,1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] exponent-multiset-n4" in out
+        assert "[SKIP] exponent-multiset-n4 (tol=exact): 128^4 paths exceeds the size guard\n" in out
+        assert tables == []
+
     def test_checks_list_tolerances(self, capsys):
         main(["verify", "--seed", "5"])
         out = capsys.readouterr().out

@@ -218,11 +218,13 @@ class TestPathCountGuard:
     def test_library_callers_refuse_huge_frames(self):
         for call in (
             lambda: qva.codeword_table(CODE_5_7, 2**40),
-            lambda: qva.formula_iterations(CODE_5_7, 2**40),
             lambda: enumerate_paths(CODE_5_7.to_hmm(0.1), ["00"] * 25, 0, ("errors",)),
         ):
             with pytest.raises(SizeLimitError):
                 call()
+        # the formula is a closed form, refused only where F^N leaves float range
+        with pytest.raises(ValueError, match=rf"^2\^{2**40} paths lies beyond float range$"):
+            qva.formula_iterations(CODE_5_7, 2**40)
         # 4^20 paths are over SIZE_LIMIT, but their count is computed
         assert qva.formula_iterations(ConvCode.from_spec("2,3,1;1,2,3,3,1,2"), 20) == 823550
 

@@ -653,3 +653,8 @@ class TestFormulaIterations:
     def test_reference_counts(self, code):
         got = {n: formula_iterations(code, n) for n in range(3, 11)}
         assert got == {3: 3, 4: 4, 5: 5, 6: 7, 7: 9, 8: 13, 9: 18, 10: 26}
+
+    def test_counts_past_the_path_guard(self, code):
+        # a closed form: no path count bounds it, only float range
+        assert formula_iterations(code, 30) == 25736
+        assert formula_iterations(code, 40) == 823550
